@@ -99,7 +99,6 @@ from .realize import (
 from .sls import (
     DualMergedSystem,
     MergedSystem,
-    MergeVerificationError,
     SwitchedLinearSystem,
     merge,
     merge_dual,

@@ -24,12 +24,9 @@ from typing import Sequence
 from .algebra import (
     Matrix,
     Subspace,
-    basis_vector,
     column_space,
     hstack,
-    kronecker,
     rank as matrix_rank,
-    stp,
     subspace_contains,
     subspace_is_full,
     subspace_sum,
@@ -71,6 +68,13 @@ class AlphaDetail:
 
 @dataclass(frozen=True)
 class PropertyVerdict:
+    """Outcome of one property search up to horizon T.
+
+    per_alpha always describes one candidate input sequence at every
+    checked state: the witness when the property holds, otherwise the
+    first sequence in search order that holds at the most checked states.
+    """
+
     property: str
     holds: bool
     witness: tuple[int, ...] | None
@@ -103,64 +107,39 @@ def switching_trajectory(
     return tuple(sigmas), tuple(thetas)
 
 
-def _projector(n: int, n_states: int, numeric_mode: str) -> Matrix:
-    """Sum of block rows: collapses the single nonzero block of z-space."""
-    return kronecker(Matrix.ones(1, n_states, numeric_mode), Matrix.identity(n, numeric_mode))
+def _fold_trajectory(
+    ms: MergedSystem | DualMergedSystem, alpha: int, gammas: Sequence[int], suffix: bool
+) -> tuple[ReachableSet, Matrix]:
+    """Replay alpha's switching trajectory once and fold the (G, H) block
+    pair the merged system applies at each step, block (theta_(t+1),
+    theta_t) of input slice gamma_t.
+
+    suffix=True folds the last step first (primal side): term t is
+    G_(T-1) ... G_(t+1) H_t and the chain is the drift G_(T-1) ... G_0.
+    suffix=False folds the first step first (dual side, transposed
+    modes): term t is G_0 ... G_(t-1) H_t and the chain G_0 ... G_(T-1).
+    Returns the terms' reachable set and the chain.
+    """
+    _, thetas = switching_trajectory(ms.net, alpha, gammas)
+    horizon = len(gammas)
+    chain = Matrix.identity(ms.sls.n, ms.sls.mode_flag)
+    terms: list[Subspace | None] = [None] * horizon
+    for t in (range(horizon - 1, -1, -1) if suffix else range(horizon)):
+        block = (gammas[t], thetas[t + 1], thetas[t])
+        terms[t] = column_space(chain @ ms.h_blocks[block])
+        chain = chain @ ms.g_blocks[block]
+    span = subspace_sum(*terms)
+    return ReachableSet(alpha, tuple(gammas), tuple(terms), span, thetas[-1]), chain
 
 
 def reachable_set(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
     """Reachable set along one logical input sequence, by block products.
 
-    Term t is the projected image of
-    G_(g_{T-1}) ... G_(g_{t+1}) H_(g_t) L_(g_{t-1}) ... L_(g_0) d_alpha,
-    i.e. the contribution of the input injected at time t.
+    Term t is the image of A_(s_{T-1}) ... A_(s_{t+1}) B_(s_t), the
+    contribution of the input injected at time t, formed from the merged
+    system's blocks along the switching trajectory.
     """
-    net, sls = ms.net, ms.sls
-    numeric_mode = sls.mode_flag
-    sigmas, thetas = switching_trajectory(net, alpha, gammas)
-    horizon = len(gammas)
-    proj = _projector(sls.n, net.N, numeric_mode)
-    suffix = Matrix.identity(sls.n * net.N, numeric_mode)
-    term_mats: list[Matrix | None] = [None] * horizon
-    for t in range(horizon - 1, -1, -1):
-        # H_(g_t) applied to the logical state at time t (an nN x m slab)
-        injected = stp(ms.h_slice(gammas[t]), basis_vector(net.N, thetas[t], numeric_mode))
-        term_mats[t] = proj @ (suffix @ injected)
-        suffix = suffix @ ms.g_slice(gammas[t])
-    terms = tuple(column_space(m) for m in term_mats)
-    return ReachableSet(alpha, tuple(gammas), terms, subspace_sum(*terms), thetas[-1])
-
-
-def _free_motion_image(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> Subspace:
-    """Projected image of G_(g_{T-1}) ... G_(g_0) d_alpha (input-free drift)."""
-    net, sls = ms.net, ms.sls
-    numeric_mode = sls.mode_flag
-    prod = Matrix.identity(sls.n * net.N, numeric_mode)
-    for gamma in gammas:
-        prod = ms.g_slice(gamma) @ prod
-    proj = _projector(sls.n, net.N, numeric_mode)
-    return column_space(proj @ stp(prod, basis_vector(net.N, alpha, numeric_mode)))
-
-
-def _dual_products(
-    dms: DualMergedSystem, alpha: int, gammas: Sequence[int]
-) -> tuple[list[Matrix], Matrix]:
-    """Per-time dual term matrices and the full transposed free-motion chain.
-
-    Terms follow the switching trajectory: term t is
-    (A_(s_0))^T ... (A_(s_{t-1}))^T (C_(s_t))^T, realized as a product of
-    the dual system's stored blocks along (theta_t); the returned chain
-    is the same product extended over the whole horizon.
-    """
-    net, sls = dms.net, dms.sls
-    numeric_mode = sls.mode_flag
-    _, thetas = switching_trajectory(net, alpha, gammas)
-    prefix = Matrix.identity(sls.n, numeric_mode)
-    terms = []
-    for t, gamma in enumerate(gammas):
-        terms.append(prefix @ dms.h_block(gamma, thetas[t + 1], thetas[t]))
-        prefix = prefix @ dms.g_block(gamma, thetas[t + 1], thetas[t])
-    return terms, prefix
+    return _fold_trajectory(ms, alpha, gammas, suffix=True)[0]
 
 
 def dual_reachable_set(dms: DualMergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
@@ -169,10 +148,7 @@ def dual_reachable_set(dms: DualMergedSystem, alpha: int, gammas: Sequence[int])
     Its span is the row space of the stacked observability matrix of the
     induced switching sequence, transposed into column form.
     """
-    term_mats, _ = _dual_products(dms, alpha, gammas)
-    _, thetas = switching_trajectory(dms.net, alpha, gammas)
-    terms = tuple(column_space(m) for m in term_mats)
-    return ReachableSet(alpha, tuple(gammas), terms, subspace_sum(*terms), thetas[-1])
+    return _fold_trajectory(dms, alpha, gammas, suffix=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +176,15 @@ def _search(net, prop, alphas, t_max, test_fn) -> PropertyVerdict:
     must pass at every checked alpha."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    best: dict[int, AlphaDetail] = {a: AlphaDetail(0, False) for a in alphas}
+    best, best_score = None, -1
     for horizon in range(1, t_max + 1):
         for gammas in itertools.product(range(1, net.M + 1), repeat=horizon):
-            details = {}
-            for a in alphas:
-                d = test_fn(a, gammas)
-                details[a] = d
-                prev = best[a]
-                best[a] = AlphaDetail(
-                    max(prev.span_rank, d.span_rank), prev.holds or d.holds
-                )
-            if all(d.holds for d in details.values()):
+            details = {a: test_fn(a, gammas) for a in alphas}
+            score = sum(d.holds for d in details.values())
+            if score == len(alphas):
                 return PropertyVerdict(prop, True, gammas, horizon, details, alphas)
+            if score > best_score:
+                best, best_score = details, score
     return PropertyVerdict(prop, False, None, t_max, best, alphas)
 
 
@@ -245,9 +217,8 @@ def check_controllability(
     checked = _resolve_alphas(ms.net, strict, alphas)
 
     def test(alpha, gammas):
-        rs = reachable_set(ms, alpha, gammas)
-        drift = _free_motion_image(ms, alpha, gammas)
-        return AlphaDetail(rs.span.rank, subspace_contains(rs.span, drift))
+        rs, drift = _fold_trajectory(ms, alpha, gammas, suffix=True)
+        return AlphaDetail(rs.span.rank, subspace_contains(rs.span, column_space(drift)))
 
     return _search(ms.net, "controllability", checked, ms.sls.n if t_max is None else t_max, test)
 
@@ -281,10 +252,8 @@ def check_reconstructibility(
     checked = _resolve_alphas(dms.net, strict, alphas)
 
     def test(alpha, gammas):
-        term_mats, chain = _dual_products(dms, alpha, gammas)
-        terms = [column_space(m) for m in term_mats]
-        span = subspace_sum(*terms)
-        return AlphaDetail(span.rank, subspace_contains(span, column_space(chain)))
+        rs, chain = _fold_trajectory(dms, alpha, gammas, suffix=False)
+        return AlphaDetail(rs.span.rank, subspace_contains(rs.span, column_space(chain)))
 
     return _search(dms.net, "reconstructibility", checked, dms.sls.n if t_max is None else t_max, test)
 
@@ -369,7 +338,7 @@ def kalman_oracle(
         r = matrix_rank(o)
         return AlphaDetail(r, matrix_rank(vstack([o, chain])) == r)
 
-    best = {a: AlphaDetail(0, False) for a in checked}
+    best, best_score = None, -1
     for horizon in range(1, horizon_cap + 1):
         per_alpha_runs = {
             a: enumerate_switching_sequences(net, a, horizon, budget) for a in checked
@@ -379,12 +348,10 @@ def kalman_oracle(
             gammas = None
             for a in checked:
                 gammas, sigmas = per_alpha_runs[a][idx]
-                d = test(sigmas)
-                details[a] = d
-                prev = best[a]
-                best[a] = AlphaDetail(
-                    max(prev.span_rank, d.span_rank), prev.holds or d.holds
-                )
-            if all(d.holds for d in details.values()):
+                details[a] = test(sigmas)
+            score = sum(d.holds for d in details.values())
+            if score == len(checked):
                 return PropertyVerdict(prop, True, gammas, horizon, details, checked)
+            if score > best_score:
+                best, best_score = details, score
     return PropertyVerdict(prop, False, None, horizon_cap, best, checked)

@@ -24,7 +24,7 @@ from .analysis import (
     check_reconstructibility,
     feasible_input_sequences,
 )
-from .fileio import ParseError, content_digest, load
+from .fileio import ParseError, content_digest, loads
 from .lcn import (
     InputStateSubset,
     SubsetClass,
@@ -402,7 +402,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-        desc = load(args.file)
+        desc = loads(text)
         if desc.numeric == "float" and desc.tolerance is not None:
             set_float_tolerance(desc.tolerance)
         report = {
@@ -424,3 +424,7 @@ def main(argv=None) -> int:
         report["elapsed_ms"] = round((time.perf_counter() - started) * 1000)
     _emit(report, args)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

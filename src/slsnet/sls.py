@@ -7,35 +7,22 @@ logical control network, the pair can be merged into a single hybrid
 system on z = theta_vec (x) x whose dynamics are carried by two large
 matrices G (nN x nMN) and H (nN x mMN).
 
-G and H are constructed by two independent routes that are required to
-agree: the closed-form semi-tensor-product formula, and direct block
-placement (for input i and logical state beta, the single nonzero
-block of G_i's block column beta sits at the L-target row and equals
-the A matrix of the mode R selects there). The block form is the
-authoritative carrier for analysis; the flat matrices validate the
-formula. A dual mergence with transposed mode matrices (A_i^T, C_i^T)
-supports the observability-side checks.
+Each block column (gamma, beta) of G and H holds exactly one nonzero
+block: it sits at the L-target block row of (gamma, beta) and equals
+the A (resp. B) matrix of the mode R selects there. A merged system
+stores only these blocks; the dense G and H are views built from them
+when accessed. The closed-form semi-tensor-product construction of G
+and H is kept in the tests as the reference the blocks must match. A
+dual mergence with transposed mode matrices (A_i^T, C_i^T) supports the
+observability-side checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    BooleanMatrix,
-    DimensionError,
-    Matrix,
-    _is_zero,
-    hstack,
-    kronecker,
-    power_reducing_matrix,
-    stp,
-)
+from .algebra import BooleanMatrix, DimensionError, Matrix, _is_zero
 from .lcn import LogicalNetwork, encode_pair, step
-
-
-class MergeVerificationError(AssertionError):
-    """The two mergence routes disagreed; the build is unsound."""
 
 
 @dataclass(frozen=True)
@@ -100,19 +87,6 @@ class SwitchedLinearSystem:
 # Mergence
 # ---------------------------------------------------------------------------
 
-def _merge_formula(amats, bmats, net: LogicalNetwork, numeric_mode: str):
-    """Closed form: L [I_MN (x) (stacked_modes stp R)] PowerReducing_MN."""
-    stacked_a = hstack(amats)
-    stacked_b = hstack(bmats)
-    r_dense = net.R.dense(numeric_mode)
-    l_dense = net.L.dense(numeric_mode)
-    reducer = power_reducing_matrix(net.M * net.N).dense(numeric_mode)
-    eye = Matrix.identity(net.M * net.N, numeric_mode)
-    g = stp(stp(l_dense, kronecker(eye, stp(stacked_a, r_dense))), reducer)
-    h = stp(stp(l_dense, kronecker(eye, stp(stacked_b, r_dense))), reducer)
-    return g, h
-
-
 def _merge_blocks(amats, bmats, net: LogicalNetwork):
     """Direct placement: block (L-target, beta) of slice gamma holds the
     R-selected mode matrix; everything else is zero."""
@@ -128,38 +102,29 @@ def _merge_blocks(amats, bmats, net: LogicalNetwork):
     return g_blocks, h_blocks
 
 
-def _flatten_blocks(blocks, net, rows_per_block, cols_per_block, numeric_mode):
-    total_rows = rows_per_block * net.N
-    total_cols = cols_per_block * net.M * net.N
-    grid = [[0] * total_cols for _ in range(total_rows)]
+def _dense(blocks, net, gammas, rows_per_block, cols_per_block, numeric_mode):
+    """Dense view of the input slices `gammas`, side by side, placed from the blocks."""
+    width = cols_per_block * net.N
+    offset = {gamma: k * width for k, gamma in enumerate(gammas)}
+    grid = [[0] * (width * len(gammas)) for _ in range(rows_per_block * net.N)]
     for (gamma, alpha, beta), block in blocks.items():
-        row0 = (alpha - 1) * rows_per_block
-        col0 = (gamma - 1) * cols_per_block * net.N + (beta - 1) * cols_per_block
-        for i in range(rows_per_block):
-            for j in range(cols_per_block):
-                grid[row0 + i][col0 + j] = block.entries[i][j]
+        if gamma in offset:
+            row0 = (alpha - 1) * rows_per_block
+            col0 = offset[gamma] + (beta - 1) * cols_per_block
+            for i, row in enumerate(block.entries):
+                grid[row0 + i][col0:col0 + cols_per_block] = row
     return Matrix(grid, numeric_mode)
 
 
 class _MergedBase:
     """Shared storage/access for direct and dual merged systems."""
 
-    __slots__ = ("sls", "net", "flat_g", "flat_h", "g_blocks", "h_blocks", "_h_width")
+    __slots__ = ("sls", "net", "g_blocks", "h_blocks", "_h_width")
 
     def __init__(self, sls, net, amats, bmats, h_width):
-        numeric_mode = sls.mode_flag
         g_blocks, h_blocks = _merge_blocks(amats, bmats, net)
-        flat_g = _flatten_blocks(g_blocks, net, sls.n, sls.n, numeric_mode)
-        flat_h = _flatten_blocks(h_blocks, net, sls.n, h_width, numeric_mode)
-        formula_g, formula_h = _merge_formula(amats, bmats, net, numeric_mode)
-        if flat_g != formula_g or flat_h != formula_h:
-            raise MergeVerificationError(
-                "block placement disagrees with the closed-form construction"
-            )
         object.__setattr__(self, "sls", sls)
         object.__setattr__(self, "net", net)
-        object.__setattr__(self, "flat_g", flat_g)
-        object.__setattr__(self, "flat_h", flat_h)
         object.__setattr__(self, "g_blocks", g_blocks)
         object.__setattr__(self, "h_blocks", h_blocks)
         object.__setattr__(self, "_h_width", h_width)
@@ -177,20 +142,29 @@ class _MergedBase:
             (gamma, alpha, beta), Matrix.zeros(n, self._h_width, self.sls.mode_flag)
         )
 
+    def _g_view(self, gammas) -> Matrix:
+        return _dense(self.g_blocks, self.net, gammas, self.sls.n, self.sls.n, self.sls.mode_flag)
+
+    def _h_view(self, gammas) -> Matrix:
+        return _dense(self.h_blocks, self.net, gammas, self.sls.n, self._h_width, self.sls.mode_flag)
+
+    @property
+    def flat_g(self) -> Matrix:
+        """Dense nN x nMN G, built from the blocks on each access."""
+        return self._g_view(range(1, self.net.M + 1))
+
+    @property
+    def flat_h(self) -> Matrix:
+        """Dense nN x mMN H (nN x pMN on the dual side), built on each access."""
+        return self._h_view(range(1, self.net.M + 1))
+
     def g_slice(self, gamma: int) -> Matrix:
-        """The nN x nN slice of the flat G selected by input gamma."""
-        n_big = self.sls.n * self.net.N
-        lo = (gamma - 1) * n_big
-        return Matrix(
-            [row[lo:lo + n_big] for row in self.flat_g.entries], self.sls.mode_flag
-        )
+        """The nN x nN slice of G selected by input gamma, built from the blocks."""
+        return self._g_view((gamma,))
 
     def h_slice(self, gamma: int) -> Matrix:
-        h_big = self._h_width * self.net.N
-        lo = (gamma - 1) * h_big
-        return Matrix(
-            [row[lo:lo + h_big] for row in self.flat_h.entries], self.sls.mode_flag
-        )
+        """The slice of H selected by input gamma, built from the blocks."""
+        return self._h_view((gamma,))
 
     def compressed_pattern(self, gamma: int) -> BooleanMatrix:
         """N x N sign pattern of slice gamma's blocks (1 = nonzero block)."""
@@ -247,9 +221,10 @@ def step_merged(
 ) -> tuple[int, Matrix]:
     """One merged step; returns (theta_next, x_next).
 
-    Computes z' = G_gamma (theta_vec (x) x) + H_gamma (theta_vec (x) u)
-    and decodes x_next out of the single structurally nonzero block row
-    (located from L, so x_next = 0 cannot erase the logical state).
+    The column of z = theta_vec (x) x selected by (gamma, theta) meets a
+    single nonzero block of G_gamma and H_gamma, in the block row of the
+    L-target theta_next, so x_next = G-block x + H-block u. The logical
+    state comes from L, so x_next = 0 cannot erase it.
     """
     sls, net = ms.sls, ms.net
     if x.shape != (sls.n, 1):
@@ -257,13 +232,5 @@ def step_merged(
     if u.shape != (sls.m, 1):
         raise DimensionError(f"u is {u.shape}, expected {sls.m}x1")
     theta_next, _ = step(net, gamma, theta)
-    numeric_mode = sls.mode_flag
-    theta_vec = Matrix(
-        [[1 if i == theta - 1 else 0] for i in range(net.N)], numeric_mode
-    )
-    z = kronecker(theta_vec, x)
-    zu = kronecker(theta_vec, u)
-    z_next = ms.g_slice(gamma) @ z + ms.h_slice(gamma) @ zu
-    lo = (theta_next - 1) * sls.n
-    x_next = Matrix([z_next.entries[lo + i] for i in range(sls.n)], numeric_mode)
-    return theta_next, x_next
+    block = (gamma, theta_next, theta)
+    return theta_next, ms.g_blocks[block] @ x + ms.h_blocks[block] @ u

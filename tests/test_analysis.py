@@ -11,7 +11,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slsnet.algebra import Matrix, column_space, rank, subspace_is_full
@@ -260,6 +260,7 @@ def test_verdicts_match_oracle(seed):
         assert mine.holds == ref.holds, (prop, seed)
         assert mine.witness == ref.witness, (prop, seed)
         assert mine.T == ref.T, (prop, seed)
+        assert mine.per_alpha == ref.per_alpha, (prop, seed)
 
 
 @given(st.integers(0, 10**6))
@@ -293,6 +294,7 @@ def test_golden_matches_oracle_at_attractor_state():
 # ---------------------------------------------------------------------------
 
 @given(st.integers(0, 10**6))
+@example(6292)
 @settings(max_examples=10, deadline=None)
 def test_reachability_witness_replays(seed):
     rng = random.Random(seed)

@@ -1,6 +1,9 @@
 """End-to-end command runs against the two fixture files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,3 +212,16 @@ def test_digest_tracks_content(capsys):
     _, rep_lcn = run_json(capsys, "attractors", LCN)
     assert rep_sls["input"] != rep_lcn["input"]
     assert rep_sls["tool"].startswith("slsnet ")
+
+
+@pytest.mark.parametrize("module", ["slsnet", "slsnet.cli"])
+def test_module_entry_point_matches_main(capsys, module):
+    root = Path(__file__).parent.parent
+    argv = ["analyze", "all", "tests/fixtures/sls_3x2.txt", "--format", "json", "--no-timestamp"]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], cwd=root,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    code, out, _ = run(capsys, *argv[:2], SLS, *argv[3:])
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -1,9 +1,10 @@
 """Mergence tests: block placement vs closed-form formula, stepping.
 
-The merged constructor already cross-verifies its two build routes on
-every call; the tests here check the golden block layout, the block
-pattern identities, and step equivalence against plain two-system
-simulation.
+Merged systems hold only the G/H blocks. The closed-form semi-tensor
+product construction lives here as the reference: the dense views built
+from the blocks must equal it. The tests also check the golden block
+layout, the block pattern identities, and step equivalence against
+plain two-system simulation.
 """
 
 import random
@@ -16,8 +17,12 @@ from slsnet.algebra import (
     LogicalMatrix,
     Matrix,
     boolean_product,
+    hstack,
+    kronecker,
+    power_reducing_matrix,
+    stp,
 )
-from slsnet.lcn import LogicalNetwork, step
+from slsnet.lcn import LogicalNetwork, encode_pair, step
 from slsnet.sls import (
     DualMergedSystem,
     MergedSystem,
@@ -26,6 +31,34 @@ from slsnet.sls import (
     merge_dual,
     step_merged,
 )
+
+
+def closed_form(amats, bmats, net, numeric_mode):
+    """L [I_MN (x) (stacked_modes stp R)] PowerReducing_MN, for G and H."""
+    r_dense = net.R.dense(numeric_mode)
+    l_dense = net.L.dense(numeric_mode)
+    reducer = power_reducing_matrix(net.M * net.N).dense(numeric_mode)
+    eye = Matrix.identity(net.M * net.N, numeric_mode)
+
+    def build(mats):
+        return stp(stp(l_dense, kronecker(eye, stp(hstack(mats), r_dense))), reducer)
+
+    return build(amats), build(bmats)
+
+
+def assert_matches_closed_form(sls, net):
+    mode = sls.mode_flag
+    modes = range(1, sls.q + 1)
+    g, h = closed_form([sls.a(i) for i in modes], [sls.b(i) for i in modes], net, mode)
+    ms = merge(sls, net)
+    assert ms.flat_g == g
+    assert ms.flat_h == h
+    g, h = closed_form(
+        [sls.a(i).transpose() for i in modes], [sls.c(i).transpose() for i in modes], net, mode
+    )
+    dual = merge_dual(sls, net)
+    assert dual.flat_g == g
+    assert dual.flat_h == h
 
 
 def test_golden_g1_blocks():
@@ -71,6 +104,7 @@ def test_degenerate_single_mode_merge():
     dual = merge_dual(sls, net)
     assert dual.flat_g == a.transpose()
     assert dual.flat_h == c.transpose()
+    assert_matches_closed_form(sls, net)
 
 
 def test_flat_shapes():
@@ -80,6 +114,7 @@ def test_flat_shapes():
     dual = merge_dual(golden_sls(), golden_net())
     assert dual.flat_g.shape == (12, 24)
     assert dual.flat_h.shape == (12, 8)
+    assert_matches_closed_form(golden_sls(), golden_net())
 
 
 def test_compressed_pattern_equals_l_blocks():
@@ -105,6 +140,30 @@ def test_single_nonzero_block_per_column():
                     if (gamma, alpha, beta) in ms.g_blocks
                 ]
                 assert len(placed) == 1
+        assert_matches_closed_form(sls, net)
+
+
+def test_merge_past_closed_form_size_cap():
+    # M*N = 256: the closed form's power-reducing matrix alone would have
+    # 256^3 entries; the block form holds one 1x1 block per column.
+    rng = random.Random(5)
+    sls = SwitchedLinearSystem([
+        (Matrix([[2]]), Matrix([[1]]), Matrix([[1]])),
+        (Matrix([[-3]]), Matrix([[0]]), Matrix([[2]])),
+    ])
+    net = LogicalNetwork(
+        2, 6, 2,
+        LogicalMatrix(64, [rng.randint(1, 64) for _ in range(256)]),
+        LogicalMatrix(2, [rng.randint(1, 2) for _ in range(256)]),
+    )
+    assert (net.N, net.M) == (64, 4)
+    ms, dual = merge(sls, net), merge_dual(sls, net)
+    for gamma in range(1, net.M + 1):
+        for beta in range(1, net.N + 1):
+            col = encode_pair(gamma, beta, net.N)
+            target, sigma = net.L.target(col), net.R.target(col)
+            assert ms.g_block(gamma, target, beta) == sls.a(sigma)
+            assert dual.g_block(gamma, target, beta) == sls.a(sigma).transpose()
 
 
 def test_dual_blocks_are_transposes():
@@ -190,3 +249,4 @@ def test_float_mode_merge_agrees_with_exact():
     floaty = merge(golden_sls(mode="float"), golden_net())
     assert floaty.flat_g == exact.flat_g
     assert floaty.flat_h == exact.flat_h
+    assert_matches_closed_form(golden_sls(mode="float"), golden_net())
