@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 # matrices grow as n*N x n*M*N and a runaway STP should fail loudly.
 SIZE_CAP = 10_000_000
 
-FLOAT_TOL = 1e-9
+DEFAULT_FLOAT_TOL = 1e-9
+FLOAT_TOL = DEFAULT_FLOAT_TOL
 
 
 class SizingError(ValueError):

@@ -16,7 +16,13 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .algebra import DimensionError, SizingError, set_float_tolerance
+from .algebra import (
+    DEFAULT_FLOAT_TOL,
+    BooleanMatrix,
+    DimensionError,
+    SizingError,
+    set_float_tolerance,
+)
 from .analysis import (
     check_controllability,
     check_observability,
@@ -215,7 +221,7 @@ def _cmd_setreach(args, desc, report) -> int:
     matrix = set_reachability_matrix(desc.net, omega0, omegad, args.ell, args.quantitative)
     if args.quantitative:
         rows = [[int(v) for v in row] for row in matrix.entries]
-        boolean = set_reachability_matrix(desc.net, omega0, omegad, args.ell)
+        boolean = BooleanMatrix.from_matrix(matrix)
     else:
         rows = [list(row) for row in matrix.bits]
         boolean = matrix
@@ -403,8 +409,10 @@ def main(argv=None) -> int:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
         desc = loads(text)
-        if desc.numeric == "float" and desc.tolerance is not None:
-            set_float_tolerance(desc.tolerance)
+        # FLOAT_TOL is process-global: set it on every run, so that a file
+        # without its own tolerance does not inherit an earlier file's
+        declared = desc.numeric == "float" and desc.tolerance is not None
+        set_float_tolerance(desc.tolerance if declared else DEFAULT_FLOAT_TOL)
         report = {
             "tool": f"slsnet {__version__}",
             "command": _describe(args),

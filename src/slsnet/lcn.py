@@ -7,11 +7,16 @@ nodes) is carried by two logical matrices: the transition matrix L
 (gamma, theta) are encoded as the single index (gamma-1)*N + theta,
 matching the stacking of basis vectors under the semi-tensor product.
 
-Provides simulation, the input-state transition matrix, l-step set
-reachability between input-state subset classes (Boolean verdicts and
-quantitative path counts), control attractors (fixed points, cycles,
-attract basins, and a disjoint cover used to cut analysis work), and
-DOT export of the input-state dynamic graph.
+Every pair j has exactly M successors (gamma', L-target of j), one per
+free next input, so the analyses here read successor indices off L
+instead of multiplying matrices: simulation, l-step set reachability
+between input-state subset classes (path counts propagated along the
+successors, with Boolean verdicts as their signs), control attractors
+(fixed points, cycles, attract basins, and a disjoint cover used to cut
+analysis work), and DOT export of the input-state dynamic graph. The
+input-state transition matrix is the same graph in the matrix form of
+the semi-tensor calculus; it is library API and the reference the tests
+check set reachability against.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .algebra import (
     DimensionError,
     LogicalMatrix,
     Matrix,
-    boolean_product,
 )
 
 
@@ -170,9 +174,6 @@ class InputStateSubset:
         object.__setattr__(self, "members", mem)
         object.__setattr__(self, "mn", mn)
 
-    def index_vector(self) -> BooleanMatrix:
-        return BooleanMatrix([[1 if i + 1 in self.members else 0] for i in range(self.mn)])
-
 
 @dataclass(frozen=True)
 class SubsetClass:
@@ -191,14 +192,6 @@ class SubsetClass:
     @property
     def mn(self) -> int:
         return self.subsets[0].mn
-
-    def index_matrix(self) -> BooleanMatrix:
-        return BooleanMatrix(
-            [
-                [1 if i + 1 in s.members else 0 for s in self.subsets]
-                for i in range(self.mn)
-            ]
-        )
 
 
 def input_state_matrix(net: LogicalNetwork) -> BooleanMatrix:
@@ -220,29 +213,33 @@ def set_reachability_matrix(
 ):
     """l-step reachability between subset classes.
 
-    Boolean mode gives the verdict matrix: entry (i, j) is 1 iff some
-    pair in omega0[j] reaches some pair in omega_d[i] in exactly l
-    steps. Quantitative mode uses ordinary integer arithmetic instead,
-    so entry (i, j) counts the l-length input-state paths (the Boolean
-    matrix is its entrywise sign, losing the counts).
+    Entry (i, j) counts the l-length input-state paths from a pair in
+    omega0[j] to a pair in omega_d[i]. Quantitative mode returns these
+    counts as a Matrix; Boolean mode returns the verdict matrix of their
+    signs (1 iff omega0[j] reaches omega_d[i] in exactly l steps).
+
+    Counts are propagated per source subset: each step adds every pair's
+    count onto its L-target state, and the state totals are repeated for
+    each of the M free next inputs, so a step costs O(M*N).
     """
     if ell < 1:
         raise DimensionError("ell must be >= 1")
     mn = net.M * net.N
     if omega0.mn != mn or omega_d.mn != mn:
         raise DimensionError(f"subset classes must live on {mn} input-state pairs")
-    transition = input_state_matrix(net)
-    if quantitative:
-        walk = transition.dense()
-        power = Matrix.identity(mn)
+    columns = []
+    for source in omega0.subsets:
+        counts = [1 if i + 1 in source.members else 0 for i in range(mn)]
         for _ in range(ell):
-            power = power @ walk
-        return omega_d.index_matrix().dense().transpose() @ power @ omega0.index_matrix().dense()
-    power = BooleanMatrix.identity(mn)
-    for _ in range(ell):
-        power = boolean_product(power, transition)
-    out = boolean_product(omega_d.index_matrix().transpose(), power)
-    return boolean_product(out, omega0.index_matrix())
+            per_state = [0] * net.N
+            for target, count in zip(net.L.col_index, counts):
+                per_state[target - 1] += count
+            counts = per_state * net.M
+        columns.append([sum(counts[i - 1] for i in dest.members) for dest in omega_d.subsets])
+    rows = [list(row) for row in zip(*columns)]
+    if quantitative:
+        return Matrix(rows)
+    return BooleanMatrix([[1 if c else 0 for c in row] for row in rows])
 
 
 @dataclass(frozen=True)

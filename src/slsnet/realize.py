@@ -3,9 +3,11 @@
 A signal constraint restricts which switching sequences the logical
 layer may emit: fixed operating times per signal value, a minimum dwell
 time, or an explicit finite reference sequence to track. Each check
-reduces to Boolean-product conditions on the stacked transition matrix
-of the input-state graph, evaluated per singleton so the diagnostics
-can name exactly which input-state pair breaks the requirement.
+reads successor indices of the input-state graph: a pair moves to
+(gamma', L-target) for every next input gamma', so whether a pair
+emitting sigma can stay on sigma or escape from it is decided by the M
+signals emitted after its L-target. The checks run per pair, so the
+diagnostics name exactly which input-state pair breaks the requirement.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import BooleanMatrix, boolean_product
-from .lcn import (
-    InputStateSubset,
-    LogicalNetwork,
-    SubsetClass,
-    decode_pair,
-    input_state_matrix,
-)
+from .lcn import LogicalNetwork, decode_pair
 
 INFINITY = math.inf
 
@@ -67,29 +62,10 @@ class SignalPreimage:
 
     sigma: int
     members: tuple[int, ...]
-    mn: int
 
     @property
     def empty(self) -> bool:
         return not self.members
-
-    def subset(self) -> InputStateSubset:
-        if self.empty:
-            raise ValueError(f"signal {self.sigma} is never produced")
-        return InputStateSubset(self.members, self.mn)
-
-    def singleton_class(self) -> SubsetClass:
-        """Each member as its own one-element subset, in index order."""
-        if self.empty:
-            raise ValueError(f"signal {self.sigma} is never produced")
-        return SubsetClass([InputStateSubset([x], self.mn) for x in self.members])
-
-    def index_vector(self) -> BooleanMatrix:
-        return BooleanMatrix([[1 if i + 1 in set(self.members) else 0] for i in range(self.mn)])
-
-    def complement_vector(self) -> BooleanMatrix:
-        mem = set(self.members)
-        return BooleanMatrix([[0 if i + 1 in mem else 1] for i in range(self.mn)])
 
 
 @dataclass(frozen=True)
@@ -152,42 +128,37 @@ def check_one_step_universal(net: LogicalNetwork) -> bool:
 
 def signal_preimages(net: LogicalNetwork) -> list[SignalPreimage]:
     """Partition of the input-state pairs by emitted signal value."""
-    mn = net.M * net.N
     members: dict[int, list[int]] = {i: [] for i in range(1, net.q + 1)}
     for j, sigma in enumerate(net.R.col_index):
         members[sigma].append(j + 1)
-    return [SignalPreimage(i, tuple(members[i]), mn) for i in range(1, net.q + 1)]
+    return [SignalPreimage(i, tuple(members[i])) for i in range(1, net.q + 1)]
 
 
-def _condition_failures(
-    big_l: BooleanMatrix, pre: SignalPreimage, row: BooleanMatrix
-) -> tuple[int, ...]:
-    """Members of the preimage whose successor set misses the row's support.
+def _realizability(net: LogicalNetwork, requirements, needs) -> RealizabilityVerdict:
+    """Stay/escape diagnostics for every signal value.
 
-    Evaluates row^T x_B big_l x_B P over the singleton class and returns
-    the pair encodings at the zero positions.
+    needs[sigma-1] is the (escape, stay) pair of conditions that every
+    pair emitting sigma must meet. A pair can escape unless all M of its
+    successors emit sigma, and it can stay iff some successor emits sigma.
     """
-    singles = pre.singleton_class().index_matrix()
-    hit = boolean_product(boolean_product(row.transpose(), big_l), singles)
-    return tuple(
-        pre.members[c] for c in range(hit.cols) if hit.bits[0][c] == 0
+    # signals emitted after reaching state theta, one per next input
+    next_signals = [set(net.R.col_index[theta::net.N]) for theta in range(net.N)]
+    diagnostics = []
+    warnings = []
+    for pre in signal_preimages(net):
+        sigma = pre.sigma
+        if pre.empty:
+            diagnostics.append(SignalDiagnostic(sigma, requirements[sigma - 1], unreachable=True))
+            warnings.append(f"signal {sigma} unreachable: no input-state pair produces it")
+            continue
+        need_escape, need_stay = needs[sigma - 1]
+        ahead = [(x, next_signals[net.L.target(x) - 1]) for x in pre.members]
+        escape = tuple(x for x, signals in ahead if need_escape and signals == {sigma})
+        stay = tuple(x for x, signals in ahead if need_stay and sigma not in signals)
+        diagnostics.append(SignalDiagnostic(sigma, requirements[sigma - 1], False, escape, stay))
+    return RealizabilityVerdict(
+        all(d.ok for d in diagnostics), tuple(diagnostics), tuple(warnings)
     )
-
-
-def _signal_diagnostic(
-    big_l: BooleanMatrix,
-    pre: SignalPreimage,
-    requirement,
-    need_escape: bool,
-    need_stay: bool,
-) -> SignalDiagnostic:
-    if pre.empty:
-        return SignalDiagnostic(pre.sigma, requirement, unreachable=True)
-    escape = (
-        _condition_failures(big_l, pre, pre.complement_vector()) if need_escape else ()
-    )
-    stay = _condition_failures(big_l, pre, pre.index_vector()) if need_stay else ()
-    return SignalDiagnostic(pre.sigma, requirement, False, escape, stay)
 
 
 def check_fot_realizable(net: LogicalNetwork, spec: FotSpec) -> RealizabilityVerdict:
@@ -199,23 +170,8 @@ def check_fot_realizable(net: LogicalNetwork, spec: FotSpec) -> RealizabilityVer
     """
     if spec.q != net.q:
         raise ValueError(f"spec lists {spec.q} durations, network emits {net.q} signals")
-    big_l = input_state_matrix(net)
-    diagnostics = []
-    warnings = []
-    for pre in signal_preimages(net):
-        diag = _signal_diagnostic(
-            big_l,
-            pre,
-            spec.durations[pre.sigma - 1],
-            spec.needs_escape(pre.sigma),
-            spec.needs_stay(pre.sigma),
-        )
-        diagnostics.append(diag)
-        if diag.unreachable:
-            warnings.append(f"signal {pre.sigma} unreachable: no input-state pair produces it")
-    return RealizabilityVerdict(
-        all(d.ok for d in diagnostics), tuple(diagnostics), tuple(warnings)
-    )
+    needs = [(spec.needs_escape(sigma), spec.needs_stay(sigma)) for sigma in range(1, net.q + 1)]
+    return _realizability(net, spec.durations, needs)
 
 
 def check_dwell_time_realizable(
@@ -233,19 +189,7 @@ def check_dwell_time_realizable(
     for d in dwells:
         if not (isinstance(d, int) and not isinstance(d, bool) and d >= 1):
             raise ValueError(f"dwell time {d!r} is not a positive integer")
-    big_l = input_state_matrix(net)
-    diagnostics = []
-    warnings = []
-    for pre in signal_preimages(net):
-        diag = _signal_diagnostic(
-            big_l, pre, dwells[pre.sigma - 1], need_escape=True, need_stay=True
-        )
-        diagnostics.append(diag)
-        if diag.unreachable:
-            warnings.append(f"signal {pre.sigma} unreachable: no input-state pair produces it")
-    return RealizabilityVerdict(
-        all(d.ok for d in diagnostics), tuple(diagnostics), tuple(warnings)
-    )
+    return _realizability(net, dwells, [(True, True)] * net.q)
 
 
 def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdict:

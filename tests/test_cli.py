@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from slsnet import algebra
 from slsnet.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -212,6 +213,19 @@ def test_digest_tracks_content(capsys):
     _, rep_lcn = run_json(capsys, "attractors", LCN)
     assert rep_sls["input"] != rep_lcn["input"]
     assert rep_sls["tool"].startswith("slsnet ")
+
+
+def test_float_tolerance_not_inherited(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(algebra, "FLOAT_TOL", algebra.FLOAT_TOL)
+    text = Path(LCN).read_text() + "\n[options]\nnumeric = float\n"
+    loose = tmp_path / "loose.txt"
+    loose.write_text(text + "tolerance = 0.001\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_text(text)
+    assert run(capsys, "attractors", str(loose))[0] == 0
+    assert algebra.FLOAT_TOL == 0.001
+    assert run(capsys, "attractors", str(plain))[0] == 0
+    assert algebra.FLOAT_TOL == 1e-9
 
 
 @pytest.mark.parametrize("module", ["slsnet", "slsnet.cli"])

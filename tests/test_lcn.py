@@ -196,18 +196,27 @@ def test_boolean_is_sign_of_quantitative_golden():
     assert set_reachability_matrix(NET, omega0, omega_d, 2) == BooleanMatrix([[1], [1]])
 
 
-def count_paths_dfs(net, source, target, ell):
-    """Exhaustive walk count in the input-state graph.
+def walk_ends(net, source, ell):
+    """Endpoints of every l-step walk from a pair, by exhaustive DFS.
 
     Pair j = (gamma, theta) moves to (gamma', L-target of j) for every
     free next input gamma'.
     """
     if ell == 0:
-        return 1 if source == target else 0
+        return [source]
     theta_next = net.L.target(source)
-    return sum(
-        count_paths_dfs(net, encode_pair(g, theta_next, net.N), target, ell - 1)
+    return [
+        end
         for g in range(1, net.M + 1)
+        for end in walk_ends(net, encode_pair(g, theta_next, net.N), ell - 1)
+    ]
+
+
+def index_matrix(subset_class):
+    """Boolean index matrix of a subset class: column j marks subset j."""
+    return BooleanMatrix(
+        [[1 if i in s.members else 0 for s in subset_class.subsets]
+         for i in range(1, subset_class.mn + 1)]
     )
 
 
@@ -215,24 +224,28 @@ def count_paths_dfs(net, source, target, ell):
 @settings(max_examples=20, deadline=None)
 def test_counts_match_dfs_oracle(seed, ell):
     rng = random.Random(seed)
-    net = random_network(rng)
+    net = random_network(rng, k=rng.choice([2, 3]), n_nodes=rng.randint(1, 3),
+                         m_nodes=rng.randint(0, 2))
     mn = net.M * net.N
     idx = list(range(1, mn + 1))
     rng.shuffle(idx)
-    lo = rng.randint(1, mn - 2)
-    hi = rng.randint(lo + 1, mn - 1)
-    groups = [idx[:lo], idx[lo:hi], idx[hi:]]
-    groups = [g for g in groups if g]
+    cuts = sorted(rng.sample(range(1, mn), min(2, mn - 1)))
+    groups = [idx[a:b] for a, b in zip([0] + cuts, cuts + [mn])]
     subsets = [InputStateSubset(g, mn) for g in groups]
     omega0 = SubsetClass(subsets)
     omega_d = SubsetClass(subsets[::-1])
     quant = set_reachability_matrix(net, omega0, omega_d, ell, quantitative=True)
     boolean = set_reachability_matrix(net, omega0, omega_d, ell)
-    for i, dst in enumerate(omega_d.subsets):
-        for j, src in enumerate(omega0.subsets):
-            want = sum(
-                count_paths_dfs(net, a, b, ell) for a in src.members for b in dst.members
-            )
+    # the paper's form: Omega_d^T x_B (input-state matrix)^l x_B Omega_0
+    big = input_state_matrix(net)
+    formula = index_matrix(omega_d).transpose()
+    for _ in range(ell):
+        formula = boolean_product(formula, big)
+    assert boolean == boolean_product(formula, index_matrix(omega0))
+    for j, src in enumerate(omega0.subsets):
+        ends = [end for a in src.members for end in walk_ends(net, a, ell)]
+        for i, dst in enumerate(omega_d.subsets):
+            want = sum(1 for end in ends if end in dst.members)
             assert quant[i, j] == want
             assert boolean[i, j] == (1 if want > 0 else 0)
 

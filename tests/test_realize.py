@@ -3,7 +3,9 @@
 The oracle here walks the input-state graph one step at a time: a pair
 (gamma, theta) moves to (gamma', L-target) for any next input gamma'.
 Stay/escape conditions and reference tracking are both re-derived from
-that walk and compared with the Boolean-product implementations.
+that walk and compared with the successor-index implementations; the
+stay/escape diagnostics are also checked against the paper's Boolean
+products over the input-state matrix.
 """
 
 import itertools
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slsnet.algebra import LogicalMatrix
-from slsnet.lcn import LogicalNetwork, decode_pair, step
+from slsnet.algebra import BooleanMatrix, LogicalMatrix, boolean_product
+from slsnet.lcn import LogicalNetwork, decode_pair, input_state_matrix, step
 from slsnet.realize import (
     INFINITY,
     FotSpec,
@@ -59,6 +61,19 @@ def fot_oracle(net, durations):
         failures[sigma] = (tuple(escape), tuple(stay))
     ok = all(not e and not s for e, s in failures.values())
     return ok, failures
+
+
+def singleton_failures(net, members, row_members):
+    """Members x at the zero entries of row^T x_B L x_B P (singleton form).
+
+    L is the input-state matrix, row marks row_members and column c of P
+    is the indicator of members[c].
+    """
+    mn = net.M * net.N
+    row = BooleanMatrix([[1 if i in row_members else 0 for i in range(1, mn + 1)]])
+    singles = BooleanMatrix([[1 if i == x else 0 for x in members] for i in range(1, mn + 1)])
+    hit = boolean_product(boolean_product(row, input_state_matrix(net)), singles)
+    return tuple(x for x, bit in zip(members, hit.bits[0]) if not bit)
 
 
 def track_oracle(net, theta0, reference):
@@ -142,16 +157,6 @@ def test_preimages_partition(seed):
         assert list(p.members) == sorted(p.members)
 
 
-def test_preimage_vectors():
-    pre = signal_preimages(NET)[0]
-    vec = pre.index_vector()
-    comp = pre.complement_vector()
-    assert [vec.bits[i][0] for i in range(8)] == [0, 0, 1, 1, 1, 0, 0, 1]
-    assert all(vec.bits[i][0] + comp.bits[i][0] == 1 for i in range(8))
-    singles = pre.singleton_class().index_matrix()
-    assert singles.cols == 4 and singles.rows == 8
-
-
 # ---------------------------------------------------------------------------
 # Fixed operating times
 # ---------------------------------------------------------------------------
@@ -209,13 +214,20 @@ def test_fot_matches_enumeration_oracle(seed):
     q = rng.randint(1, 3)
     net = random_net_for(rng, q)
     durations = tuple(rng.choice([1, 2, 3, INFINITY]) for _ in range(q))
-    v = check_fot_realizable(net, FotSpec(durations))
+    spec = FotSpec(durations)
+    v = check_fot_realizable(net, spec)
     ok, failures = fot_oracle(net, durations)
     assert v.realizable == ok
-    for diag in v.diagnostics:
+    for diag, pre in zip(v.diagnostics, signal_preimages(net)):
         esc, stay = failures[diag.sigma]
         assert diag.escape_failures == esc
         assert diag.stay_failures == stay
+        # the paper's conditions: escape reads the complement row, stay the preimage row
+        outside = set(range(1, net.M * net.N + 1)) - set(pre.members)
+        if spec.needs_escape(diag.sigma):
+            assert diag.escape_failures == singleton_failures(net, pre.members, outside)
+        if spec.needs_stay(diag.sigma):
+            assert diag.stay_failures == singleton_failures(net, pre.members, set(pre.members))
 
 
 # ---------------------------------------------------------------------------
