@@ -41,8 +41,8 @@ class DimensionError(ValueError):
 def set_float_tolerance(tol: float) -> None:
     """Set the global pivot/zero tolerance used in float mode."""
     global FLOAT_TOL
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
     FLOAT_TOL = float(tol)
 
 

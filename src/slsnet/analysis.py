@@ -1,18 +1,22 @@
 """Control-property checks for merged switched linear systems.
 
-Implements the reachable-set construction over logical input sequences,
-the four property checks (reachability, controllability, observability,
-reconstructibility) with witness extraction, feasible-input-sequence
-enumeration, and a brute-force rank oracle wrapper used for
-cross-validation.
+Every check walks the input tree with one forward step through the
+merged blocks (G, H) at block (theta', theta) of input slice gamma. The
+primal side (merge) folds R' = G R + im H and D' = G D, so R is the set
+reachable from x = 0 and D the drift A_(s_{T-1}) ... A_(s_0); the dual
+side (merge_dual, transposed modes) folds R' = R + im(D H) and D' = D G,
+so R is the transposed observability row space. Reachability and
+observability hold along a sequence when R is full; controllability and
+reconstructibility when im D lies in R.
 
 Quantifier convention: a property holds iff ONE logical input sequence
 works for EVERY checked initial logical state. The checked set defaults
 to representatives of a disjoint control-attractor cover (states whose
 basins cover the whole state space); strict mode checks all N states
 instead. Searches run breadth-first in the horizon T (default bound:
-the linear state dimension n) and lexicographically within each T, so
-the reported witness is the shortest, lexicographically first one.
+the linear state dimension n) and depth-first, lexicographically within
+each T, folding each input prefix once for all checked states; the
+reported witness is the shortest, lexicographically first one.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .algebra import (
     hstack,
     rank as matrix_rank,
     subspace_contains,
-    subspace_is_full,
-    subspace_sum,
     vstack,
 )
 from .lcn import LogicalNetwork, control_attractors, step
@@ -47,15 +49,14 @@ from .sls import DualMergedSystem, MergedSystem
 class ReachableSet:
     """States reachable from x = 0 at time T along one input sequence.
 
-    terms[t] is the image injected by the input at time t and carried
-    forward by the remaining free motion; span is their sum. Full span
-    (rank n) means every target is reachable at time T via this
-    sequence.
+    span is the reachable subspace (on the dual side, the transposed
+    observability row space); full span (rank n) means every target is
+    reachable at time T via this sequence. terminal_theta is the logical
+    state after the last input.
     """
 
     alpha: int
     gammas: tuple[int, ...]
-    terms: tuple[Subspace, ...]
     span: Subspace
     terminal_theta: int
 
@@ -107,48 +108,63 @@ def switching_trajectory(
     return tuple(sigmas), tuple(thetas)
 
 
-def _fold_trajectory(
-    ms: MergedSystem | DualMergedSystem, alpha: int, gammas: Sequence[int], suffix: bool
-) -> tuple[ReachableSet, Matrix]:
-    """Replay alpha's switching trajectory once and fold the (G, H) block
-    pair the merged system applies at each step, block (theta_(t+1),
-    theta_t) of input slice gamma_t.
+def _start(ms, alpha):
+    """Walk state before any input: (alpha, empty span, identity chain)."""
+    n, mode = ms.sls.n, ms.sls.mode_flag
+    return alpha, Subspace(n, Matrix.zeros(n, 0, mode), mode), Matrix.identity(n, mode)
 
-    suffix=True folds the last step first (primal side): term t is
-    G_(T-1) ... G_(t+1) H_t and the chain is the drift G_(T-1) ... G_0.
-    suffix=False folds the first step first (dual side, transposed
-    modes): term t is G_0 ... G_(t-1) H_t and the chain G_0 ... G_(T-1).
-    Returns the terms' reachable set and the chain.
-    """
-    _, thetas = switching_trajectory(ms.net, alpha, gammas)
-    horizon = len(gammas)
-    chain = Matrix.identity(ms.sls.n, ms.sls.mode_flag)
-    terms: list[Subspace | None] = [None] * horizon
-    for t in (range(horizon - 1, -1, -1) if suffix else range(horizon)):
-        block = (gammas[t], thetas[t + 1], thetas[t])
-        terms[t] = column_space(chain @ ms.h_blocks[block])
-        chain = chain @ ms.g_blocks[block]
-    span = subspace_sum(*terms)
-    return ReachableSet(alpha, tuple(gammas), tuple(terms), span, thetas[-1]), chain
+
+def _step(ms, state, gamma):
+    """Advance a walk state (theta, span, chain) by input gamma through
+    block (theta', theta) of slice gamma; the merged system's type picks
+    the primal or the dual recurrence."""
+    theta, span, chain = state
+    theta_next, _ = step(ms.net, gamma, theta)
+    block = (gamma, theta_next, theta)
+    g, h = ms.g_blocks[block], ms.h_blocks[block]
+    if isinstance(ms, DualMergedSystem):
+        return theta_next, column_space(hstack([span.basis, chain @ h])), chain @ g
+    return theta_next, column_space(hstack([g @ span.basis, h])), g @ chain
+
+
+def _fold(ms, alpha, gammas) -> ReachableSet:
+    if not gammas:
+        raise ValueError("need at least one logical input")
+    state = _start(ms, alpha)
+    for gamma in gammas:
+        state = _step(ms, state, gamma)
+    return ReachableSet(alpha, tuple(gammas), state[1], state[0])
 
 
 def reachable_set(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
-    """Reachable set along one logical input sequence, by block products.
-
-    Term t is the image of A_(s_{T-1}) ... A_(s_{t+1}) B_(s_t), the
-    contribution of the input injected at time t, formed from the merged
-    system's blocks along the switching trajectory.
-    """
-    return _fold_trajectory(ms, alpha, gammas, suffix=True)[0]
+    """Reachable set along one logical input sequence, folded forward
+    through the merged blocks: R_(t+1) = A_(s_t) R_t + im B_(s_t)."""
+    return _fold(ms, alpha, gammas)
 
 
 def dual_reachable_set(dms: DualMergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
-    """Reachable set of the dual mergence along the induced trajectory.
+    """Dual reachable set along one sequence: its span is the transposed row
+    space of the induced switching sequence's observability matrix."""
+    return _fold(dms, alpha, gammas)
 
-    Its span is the row space of the stacked observability matrix of the
-    induced switching sequence, transposed into column form.
+
+def _candidates(ms, alphas, horizon):
+    """Yield every input sequence of length horizon in lexicographic order,
+    with the walk state of each checked alpha after it.
+
+    A depth-first walk of the input tree that holds only the current
+    path: path[d] maps alpha to its state after the first d inputs. The
+    next sequence in lexicographic order raises one input and resets all
+    later ones to 1, so it shares every input before its last non-1 input
+    with the sequence before it, and only the rest is folded.
     """
-    return _fold_trajectory(dms, alpha, gammas, suffix=False)[0]
+    path = [{a: _start(ms, a) for a in alphas}]
+    for gammas in itertools.product(range(1, ms.net.M + 1), repeat=horizon):
+        shared = max((d for d, g in enumerate(gammas) if g != 1), default=0)
+        del path[shared + 1:]
+        for gamma in gammas[shared:]:
+            path.append({a: _step(ms, s, gamma) for a, s in path[-1].items()})
+        yield gammas, path[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +187,32 @@ def _resolve_alphas(
     return control_attractors(net).checked_states()
 
 
-def _search(net, prop, alphas, t_max, test_fn) -> PropertyVerdict:
+def _detail(prop: str, n: int, state) -> AlphaDetail:
+    """Span rank, and whether prop holds: full span, or im chain in the span."""
+    _, span, chain = state
+    if prop in ("reachability", "observability"):
+        return AlphaDetail(span.rank, span.rank == n)
+    return AlphaDetail(span.rank, subspace_contains(span, column_space(chain)))
+
+
+def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     """Breadth-first in T, lexicographic in the input tuple; one sequence
     must pass at every checked alpha."""
+    n = ms.sls.n
+    checked = _resolve_alphas(ms.net, strict, alphas)
+    t_max = n if t_max is None else t_max
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     best, best_score = None, -1
     for horizon in range(1, t_max + 1):
-        for gammas in itertools.product(range(1, net.M + 1), repeat=horizon):
-            details = {a: test_fn(a, gammas) for a in alphas}
+        for gammas, states in _candidates(ms, checked, horizon):
+            details = {a: _detail(prop, n, s) for a, s in states.items()}
             score = sum(d.holds for d in details.values())
-            if score == len(alphas):
-                return PropertyVerdict(prop, True, gammas, horizon, details, alphas)
+            if score == len(checked):
+                return PropertyVerdict(prop, True, gammas, horizon, details, checked)
             if score > best_score:
                 best, best_score = details, score
-    return PropertyVerdict(prop, False, None, t_max, best, alphas)
+    return PropertyVerdict(prop, False, None, t_max, best, checked)
 
 
 def check_reachability(
@@ -195,15 +222,8 @@ def check_reachability(
     alphas: Sequence[int] | None = None,
 ) -> PropertyVerdict:
     """Is some input sequence able to reach every x from 0, for all
-    checked initial logical states?"""
-    n = ms.sls.n
-    checked = _resolve_alphas(ms.net, strict, alphas)
-
-    def test(alpha, gammas):
-        rs = reachable_set(ms, alpha, gammas)
-        return AlphaDetail(rs.span.rank, subspace_is_full(rs.span, n))
-
-    return _search(ms.net, "reachability", checked, n if t_max is None else t_max, test)
+    checked initial logical states? Holds when the reachable span is full."""
+    return _search(ms, "reachability", t_max, strict, alphas)
 
 
 def check_controllability(
@@ -213,14 +233,8 @@ def check_controllability(
     alphas: Sequence[int] | None = None,
 ) -> PropertyVerdict:
     """Is some input sequence able to steer every x to 0? Holds when the
-    free-motion image is contained in the reachable span."""
-    checked = _resolve_alphas(ms.net, strict, alphas)
-
-    def test(alpha, gammas):
-        rs, drift = _fold_trajectory(ms, alpha, gammas, suffix=True)
-        return AlphaDetail(rs.span.rank, subspace_contains(rs.span, column_space(drift)))
-
-    return _search(ms.net, "controllability", checked, ms.sls.n if t_max is None else t_max, test)
+    drift's image is contained in the reachable span."""
+    return _search(ms, "controllability", t_max, strict, alphas)
 
 
 def check_observability(
@@ -231,14 +245,7 @@ def check_observability(
 ) -> PropertyVerdict:
     """Can x(0) be recovered from outputs? Holds when the dual reachable
     span is full for all checked initial logical states."""
-    n = dms.sls.n
-    checked = _resolve_alphas(dms.net, strict, alphas)
-
-    def test(alpha, gammas):
-        rs = dual_reachable_set(dms, alpha, gammas)
-        return AlphaDetail(rs.span.rank, subspace_is_full(rs.span, n))
-
-    return _search(dms.net, "observability", checked, n if t_max is None else t_max, test)
+    return _search(dms, "observability", t_max, strict, alphas)
 
 
 def check_reconstructibility(
@@ -249,13 +256,7 @@ def check_reconstructibility(
 ) -> PropertyVerdict:
     """Can x(T) be recovered from outputs? Holds when the transposed
     free-motion chain's image is contained in the dual reachable span."""
-    checked = _resolve_alphas(dms.net, strict, alphas)
-
-    def test(alpha, gammas):
-        rs, chain = _fold_trajectory(dms, alpha, gammas, suffix=False)
-        return AlphaDetail(rs.span.rank, subspace_contains(rs.span, column_space(chain)))
-
-    return _search(dms.net, "reconstructibility", checked, dms.sls.n if t_max is None else t_max, test)
+    return _search(dms, "reconstructibility", t_max, strict, alphas)
 
 
 def feasible_input_sequences(
@@ -265,23 +266,18 @@ def feasible_input_sequences(
     alphas: Sequence[int] | None = None,
 ) -> list[FeasibleSequence]:
     """All input sequences achieving full reachable span at every checked
-    state, at the first length where any sequence succeeds."""
+    state, at the first length where any sequence succeeds. The candidates
+    are those of the reachability search, in the same order."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     net, n = ms.net, ms.sls.n
     checked = _resolve_alphas(net, strict, alphas)
     for horizon in range(1, k_max + 1):
-        found = []
-        for gammas in itertools.product(range(1, net.M + 1), repeat=horizon):
-            if all(
-                subspace_is_full(reachable_set(ms, a, gammas).span, n) for a in checked
-            ):
-                found.append(
-                    FeasibleSequence(
-                        gammas,
-                        {a: switching_trajectory(net, a, gammas) for a in checked},
-                    )
-                )
+        found = [
+            FeasibleSequence(gammas, {a: switching_trajectory(net, a, gammas) for a in checked})
+            for gammas, states in _candidates(ms, checked, horizon)
+            if all(span.rank == n for _, span, _ in states.values())
+        ]
         if found:
             return found
     return []

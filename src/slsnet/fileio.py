@@ -139,6 +139,8 @@ def loads(text: str) -> SystemDescription:
                 tolerance = float(value)
             except ValueError:
                 _fail(lineno, f"tolerance must be a number, got {value!r}")
+            if not 0 < tolerance < float("inf"):
+                _fail(lineno, f"tolerance must be finite and positive, got {value!r}")
         elif key == "t_max":
             t_max = _parse_int(value, "t_max", lineno)
             if t_max < 1:

@@ -52,6 +52,8 @@ def random_net_for(rng: random.Random, q: int, n_nodes=2, m_nodes=1, k=2):
     """Random logical layer whose signal actually covers 1..q."""
     n_states = k**n_nodes
     width = k**(n_nodes + m_nodes)
+    if width < q:
+        raise ValueError(f"{width} input-state pairs cannot emit all {q} signals")
     l_cols = [rng.randint(1, n_states) for _ in range(width)]
     while True:
         r_cols = [rng.randint(1, q) for _ in range(width)]

@@ -27,7 +27,13 @@ from slsnet.analysis import (
     switching_trajectory,
 )
 from slsnet.lcn import LogicalNetwork, build_from_functions
-from slsnet.oracle import controllability_matrix, mode_chain, observability_matrix
+from slsnet.oracle import (
+    controllability_matrix,
+    enumerate_switching_sequences,
+    kalman_rank,
+    mode_chain,
+    observability_matrix,
+)
 from slsnet.sls import SwitchedLinearSystem, merge, merge_dual
 
 from conftest import golden_net, golden_sls, random_net_for, random_system
@@ -65,15 +71,6 @@ def test_golden_reachable_set_full():
     assert subspace_is_full(rs.span, 3)
     assert rs.terminal_theta == 3
     assert rs.span == column_space(controllability_matrix((1, 2, 2), golden_sls()))
-
-
-def test_golden_reachable_set_terms():
-    sls = golden_sls()
-    rs = reachable_set(MS, 4, (2, 2, 2))
-    # sigma = (1, 2, 2): term 0 carries A2 A2 B1, term 1 A2 B2, term 2 B2
-    assert rs.terms[0] == column_space(sls.a(2) @ sls.a(2) @ sls.b(1))
-    assert rs.terms[1] == column_space(sls.a(2) @ sls.b(2))
-    assert rs.terms[2] == column_space(sls.b(2))
 
 
 def test_golden_infeasible_sequence_not_full():
@@ -239,28 +236,57 @@ def test_alpha_validation():
 # Oracle agreement
 # ---------------------------------------------------------------------------
 
+def _float_copy(sls):
+    return SwitchedLinearSystem(
+        [tuple(Matrix(x.entries, "float") for x in mode) for mode in sls.modes]
+    )
+
+
+def _full_rank_sequences(sls, net, alphas):
+    """Enumeration reference for feasible_input_sequences: the sequences of
+    full Kalman rank at every alpha, at the first length that has any."""
+    for horizon in range(1, sls.n + 1):
+        runs = [enumerate_switching_sequences(net, a, horizon) for a in alphas]
+        found = [
+            run[0][0]
+            for run in zip(*runs)
+            if all(kalman_rank(sigmas, sls) == sls.n for _, sigmas in run)
+        ]
+        if found:
+            return found
+    return []
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=15, deadline=None)
 def test_verdicts_match_oracle(seed):
+    # M = 1, 2 and 4 inputs on N = 2 or 4 states, so the walk must order
+    # single-child, binary and wider input trees like the enumeration.
     rng = random.Random(seed)
     sls = random_system(rng)
-    net = random_net_for(rng, sls.q)
-    ms = merge(sls, net)
-    dms = merge_dual(sls, net)
+    shapes = [(nn, mm) for nn in (1, 2) for mm in (0, 1, 2) if 2 ** (nn + mm) >= sls.q]
+    n_nodes, m_nodes = rng.choice(shapes)
+    net = random_net_for(rng, sls.q, n_nodes=n_nodes, m_nodes=m_nodes)
     alphas = tuple(range(1, net.N + 1))
-    pairs = (
-        ("reachability", check_reachability, ms),
-        ("controllability", check_controllability, ms),
-        ("observability", check_observability, dms),
-        ("reconstructibility", check_reconstructibility, dms),
-    )
-    for prop, check, system in pairs:
-        mine = check(system, alphas=alphas)
-        ref = kalman_oracle(sls, net, prop=prop, alphas=alphas)
-        assert mine.holds == ref.holds, (prop, seed)
-        assert mine.witness == ref.witness, (prop, seed)
-        assert mine.T == ref.T, (prop, seed)
-        assert mine.per_alpha == ref.per_alpha, (prop, seed)
+    for system in (sls, _float_copy(sls)):
+        ms = merge(system, net)
+        dms = merge_dual(system, net)
+        pairs = (
+            ("reachability", check_reachability, ms),
+            ("controllability", check_controllability, ms),
+            ("observability", check_observability, dms),
+            ("reconstructibility", check_reconstructibility, dms),
+        )
+        for prop, check, merged in pairs:
+            mine = check(merged, alphas=alphas)
+            ref = kalman_oracle(sls, net, prop=prop, alphas=alphas)
+            tag = (prop, system.mode_flag, seed)
+            assert mine.holds == ref.holds, tag
+            assert mine.witness == ref.witness, tag
+            assert mine.T == ref.T, tag
+            assert mine.per_alpha == ref.per_alpha, tag
+        feasible = feasible_input_sequences(ms, sls.n, alphas=alphas)
+        assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas), seed
 
 
 @given(st.integers(0, 10**6))

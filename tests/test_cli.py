@@ -228,6 +228,18 @@ def test_float_tolerance_not_inherited(capsys, tmp_path, monkeypatch):
     assert algebra.FLOAT_TOL == 1e-9
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_non_finite_tolerance_exits_2(capsys, tmp_path, tolerance):
+    path = tmp_path / "float.txt"
+    path.write_text(
+        Path(SLS).read_text().replace("numeric = exact", f"numeric = float\ntolerance = {tolerance}")
+    )
+    code, out, err = run(capsys, "oracle", "ranks", str(path), "--sigmas", "1,2,2")
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite" in err
+
+
 @pytest.mark.parametrize("module", ["slsnet", "slsnet.cli"])
 def test_module_entry_point_matches_main(capsys, module):
     root = Path(__file__).parent.parent

@@ -161,6 +161,10 @@ def test_exact_mode_rejects_decimals():
                              "A1 = 1 2 ; 0 1 0 ; 1 -4 3"), "unequal lengths"),
         (lambda t: t + "\n[options]\nnumeric = weird\n", "numeric must be"),
         (lambda t: t + "\n[options]\nt_max = 0\n", "t_max must be"),
+        (lambda t: t + "\n[options]\ntolerance = nan\n", r"line \d+: tolerance must be finite.*'nan'"),
+        (lambda t: t + "\n[options]\ntolerance = inf\n", r"line \d+: tolerance must be finite.*'inf'"),
+        (lambda t: t + "\n[options]\ntolerance = 0\n", r"line \d+: tolerance must be finite.*'0'"),
+        (lambda t: t + "\n[options]\ntolerance = -1\n", r"line \d+: tolerance must be finite.*'-1'"),
         (lambda t: t.replace("L = 1 1 2 4 4 4 3 3",
                              "L = 1 1 2 4 4 4 3 3\nnode1 = 1 1 1 2 2 2 2 2"), "not both"),
     ],
