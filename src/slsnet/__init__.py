@@ -16,6 +16,7 @@ from .algebra import (
     DimensionError,
     LogicalMatrix,
     Matrix,
+    Numeric,
     SizingError,
     Subspace,
     basis_vector,
@@ -29,7 +30,6 @@ from .algebra import (
     khatri_rao,
     power_reducing_matrix,
     rank,
-    set_float_tolerance,
     stp,
     stp_all,
     subspace_contains,

@@ -10,24 +10,24 @@ subspace lattice operations (sum, containment, fullness).
 Conventions:
 - all basis/column indices are 1-based, matching the usual delta_n^i
   notation for canonical basis vectors;
-- "exact" mode stores fractions.Fraction entries and all comparisons
-  are exact; "float" mode stores doubles and every zero/equality test
-  goes through the single tolerance FLOAT_TOL (applied to elimination
-  pivots after partial pivoting).
+- every Matrix and Subspace carries a frozen numeric context (Numeric):
+  exact contexts store fractions.Fraction entries and compare exactly;
+  float contexts store doubles, and every zero/equality test and every
+  elimination pivot (after partial pivoting) uses the context's own
+  tolerance. Mixing exact and float operands gives float; mixing two
+  different float tolerances is refused.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 # Results larger than this many entries are refused outright: merged-system
 # matrices grow as n*N x n*M*N and a runaway STP should fail loudly.
 SIZE_CAP = 10_000_000
-
-DEFAULT_FLOAT_TOL = 1e-9
-FLOAT_TOL = DEFAULT_FLOAT_TOL
 
 
 class SizingError(ValueError):
@@ -38,31 +38,48 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def set_float_tolerance(tol: float) -> None:
-    """Set the global pivot/zero tolerance used in float mode."""
-    global FLOAT_TOL
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and positive")
-    FLOAT_TOL = float(tol)
+@dataclass(frozen=True)
+class Numeric:
+    """Numeric context of a matrix: exact (tol None), or float with the
+    tolerance below which a magnitude counts as zero."""
+
+    tol: float | None = None
+
+    def __post_init__(self):
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
-def _coerce(value, mode: str):
-    if mode == "exact":
-        # Fraction(float) is the exact binary value; no silent rounding.
-        return Fraction(value)
-    return float(value)
+EXACT = Numeric()
+FLOAT = Numeric(1e-9)
 
 
-def _is_zero(value, mode: str) -> bool:
-    if mode == "exact":
-        return value == 0
-    return abs(value) <= FLOAT_TOL
+def _context(mode) -> Numeric:
+    """A Numeric, or one of the names "exact" and "float" (tolerance 1e-9)."""
+    if isinstance(mode, Numeric):
+        return mode
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown numeric mode {mode!r}")
+    return EXACT if mode == "exact" else FLOAT
 
 
-def _eq(a, b, mode: str) -> bool:
-    if mode == "exact":
-        return a == b
-    return abs(a - b) <= FLOAT_TOL
+def _join(modes: Iterable[Numeric]) -> Numeric:
+    """Context of a result: float beats exact; two float tolerances do not mix."""
+    out = EXACT
+    for mode in modes:
+        if mode.tol is not None and mode != out:
+            if out.tol is not None:
+                raise ValueError(f"cannot mix float tolerances {out.tol} and {mode.tol}")
+            out = mode
+    return out
+
+
+def _is_zero(value, mode: Numeric) -> bool:
+    return value == 0 if mode.tol is None else abs(value) <= mode.tol
+
+
+def _eq(a, b, mode: Numeric) -> bool:
+    return a == b if mode.tol is None else abs(a - b) <= mode.tol
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +87,7 @@ def _eq(a, b, mode: str) -> bool:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix; entries all share one numeric mode.
+    """Immutable dense matrix; entries all share one numeric context.
 
     ``cols == 0`` is permitted so that empty subspace bases have a
     carrier; all arithmetic degenerates correctly in that case.
@@ -78,10 +95,11 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "entries", "mode")
 
-    def __init__(self, entries: Sequence[Sequence], mode: str = "exact"):
-        if mode not in ("exact", "float"):
-            raise ValueError(f"unknown numeric mode {mode!r}")
-        grid = tuple(tuple(_coerce(v, mode) for v in row) for row in entries)
+    def __init__(self, entries: Sequence[Sequence], mode: Numeric | str = EXACT):
+        mode = _context(mode)
+        # Fraction(float) is the exact binary value; no silent rounding.
+        convert = Fraction if mode.tol is None else float
+        grid = tuple(tuple(map(convert, row)) for row in entries)
         if not grid:
             raise DimensionError("matrix needs at least one row")
         width = len(grid[0])
@@ -98,19 +116,15 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int, mode: str = "exact") -> "Matrix":
+    def zeros(rows: int, cols: int, mode: Numeric | str = EXACT) -> "Matrix":
         return Matrix([[0] * cols for _ in range(rows)], mode)
 
     @staticmethod
-    def identity(n: int, mode: str = "exact") -> "Matrix":
+    def identity(n: int, mode: Numeric | str = EXACT) -> "Matrix":
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], mode)
 
     @staticmethod
-    def ones(rows: int, cols: int, mode: str = "exact") -> "Matrix":
-        return Matrix([[1] * cols for _ in range(rows)], mode)
-
-    @staticmethod
-    def column(values: Sequence, mode: str = "exact") -> "Matrix":
+    def column(values: Sequence, mode: Numeric | str = EXACT) -> "Matrix":
         return Matrix([[v] for v in values], mode)
 
     # -- basic queries -------------------------------------------------------
@@ -137,11 +151,10 @@ class Matrix:
             return NotImplemented
         if self.shape != other.shape:
             return False
-        mode = "float" if "float" in (self.mode, other.mode) else "exact"
+        # a Fraction meets a float as float(Fraction), exactly as if coerced
+        mode = self._joint_mode(other)
         return all(
-            _eq(_coerce(self.entries[i][j], mode), _coerce(other.entries[i][j], mode), mode)
-            for i in range(self.rows)
-            for j in range(self.cols)
+            _eq(x, y, mode) for rx, ry in zip(self.entries, other.entries) for x, y in zip(rx, ry)
         )
 
     def __hash__(self):
@@ -153,8 +166,8 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _joint_mode(self, other: "Matrix") -> str:
-        return "float" if "float" in (self.mode, other.mode) else "exact"
+    def _joint_mode(self, other: "Matrix") -> Numeric:
+        return _join((self.mode, other.mode))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
@@ -228,7 +241,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack: row counts differ")
-    mode = "float" if any(m.mode == "float" for m in mats) else "exact"
+    mode = _join(m.mode for m in mats)
     grid = [[v for m in mats for v in m.entries[i]] for i in range(rows)]
     return Matrix(grid, mode) if grid and grid[0] else _empty(rows, mode)
 
@@ -240,18 +253,18 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack: column counts differ")
-    mode = "float" if any(m.mode == "float" for m in mats) else "exact"
+    mode = _join(m.mode for m in mats)
     return Matrix([row for m in mats for row in m.entries], mode)
 
 
-def _empty(rows: int, mode: str) -> Matrix:
+def _empty(rows: int, mode: Numeric) -> Matrix:
     m = Matrix.zeros(rows, 1, mode)
     object.__setattr__(m, "cols", 0)
     object.__setattr__(m, "entries", tuple(() for _ in range(rows)))
     return m
 
 
-def basis_vector(n: int, i: int, mode: str = "exact") -> Matrix:
+def basis_vector(n: int, i: int, mode: Numeric | str = EXACT) -> Matrix:
     """Canonical basis column vector of length n with a 1 in slot i (1-based)."""
     if not 1 <= i <= n:
         raise DimensionError(f"basis index {i} out of range 1..{n}")
@@ -347,7 +360,7 @@ class LogicalMatrix:
         """Row index (1-based) of the single 1 in column j (1-based)."""
         return self.col_index[j - 1]
 
-    def dense(self, mode: str = "exact") -> Matrix:
+    def dense(self, mode: Numeric | str = EXACT) -> Matrix:
         return Matrix(
             [[1 if self.col_index[j] == i + 1 else 0 for j in range(self.cols)]
              for i in range(self.rows)],
@@ -366,7 +379,7 @@ class LogicalMatrix:
         for j in range(m.cols):
             col = m.col(j)
             hits = [i for i, v in enumerate(col) if not _is_zero(v, m.mode)]
-            if len(hits) != 1 or not _eq(col[hits[0]], _coerce(1, m.mode), m.mode):
+            if len(hits) != 1 or not _eq(col[hits[0]], 1, m.mode):
                 raise DimensionError(f"column {j + 1} is not a canonical basis vector")
             idx.append(hits[0] + 1)
         return LogicalMatrix(m.rows, idx)
@@ -465,7 +478,7 @@ class BooleanMatrix:
             [[0 if _is_zero(v, m.mode) else 1 for v in row] for row in m.entries]
         )
 
-    def dense(self, mode: str = "exact") -> Matrix:
+    def dense(self, mode: Numeric | str = EXACT) -> Matrix:
         return Matrix(self.bits, mode)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -475,15 +488,6 @@ class BooleanMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(self.bits[i][j] for i in range(self.rows))
 
-    def support(self) -> list[tuple[int, int]]:
-        """1-based (row, col) positions of the 1 entries."""
-        return [
-            (i + 1, j + 1)
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if self.bits[i][j]
-        ]
-
     def transpose(self) -> "BooleanMatrix":
         return BooleanMatrix(
             [[self.bits[i][j] for i in range(self.rows)] for j in range(self.cols)]
@@ -491,9 +495,6 @@ class BooleanMatrix:
 
     def is_zero(self) -> bool:
         return all(b == 0 for row in self.bits for b in row)
-
-    def all_ones(self) -> bool:
-        return all(b == 1 for row in self.bits for b in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanMatrix):
@@ -555,9 +556,11 @@ def boolean_power(a: BooleanMatrix, k: int) -> BooleanMatrix:
 def _rref(m: Matrix) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column list).
 
-    Exact mode picks the first nonzero pivot (deterministic); float mode
-    partial-pivots on magnitude and treats |v| <= FLOAT_TOL as zero.
+    An exact matrix picks the first nonzero pivot (deterministic); a float
+    matrix partial-pivots on magnitude and treats |v| <= its context's
+    tolerance as zero.
     """
+    tol = m.mode.tol
     grid = [list(row) for row in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
@@ -565,11 +568,11 @@ def _rref(m: Matrix) -> tuple[list[list], list[int]]:
     for c in range(ncols):
         if r >= nrows:
             break
-        if m.mode == "exact":
+        if tol is None:
             pivot_row = next((i for i in range(r, nrows) if grid[i][c] != 0), None)
         else:
             pivot_row = max(range(r, nrows), key=lambda i: abs(grid[i][c]))
-            if abs(grid[pivot_row][c]) <= FLOAT_TOL:
+            if abs(grid[pivot_row][c]) <= tol:
                 pivot_row = None
         if pivot_row is None:
             continue
@@ -580,8 +583,8 @@ def _rref(m: Matrix) -> tuple[list[list], list[int]]:
             if i != r and not _is_zero(grid[i][c], m.mode):
                 f = grid[i][c]
                 grid[i] = [x - f * y for x, y in zip(grid[i], grid[r])]
-        if m.mode == "float":
-            grid = [[0.0 if abs(v) <= FLOAT_TOL else v for v in row] for row in grid]
+        if tol is not None:
+            grid = [[0.0 if abs(v) <= tol else v for v in row] for row in grid]
         pivots.append(c)
         r += 1
     return grid, pivots
@@ -603,10 +606,10 @@ class Subspace:
 
     __slots__ = ("ambient", "basis", "mode")
 
-    def __init__(self, ambient: int, basis: Matrix, mode: str):
+    def __init__(self, ambient: int, basis: Matrix, mode: Numeric | str):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mode", _context(mode))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")

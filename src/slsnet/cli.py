@@ -3,26 +3,21 @@
 Every command reads a system-description file, runs one analysis and
 prints a report, either as indented text or as JSON. Exit codes: 0 when
 the queried property holds (or the command is informational), 1 for a
-definitive negative verdict, 2 for input errors, 3 when an enumeration
-budget or size cap is exceeded.
+definitive negative verdict, 2 for input errors or an unwritable report,
+3 when an enumeration budget or size cap is exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .algebra import (
-    DEFAULT_FLOAT_TOL,
-    BooleanMatrix,
-    DimensionError,
-    SizingError,
-    set_float_tolerance,
-)
+from .algebra import BooleanMatrix, DimensionError, SizingError
 from .analysis import (
     check_controllability,
     check_observability,
@@ -142,9 +137,9 @@ def _scalarize(value) -> str:
 
 def _emit(report: dict, args) -> None:
     if args.format == "json":
-        print(json.dumps(report, indent=2, default=str))
+        print(json.dumps(report, indent=2, default=str), flush=True)
     else:
-        print("\n".join(_render_text(report)))
+        print("\n".join(_render_text(report)), flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ def _cmd_graph(args, desc, report) -> int:
             fh.write(dot)
         report["written"] = args.out
         return 0
-    print(dot, end="")
+    print(dot, end="", flush=True)
     return 0
 
 
@@ -409,28 +404,28 @@ def main(argv=None) -> int:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
         desc = loads(text)
-        # FLOAT_TOL is process-global: set it on every run, so that a file
-        # without its own tolerance does not inherit an earlier file's
-        declared = desc.numeric == "float" and desc.tolerance is not None
-        set_float_tolerance(desc.tolerance if declared else DEFAULT_FLOAT_TOL)
         report = {
             "tool": f"slsnet {__version__}",
             "command": _describe(args),
             "input": content_digest(text),
         }
         code = _HANDLERS[args.command](args, desc, report)
+        if args.command != "graph" or args.out:
+            if not args.no_timestamp:
+                report["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+                report["elapsed_ms"] = round((time.perf_counter() - started) * 1000)
+            _emit(report, args)
     except (BudgetExceededError, SizingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: drop the buffered rest, or the exit-time flush fails too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, DimensionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "graph" and not args.out:
-        return code
-    if not args.no_timestamp:
-        report["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        report["elapsed_ms"] = round((time.perf_counter() - started) * 1000)
-    _emit(report, args)
     return code
 
 

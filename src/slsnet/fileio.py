@@ -25,7 +25,7 @@ with '#', blank lines are ignored, every other line is either a
 
     [options]             optional
     numeric = exact       exact | float
-    tolerance = 1e-9      float mode pivot tolerance
+    tolerance = 1e-9      float mode zero/pivot tolerance (default 1e-9)
     t_max = 3             property search horizon
 
 Entries are integers or rationals "p/q"; decimals are accepted only
@@ -39,7 +39,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LogicalMatrix, Matrix
+from .algebra import EXACT, FLOAT, LogicalMatrix, Matrix, Numeric
 from .lcn import LogicalNetwork, build_from_functions
 from .sls import SwitchedLinearSystem
 
@@ -82,29 +82,29 @@ def _scan(text: str):
         yield lineno, section, key.strip().lower(), value.strip()
 
 
-def _parse_scalar(token: str, numeric: str, lineno: int):
+def _parse_scalar(token: str, context: Numeric, lineno: int):
     try:
         if "/" in token:
             return Fraction(token)
-        if numeric == "float":
+        if context.tol is not None:
             as_float = float(token)
             return int(as_float) if as_float.is_integer() else as_float
         return int(token)
     except (ValueError, ZeroDivisionError):
-        if numeric == "exact":
+        if context.tol is None:
             _fail(lineno, f"{token!r} is not an integer or rational (decimals need numeric = float)")
         _fail(lineno, f"{token!r} is not a number")
 
 
-def _parse_matrix(value: str, numeric: str, lineno: int) -> Matrix:
+def _parse_matrix(value: str, context: Numeric, lineno: int) -> Matrix:
     rows = [chunk.split() for chunk in value.split(";")]
     if any(not r for r in rows):
         _fail(lineno, "empty matrix row")
     if len({len(r) for r in rows}) != 1:
         _fail(lineno, "matrix rows have unequal lengths")
     return Matrix(
-        [[_parse_scalar(tok, numeric, lineno) for tok in row] for row in rows],
-        numeric,
+        [[_parse_scalar(tok, context, lineno) for tok in row] for row in rows],
+        context,
     )
 
 
@@ -158,8 +158,10 @@ def loads(text: str) -> SystemDescription:
             _fail(lineno, f"duplicate key {key!r} in [{section}]")
         bucket[key] = (lineno, value)
 
+    # every parsed matrix carries this context, and so does all arithmetic on them
+    context = Numeric(tolerance or FLOAT.tol) if numeric == "float" else EXACT
     net = _build_net(logic)
-    sls = _build_sls(modes, numeric, net) if modes else None
+    sls = _build_sls(modes, context, net) if modes else None
     return SystemDescription(net, sls, numeric, tolerance, t_max)
 
 
@@ -249,7 +251,7 @@ def _modes_int(modes, key):
     return _parse_int(value, key, lineno)
 
 
-def _build_sls(modes, numeric, net) -> SwitchedLinearSystem:
+def _build_sls(modes, context, net) -> SwitchedLinearSystem:
     n = _modes_int(modes, "n")
     m = _modes_int(modes, "inputs")
     p = _modes_int(modes, "outputs")
@@ -267,7 +269,7 @@ def _build_sls(modes, numeric, net) -> SwitchedLinearSystem:
             if key not in modes:
                 _fail(None, f"[modes] is missing {key.upper()!r}")
             lineno, value = modes[key]
-            mat = _parse_matrix(value, numeric, lineno)
+            mat = _parse_matrix(value, context, lineno)
             if mat.shape != (rows, cols):
                 _fail(lineno, f"{key.upper()} is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
             triple.append(mat)

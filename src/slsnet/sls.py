@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BooleanMatrix, DimensionError, Matrix, _is_zero
+from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric
 from .lcn import LogicalNetwork, encode_pair, step
 
 
@@ -67,7 +67,7 @@ class SwitchedLinearSystem:
         return len(self.modes)
 
     @property
-    def mode_flag(self) -> str:
+    def mode_flag(self) -> Numeric:
         return self.modes[0][0].mode
 
     def a(self, sigma: int) -> Matrix:
@@ -168,16 +168,12 @@ class _MergedBase:
 
     def compressed_pattern(self, gamma: int) -> BooleanMatrix:
         """N x N sign pattern of slice gamma's blocks (1 = nonzero block)."""
-        numeric_mode = self.sls.mode_flag
         bits = []
         for alpha in range(1, self.net.N + 1):
             row = []
             for beta in range(1, self.net.N + 1):
                 block = self.g_blocks.get((gamma, alpha, beta))
-                nonzero = block is not None and any(
-                    not _is_zero(v, numeric_mode) for r in block.entries for v in r
-                )
-                row.append(1 if nonzero else 0)
+                row.append(0 if block is None or block.is_zero() else 1)
             bits.append(row)
         return BooleanMatrix(bits)
 

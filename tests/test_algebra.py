@@ -18,6 +18,7 @@ from slsnet.algebra import (
     DimensionError,
     LogicalMatrix,
     Matrix,
+    Numeric,
     SizingError,
     Subspace,
     basis_vector,
@@ -201,9 +202,9 @@ def test_stp_all_left_associates():
 
 
 def test_sizing_cap():
-    wide = Matrix.ones(1, 4000)
+    wide = Matrix([[1] * 4000])
     with pytest.raises(SizingError):
-        kronecker(wide, Matrix.ones(4000, 1))
+        kronecker(wide, wide.transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +365,45 @@ def test_float_mode_pivot_tolerance():
     assert rank(almost_singular) == 1
     clearly_regular = Matrix([[1.0, 1.0], [1.0, 2.0]], mode="float")
     assert rank(clearly_regular) == 2
+
+
+def test_float_tolerance_is_the_matrix_own():
+    entries = [[1.0, 1.0], [1.0, 1.0001]]
+    loose, tight = Numeric(0.01), Numeric(1e-9)
+    assert rank(Matrix(entries, loose)) == 1
+    assert rank(Matrix(entries, tight)) == 2
+    assert rank(Matrix(entries, "float")) == 2
+    assert Matrix(entries, "float").mode == tight
+    space = column_space(Matrix(entries, loose))
+    assert (space.rank, space.mode, space.basis.mode) == (1, loose, loose)
+    assert Matrix([[1.0]], loose) == Matrix([[1.005]], loose)
+    assert Matrix([[1.0]], tight) != Matrix([[1.005]], tight)
+
+
+def test_numeric_join_rule():
+    loose, tight = Numeric(0.01), Numeric(1e-6)
+    exact = Matrix([[1, 2], [3, 4]])
+    a, b = Matrix(exact.entries, loose), Matrix(exact.entries, tight)
+    # float beats exact, whichever side it is on
+    for mixed in (exact @ a, a @ exact, exact + a, hstack([exact, a]), vstack([a, exact])):
+        assert mixed.mode == loose
+    assert exact == a and (exact @ exact).mode == Numeric()
+    # two different float tolerances are refused, not silently resolved
+    for mix in (lambda: a @ b, lambda: a - b, lambda: hstack([exact, a, b]),
+                lambda: vstack([b, a]), lambda: kronecker(a, b), lambda: a == b):
+        with pytest.raises(ValueError, match="tolerances"):
+            mix()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_numeric_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Numeric(tol)
+
+
+def test_unknown_numeric_mode():
+    with pytest.raises(ValueError, match="unknown numeric mode"):
+        Matrix([[1]], "decimal")
 
 
 def test_exact_mode_sees_tiny_pivots():

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slsnet.algebra import Matrix, column_space, rank, subspace_is_full
+from slsnet.algebra import Matrix, Numeric, column_space, rank, subspace_is_full
 from slsnet.analysis import (
+    _start,
+    _step,
     check_controllability,
     check_observability,
     check_reachability,
@@ -115,8 +117,8 @@ def test_dual_route_matches_observability_matrix(seed):
 def test_zero_input_matrices_span_nothing():
     z = Matrix.zeros(2, 1)
     sls = SwitchedLinearSystem(
-        ((Matrix.identity(2), z, Matrix.ones(1, 2)),
-         (Matrix.identity(2).scale(2), z, Matrix.ones(1, 2)))
+        ((Matrix.identity(2), z, Matrix([[1, 1]])),
+         (Matrix.identity(2).scale(2), z, Matrix([[1, 1]])))
     )
     ms = merge(sls, NET)
     for gammas in itertools.product((1, 2), repeat=2):
@@ -236,10 +238,24 @@ def test_alpha_validation():
 # Oracle agreement
 # ---------------------------------------------------------------------------
 
+# not the default 1e-9, so a default context leaking in anywhere shows
+LOOSE = Numeric(1e-6)
+
+
 def _float_copy(sls):
     return SwitchedLinearSystem(
-        [tuple(Matrix(x.entries, "float") for x in mode) for mode in sls.modes]
+        [tuple(Matrix(x.entries, LOOSE) for x in mode) for mode in sls.modes]
     )
+
+
+def _assert_context(merged, mode):
+    """Blocks, and the spans and chains of one step from every state, carry mode."""
+    blocks = list(merged.g_blocks.values()) + list(merged.h_blocks.values())
+    assert {b.mode for b in blocks} == {mode}
+    for alpha in range(1, merged.net.N + 1):
+        for gamma in range(1, merged.net.M + 1):
+            _, span, chain = _step(merged, _start(merged, alpha), gamma)
+            assert (span.mode, span.basis.mode, chain.mode) == (mode, mode, mode)
 
 
 def _full_rank_sequences(sls, net, alphas):
@@ -271,6 +287,8 @@ def test_verdicts_match_oracle(seed):
     for system in (sls, _float_copy(sls)):
         ms = merge(system, net)
         dms = merge_dual(system, net)
+        _assert_context(ms, system.mode_flag)
+        _assert_context(dms, system.mode_flag)
         pairs = (
             ("reachability", check_reachability, ms),
             ("controllability", check_controllability, ms),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slsnet import algebra
+from slsnet import check_reachability, kalman_rank, load, merge
 from slsnet.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -215,17 +215,53 @@ def test_digest_tracks_content(capsys):
     assert rep_sls["tool"].startswith("slsnet ")
 
 
-def test_float_tolerance_not_inherited(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(algebra, "FLOAT_TOL", algebra.FLOAT_TOL)
-    text = Path(LCN).read_text() + "\n[options]\nnumeric = float\n"
+# A1 is 1e-4 away from singular, so [B1, A1 B1] has rank 2 exactly but
+# rank 1 once |v| <= 0.01 counts as zero.
+NEAR_SINGULAR = """
+[modes]
+n = 2
+inputs = 1
+outputs = 1
+count = 1
+A1 = 1 1 ; 1 1.0001
+B1 = 1 ; 1
+C1 = 1 0
+
+[logic]
+k = 2
+state_nodes = 1
+input_nodes = 1
+L = 1 2 1 2
+
+[options]
+numeric = float
+"""
+
+
+def test_float_tolerance_travels_with_description(capsys, tmp_path):
     loose = tmp_path / "loose.txt"
-    loose.write_text(text + "tolerance = 0.001\n")
+    loose.write_text(NEAR_SINGULAR + "tolerance = 0.01\n")
     plain = tmp_path / "plain.txt"
-    plain.write_text(text)
-    assert run(capsys, "attractors", str(loose))[0] == 0
-    assert algebra.FLOAT_TOL == 0.001
-    assert run(capsys, "attractors", str(plain))[0] == 0
-    assert algebra.FLOAT_TOL == 1e-9
+    plain.write_text(NEAR_SINGULAR)
+
+    desc = load(loose)
+    assert kalman_rank([1, 1], desc.sls) == 1
+    assert not check_reachability(merge(desc.sls, desc.net)).holds
+    _, rep = run_json(capsys, "oracle", "ranks", str(loose), "--sigmas", "1,1")
+    assert rep["kalman_rank"] == 1
+    assert run(capsys, "analyze", "reachability", str(loose))[0] == 1
+
+    # a description without a tolerance gets 1e-9, whatever was loaded before
+    other = load(plain)
+    assert kalman_rank([1, 1], other.sls) == 2
+    assert check_reachability(merge(other.sls, other.net)).holds
+    _, rep = run_json(capsys, "oracle", "ranks", str(plain), "--sigmas", "1,1")
+    assert rep["kalman_rank"] == 2
+    assert kalman_rank([1, 1], desc.sls) == 1
+
+    # the two descriptions' matrices carry different tolerances and do not mix
+    with pytest.raises(ValueError, match="tolerances"):
+        desc.sls.a(1) @ other.sls.b(1)
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
@@ -251,3 +287,24 @@ def test_module_entry_point_matches_main(capsys, module):
     )
     code, out, _ = run(capsys, *argv[:2], SLS, *argv[3:])
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_unwritable_stdout_exits_2():
+    # the reader of stdout has gone before the report is written: that is an
+    # output error (exit 2, one line), not a negative verdict (exit 1)
+    root = Path(__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for buffering in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "slsnet", "analyze", "all", SLS],
+                env=dict(env, PYTHONPATH=path, **buffering),
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
