@@ -158,7 +158,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.mode, self.entries))
+        return hash((self.rows, self.cols))  # __eq__ is tolerant and cross-mode
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
@@ -629,7 +629,7 @@ class Subspace:
         return self.ambient == other.ambient and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.rank))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.rank} in R^{self.ambient})"

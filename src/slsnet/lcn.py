@@ -12,11 +12,11 @@ free next input, so the analyses here read successor indices off L
 instead of multiplying matrices: simulation, l-step set reachability
 between input-state subset classes (path counts propagated along the
 successors, with Boolean verdicts as their signs), control attractors
-(fixed points, cycles, attract basins, and a disjoint cover used to cut
-analysis work), and DOT export of the input-state dynamic graph. The
-input-state transition matrix is the same graph in the matrix form of
-the semi-tensor calculus; it is library API and the reference the tests
-check set reachability against.
+(fixed points, one cycle per strongly connected component, attract
+basins, and a disjoint cover used to cut analysis work), and DOT export
+of the input-state dynamic graph. The input-state transition matrix is
+the same graph in the matrix form of the semi-tensor calculus; it is
+library API and the reference the tests check set reachability against.
 """
 
 from __future__ import annotations
@@ -289,6 +289,8 @@ class Attractor:
 
 @dataclass(frozen=True)
 class ControlAttractorReport:
+    """`cycles` holds the canonical cycle of each SCC of two or more states."""
+
     fixed_points: tuple[Attractor, ...]
     cycles: tuple[Attractor, ...]
     # attractor states -> {basin state -> steering input sequence}
@@ -303,13 +305,76 @@ class ControlAttractorReport:
         return tuple(a.representative for a in self.cover)
 
 
+def _strong_components(nexts: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components of the state graph (Tarjan 1972),
+    with an explicit stack of successor iterators instead of recursion."""
+    done = len(nexts)  # low value of states already in a component
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    components = []
+    for root in nexts:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(nexts[root]))]
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(nexts[w])))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        low[component[-1]] = done
+                    components.append(component)
+    return components
+
+
+def _canonical_cycle(component: set[int], nexts: dict[int, list[int]]) -> tuple[int, ...]:
+    """The first simple cycle of an SCC in the cover order (largest
+    smallest state v, then shortest, then lexicographically first): for
+    each v, largest first, a breadth-first search over the states above v,
+    successors ascending, until one steps back to v."""
+    for v in sorted(component, reverse=True):
+        parent = {v: v}
+        queue = [v]
+        for u in queue:
+            if u != v and v in nexts[u]:
+                path = [u]
+                while path[-1] != v:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            for w in nexts[u]:
+                if w > v and w in component and w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+    raise AssertionError("an SCC of two or more states has a cycle")
+
+
 def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
-    """Fixed points, cycles (length <= N), basins, and a disjoint basin cover.
+    """Fixed points, the canonical cycle of each strongly connected
+    component (SCC) of two or more states, basins, and a disjoint cover.
 
     The cover greedily keeps attractors whose basins add uncovered
     states, preferring larger basins, then fixed points over cycles,
-    then the larger representative state; chosen attractors are pairwise
-    disjoint state sets.
+    then the larger representative state, then shorter, then
+    lexicographically first cycles. The attractors of one SCC share one
+    basin (the states that can reach it), so the greedy takes at most
+    the first per SCC: its largest fixed point, else its canonical cycle.
+    The cover is thus the one all simple cycles give; its attractors lie
+    in distinct SCCs, so they are disjoint. A cycle's inputs are the
+    largest on each inner edge and the smallest on the closing one.
     """
     n_states = net.N
     succ = {theta: net.successors(theta) for theta in range(1, n_states + 1)}
@@ -320,20 +385,14 @@ def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
         if holds:
             fixed_points.append(Attractor((theta,), (holds[0],)))
 
+    nexts = {theta: sorted({nxt for _, nxt in moves}) for theta, moves in succ.items()}
     cycles = []
-    seen_cycles: set[tuple[int, ...]] = set()
-    for start in range(1, n_states + 1):
-        # enumerate simple cycles whose smallest state is `start`
-        stack = [((start,), ())]
-        while stack:
-            path, gammas = stack.pop()
-            for g, nxt in succ[path[-1]]:
-                if nxt == start and len(path) > 1:
-                    if path not in seen_cycles:
-                        seen_cycles.add(path)
-                        cycles.append(Attractor(path, gammas + (g,)))
-                elif nxt > start and nxt not in path and len(path) < n_states:
-                    stack.append((path + (nxt,), gammas + (g,)))
+    for component in _strong_components(nexts):
+        if len(component) > 1:
+            states = _canonical_cycle(set(component), nexts)
+            inputs = [max(g for g, nxt in succ[a] if nxt == b) for a, b in zip(states, states[1:])]
+            inputs.append(min(g for g, nxt in succ[states[-1]] if nxt == states[0]))
+            cycles.append(Attractor(states, tuple(inputs)))
     cycles.sort(key=lambda a: (len(a.states), a.states))
 
     attractors = fixed_points + cycles
@@ -363,15 +422,11 @@ def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
     )
     cover: list[Attractor] = []
     covered: set[int] = set()
-    used: set[int] = set()
     for attractor in ordered:
         if covered >= basins[attractor.states].keys():
             continue
-        if used & set(attractor.states):
-            continue
         cover.append(attractor)
         covered |= basins[attractor.states].keys()
-        used |= set(attractor.states)
         if len(covered) == n_states:
             break
 

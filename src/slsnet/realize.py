@@ -196,9 +196,11 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     """Can some input sequence make the emitted signals equal the reference?
 
     Propagates the set of input-state pairs consistent with the reference
-    so far; tracking fails at the first step where it empties. On success
-    the witness is recovered by walking predecessor links backwards,
-    smallest pair index first.
+    so far; tracking fails at the first step where it empties. Each step
+    keeps the smallest frontier pair per L-target state (a successor
+    fixes its target state), then emits the successors input by input in
+    ascending order, in O(|frontier| + M*N). On success the witness is
+    recovered by walking predecessor links backwards, smallest pair first.
     """
     if not 1 <= problem.theta0 <= net.N:
         raise ValueError(f"initial state {problem.theta0} outside 1..{net.N}")
@@ -216,17 +218,20 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     if not frontier:
         return TrackVerdict(False, None, 0, tuple(sizes))
 
+    l_target = net.L.col_index
     links: list[dict[int, int]] = []
     for t in range(1, len(problem.reference)):
         wanted = preimages[problem.reference[t]]
-        step_links: dict[int, int] = {}
-        for pair in frontier:
-            theta_next = net.L.target(pair)
-            for gamma in range(1, net.M + 1):
-                succ = (gamma - 1) * net.N + theta_next
-                if succ in wanted and succ not in step_links:
-                    step_links[succ] = pair
-        frontier = sorted(step_links)
+        # walked backwards, so the smallest pair per target state is kept
+        first_pair = {l_target[pair - 1]: pair for pair in reversed(frontier)}
+        targets = sorted(first_pair)
+        step_links = {
+            offset + theta: first_pair[theta]
+            for offset in range(0, net.M * net.N, net.N)
+            for theta in targets
+            if offset + theta in wanted
+        }
+        frontier = list(step_links)
         links.append(step_links)
         sizes.append(len(frontier))
         if not frontier:

@@ -360,6 +360,20 @@ def test_vector_membership():
     assert not plane.contains_vector(Matrix.column([0, 0, 1]))
 
 
+def test_equal_matrices_and_subspaces_hash_equal():
+    # equality is tolerance-aware and crosses modes, so hashes must not
+    # depend on the entries or the numeric context
+    near = Matrix([[1.0], [0.0]], "float")
+    nearer = Matrix([[1.0 + 1e-12], [0.0]], "float")
+    exact = Matrix([[1], [0]])
+    assert near == nearer == exact
+    assert hash(near) == hash(nearer) == hash(exact)
+    assert len({near, nearer, exact}) == 1
+    spaces = [column_space(m) for m in (near, nearer, exact)]
+    assert spaces[0] == spaces[1] == spaces[2]
+    assert len({hash(s) for s in spaces}) == 1 and len(set(spaces)) == 1
+
+
 def test_float_mode_pivot_tolerance():
     almost_singular = Matrix([[1.0, 1.0], [1.0, 1.0 + 1e-12]], mode="float")
     assert rank(almost_singular) == 1

@@ -1,12 +1,14 @@
 """Logical control network tests.
 
 Brute-force oracles: direct truth-table evaluation for built networks,
-STP evaluation for step(), exhaustive DFS for path counts, and
-networkx cycle/reachability search for attractors.
+STP evaluation for step(), exhaustive DFS for path counts, and for
+attractors both networkx cycle/reachability search and the greedy cover
+over every simple cycle, enumerated depth-first.
 """
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -23,6 +25,7 @@ from slsnet.algebra import (
     stp,
 )
 from slsnet.lcn import (
+    Attractor,
     InputStateSubset,
     LogicalNetwork,
     SubsetClass,
@@ -298,6 +301,65 @@ def graph_of(net):
     return g
 
 
+def enumerated_attractors(net):
+    """Fixed points, every simple cycle, basins and the greedy cover.
+
+    The exponential reference for control_attractors: a depth-first
+    enumeration of all simple cycles (each from its smallest state,
+    recording the first input sequence met), a breadth-first basin per
+    attractor, and the greedy cover over all of them, sorted by basin
+    size, fixed points first, then the larger representative state.
+    """
+    n_states = net.N
+    succ = {theta: net.successors(theta) for theta in range(1, n_states + 1)}
+    fixed_points = []
+    for theta in range(1, n_states + 1):
+        holds = [g for g, nxt in succ[theta] if nxt == theta]
+        if holds:
+            fixed_points.append(Attractor((theta,), (holds[0],)))
+    cycles = []
+    seen_cycles = set()
+    for start in range(1, n_states + 1):
+        stack = [((start,), ())]
+        while stack:
+            path, gammas = stack.pop()
+            for g, nxt in succ[path[-1]]:
+                if nxt == start and len(path) > 1:
+                    if path not in seen_cycles:
+                        seen_cycles.add(path)
+                        cycles.append(Attractor(path, gammas + (g,)))
+                elif nxt > start and nxt not in path:
+                    stack.append((path + (nxt,), gammas + (g,)))
+    cycles.sort(key=lambda a: (len(a.states), a.states))
+    attractors = fixed_points + cycles
+    predecessors = {t: [] for t in range(1, n_states + 1)}
+    for theta, moves in succ.items():
+        for g, nxt in moves:
+            predecessors[nxt].append((theta, g))
+    basins = {}
+    for attractor in attractors:
+        steering = {s: () for s in attractor.states}
+        frontier = sorted(attractor.states)
+        while frontier:
+            nxt_frontier = []
+            for state in frontier:
+                for prev, g in sorted(predecessors[state]):
+                    if prev not in steering:
+                        steering[prev] = (g,) + steering[state]
+                        nxt_frontier.append(prev)
+            frontier = sorted(nxt_frontier)
+        basins[attractor.states] = steering
+    ordered = sorted(attractors, key=lambda a: (-len(basins[a.states]), a.is_cycle, -a.representative))
+    cover, covered, used = [], set(), set()
+    for attractor in ordered:
+        if covered >= basins[attractor.states].keys() or used & set(attractor.states):
+            continue
+        cover.append(attractor)
+        covered |= basins[attractor.states].keys()
+        used |= set(attractor.states)
+    return fixed_points, cycles, basins, cover
+
+
 def test_identity_net_every_state_fixed():
     net = build_from_functions(2, 1, 1, [[1, 2, 1, 2]])
     report = control_attractors(net)
@@ -311,12 +373,65 @@ def test_identity_net_every_state_fixed():
 def test_golden_net_attractors():
     report = control_attractors(NET)
     assert [a.states for a in report.fixed_points] == [(1,), (3,), (4,)]
-    assert [a.states for a in report.cycles] == [(2, 4, 3), (1, 4, 3, 2)]
+    # all four states form one strongly connected component; its canonical
+    # cycle has the largest smallest state (2), of the cycles 2-4-3 and
+    # 1-4-3-2 the enumeration finds
+    assert report.cycles == (Attractor((2, 4, 3), (2, 2, 1)),)
+    assert [a.states for a in enumerated_attractors(NET)[1]] == [(2, 4, 3), (1, 4, 3, 2)]
     # every logical state is part of some attractor
     assert {s for a in report.all_attractors() for s in a.states} == {1, 2, 3, 4}
     # the basin of state 4 is the whole state space
     assert set(report.basins[(4,)]) == {1, 2, 3, 4}
     assert report.checked_states() == (4,)
+
+
+def complete_network(fixed_points=True):
+    """n_nodes = m_nodes = 4: input g drives every state to state g; with
+    fixed_points False, the input equal to the state moves it one up
+    (16 to 1) instead, so no state can hold."""
+    cols = [
+        g if fixed_points or g != theta else g % 16 + 1
+        for g in range(1, 17) for theta in range(1, 17)
+    ]
+    return LogicalNetwork(2, 4, 4, LogicalMatrix(16, cols), LogicalMatrix(1, [1] * 256))
+
+
+def test_complete_network_cover_is_polynomial():
+    # every state reaches every state in one step: 16 states carry far too
+    # many simple cycles to enumerate, but only one component
+    start = time.perf_counter()
+    report = control_attractors(complete_network())
+    assert time.perf_counter() - start < 1.0
+    assert report.fixed_points == tuple(Attractor((t,), (t,)) for t in range(1, 17))
+    assert [a.states for a in report.cycles] == [(15, 16)]
+    assert report.checked_states() == (16,)
+
+    start = time.perf_counter()
+    report = control_attractors(complete_network(fixed_points=False))
+    assert time.perf_counter() - start < 1.0
+    assert report.fixed_points == ()
+    # 15 -> 16 under inputs 15 and 16 (the largest is recorded), 16 -> 15
+    # under input 15 only
+    assert report.cycles == (Attractor((15, 16), (16, 15)),)
+    assert report.cover == report.cycles
+    assert report.checked_states() == (15,)
+    assert set(report.basins[(15, 16)]) == set(range(1, 17))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_cover_matches_cycle_enumeration(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, k=2, n_nodes=rng.randint(1, 4), m_nodes=rng.choice([0, 1, 2]))
+    report = control_attractors(net)
+    fixed_points, cycles, basins, cover = enumerated_attractors(net)
+    assert report.fixed_points == tuple(fixed_points)
+    assert report.cover == tuple(cover)
+    assert report.checked_states() == tuple(a.representative for a in cover)
+    for attractor in cover:
+        assert report.basins[attractor.states] == basins[attractor.states]
+    # each canonical cycle is one of the enumerated cycles, same inputs
+    assert set(report.cycles) <= set(cycles)
 
 
 def test_attractor_witnesses_replay():
@@ -338,16 +453,22 @@ def test_attractors_match_networkx_oracle(seed):
     net = random_network(rng, k=2, n_nodes=rng.choice([2, 3]), m_nodes=rng.choice([1, 2]))
     report = control_attractors(net)
     g = graph_of(net)
-    cycles = set()
-    loops = set()
-    for cyc in nx.simple_cycles(g):
-        if len(cyc) == 1:
-            loops.add((cyc[0],))
-        else:
-            smallest = cyc.index(min(cyc))
-            cycles.add(tuple(cyc[smallest:] + cyc[:smallest]))
+    loops = {(theta,) for theta in g if g.has_edge(theta, theta)}
+    # per component of two or more states, the simple cycle (rotated to
+    # start at its smallest state) with the largest smallest state, then
+    # the shortest, then the lexicographically first
+    canonical = []
+    for component in nx.strongly_connected_components(g):
+        if len(component) < 2:
+            continue
+        rotated = []
+        for cyc in nx.simple_cycles(g.subgraph(component)):
+            if len(cyc) > 1:
+                smallest = cyc.index(min(cyc))
+                rotated.append(tuple(cyc[smallest:] + cyc[:smallest]))
+        canonical.append(min(rotated, key=lambda c: (-c[0], len(c), c)))
     assert {a.states for a in report.fixed_points} == loops
-    assert {a.states for a in report.cycles} == cycles
+    assert [a.states for a in report.cycles] == sorted(canonical, key=lambda c: (len(c), c))
     reversed_graph = g.reverse()
     for attractor in report.all_attractors():
         want = set(attractor.states)

@@ -5,7 +5,8 @@ The oracle here walks the input-state graph one step at a time: a pair
 Stay/escape conditions and reference tracking are both re-derived from
 that walk and compared with the successor-index implementations; the
 stay/escape diagnostics are also checked against the paper's Boolean
-products over the input-state matrix.
+products over the input-state matrix, and the whole tracking verdict
+against a frontier of input-state pairs expanded pair by pair.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from slsnet.realize import (
     INFINITY,
     FotSpec,
     TrackingProblem,
+    TrackVerdict,
     check_dwell_time_realizable,
     check_fot_realizable,
     check_one_step_universal,
@@ -88,6 +90,42 @@ def track_oracle(net, theta0, reference):
         if tuple(emitted) == tuple(reference):
             return True
     return False
+
+
+def pair_frontier_track(net, problem):
+    """Tracking verdict from a frontier of pairs, each expanded under all M
+    next inputs; the first pair (in ascending order) reaching a successor
+    is its link, and the witness walks the links back from the smallest
+    pair of the last frontier."""
+    preimages = {p.sigma: set(p.members) for p in signal_preimages(net)}
+    frontier = sorted(
+        (gamma - 1) * net.N + problem.theta0
+        for gamma in range(1, net.M + 1)
+        if (gamma - 1) * net.N + problem.theta0 in preimages[problem.reference[0]]
+    )
+    sizes = [len(frontier)]
+    if not frontier:
+        return TrackVerdict(False, None, 0, tuple(sizes))
+    links = []
+    for t in range(1, len(problem.reference)):
+        wanted = preimages[problem.reference[t]]
+        step_links = {}
+        for pair in frontier:
+            theta_next = net.L.target(pair)
+            for gamma in range(1, net.M + 1):
+                succ = (gamma - 1) * net.N + theta_next
+                if succ in wanted and succ not in step_links:
+                    step_links[succ] = pair
+        frontier = sorted(step_links)
+        links.append(step_links)
+        sizes.append(len(frontier))
+        if not frontier:
+            return TrackVerdict(False, None, t, tuple(sizes))
+    chain = [frontier[0]]
+    for step_links in reversed(links):
+        chain.append(step_links[chain[-1]])
+    witness = tuple(decode_pair(p, net.N)[0] for p in reversed(chain))
+    return TrackVerdict(True, witness, None, tuple(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +376,30 @@ def test_tracking_witness_replays(seed):
     for gamma, sigma_ref in zip(v.witness, reference):
         theta, sigma = step(net, gamma, theta)
         assert sigma == sigma_ref
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_tracking_verdict_matches_pair_frontier(seed, live):
+    # live references are emitted by a random run, so they are trackable;
+    # the others are drawn at random and mostly die part way
+    rng = random.Random(seed)
+    n_nodes, m_nodes = rng.randint(1, 4), rng.choice([0, 1, 2])
+    q = rng.randint(1, min(3, 2 ** (n_nodes + m_nodes)))
+    net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
+    theta0 = rng.randint(1, net.N)
+    length = rng.randint(1, 10)
+    if live:
+        reference, theta = [], theta0
+        for _ in range(length):
+            theta, sigma = step(net, rng.randint(1, net.M), theta)
+            reference.append(sigma)
+    else:
+        reference = [rng.randint(1, q) for _ in range(length)]
+    problem = TrackingProblem(theta0, reference)
+    verdict = check_trackable(net, problem)
+    assert verdict == pair_frontier_track(net, problem)
+    assert verdict.trackable or not live
 
 
 @given(st.integers(0, 10**6))
