@@ -1,17 +1,19 @@
 """Exact matrix algebra for logical and hybrid system analysis.
 
 Provides the semi-tensor product (STP) calculus used throughout the
-package: dense matrices over exact rationals (or floats), logical
-matrices stored by column indices, Boolean {0,1} matrices with the
-saturating sum/product, structural matrices (swap, power-reducing),
-and rational Gaussian elimination for ranks, column spaces and the
-subspace lattice operations (sum, containment, fullness).
+package: dense matrices over exact rationals (integers first) or floats,
+logical matrices stored by column indices, Boolean {0,1} matrices with
+the saturating sum/product, structural matrices (swap, power-reducing),
+and Gaussian elimination (fraction-free on exact matrices) for ranks,
+column spaces and the subspace lattice operations (sum, containment,
+fullness).
 
 Conventions:
 - all basis/column indices are 1-based, matching the usual delta_n^i
   notation for canonical basis vectors;
 - every Matrix and Subspace carries a frozen numeric context (Numeric):
-  exact contexts store fractions.Fraction entries and compare exactly;
+  exact contexts store int entries, and fractions.Fraction ones only where
+  a value is not integral, and compare exactly;
   float contexts store doubles, and every zero/equality test and every
   elimination pivot (after partial pivoting) uses the context's own
   tolerance. Mixing exact and float operands gives float; mixing two
@@ -82,12 +84,27 @@ def _eq(a, b, mode: Numeric) -> bool:
     return a == b if mode.tol is None else abs(a - b) <= mode.tol
 
 
+def _exact(value):
+    """Entry of an exact matrix: the int when value is integral, else its
+    Fraction. Fraction(float) is the exact binary value; no silent rounding."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 # ---------------------------------------------------------------------------
 # Dense matrices
 # ---------------------------------------------------------------------------
 
 class Matrix:
     """Immutable dense matrix; entries all share one numeric context.
+
+    Integers first: an exact matrix stores every integral entry as an int
+    and only a non-integral one as a Fraction; a float matrix stores
+    floats. Results built from operands of one context (transpose, the
+    stacks, exact products, column-space bases) keep this form without
+    converting each entry again.
 
     ``cols == 0`` is permitted so that empty subspace bases have a
     carrier; all arithmetic degenerates correctly in that case.
@@ -97,8 +114,7 @@ class Matrix:
 
     def __init__(self, entries: Sequence[Sequence], mode: Numeric | str = EXACT):
         mode = _context(mode)
-        # Fraction(float) is the exact binary value; no silent rounding.
-        convert = Fraction if mode.tol is None else float
+        convert = _exact if mode.tol is None else float
         grid = tuple(tuple(map(convert, row)) for row in entries)
         if not grid:
             raise DimensionError("matrix needs at least one row")
@@ -214,15 +230,15 @@ class Matrix:
                     brow = other.entries[k]
                     acc = [a + x * y for a, y in zip(acc, brow)]
             out.append(acc)
-        return Matrix(out, mode)
+        if mode.tol is not None:
+            return Matrix(out, mode)
+        # int products stay ints; only a Fraction sum may need converting
+        return _of(tuple(tuple(v if type(v) is int else _exact(v) for v in row) for row in out), mode)
 
     def transpose(self) -> "Matrix":
         if self.cols == 0:
             raise DimensionError("cannot transpose a zero-column matrix")
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.mode,
-        )
+        return _of(tuple(zip(*self.entries)), self.mode)
 
     @property
     def T(self) -> "Matrix":
@@ -234,6 +250,24 @@ def _check_size(rows: int, cols: int) -> None:
         raise SizingError(f"result would have {rows}x{cols} entries (cap {SIZE_CAP})")
 
 
+def _of(grid: tuple, mode: Numeric) -> Matrix:
+    """Matrix over a nonempty tuple of equal-length tuples whose entries are
+    already in mode's form (see Matrix); nothing is converted."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "rows", len(grid))
+    object.__setattr__(m, "cols", len(grid[0]))
+    object.__setattr__(m, "entries", grid)
+    object.__setattr__(m, "mode", mode)
+    return m
+
+
+def _stacked(grid, mats: list, mode: Numeric) -> Matrix:
+    """Stack result: built as is when every operand shares mode."""
+    if all(m.mode == mode for m in mats):
+        return _of(tuple(map(tuple, grid)), mode)
+    return Matrix(grid, mode)
+
+
 def hstack(mats: Iterable[Matrix]) -> Matrix:
     mats = list(mats)
     if not mats:
@@ -243,7 +277,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
         raise DimensionError("hstack: row counts differ")
     mode = _join(m.mode for m in mats)
     grid = [[v for m in mats for v in m.entries[i]] for i in range(rows)]
-    return Matrix(grid, mode) if grid and grid[0] else _empty(rows, mode)
+    return _stacked(grid, mats, mode)
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
@@ -254,14 +288,11 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack: column counts differ")
     mode = _join(m.mode for m in mats)
-    return Matrix([row for m in mats for row in m.entries], mode)
+    return _stacked([row for m in mats for row in m.entries], mats, mode)
 
 
 def _empty(rows: int, mode: Numeric) -> Matrix:
-    m = Matrix.zeros(rows, 1, mode)
-    object.__setattr__(m, "cols", 0)
-    object.__setattr__(m, "entries", tuple(() for _ in range(rows)))
-    return m
+    return _of(((),) * rows, mode)
 
 
 def basis_vector(n: int, i: int, mode: Numeric | str = EXACT) -> Matrix:
@@ -553,28 +584,57 @@ def boolean_power(a: BooleanMatrix, k: int) -> BooleanMatrix:
 # Gaussian elimination: rank, column spaces, subspace lattice
 # ---------------------------------------------------------------------------
 
-def _rref(m: Matrix) -> tuple[list[list], list[int]]:
+def _primitive(row) -> list:
+    """Exact row scaled to coprime ints: times the lcm of its denominators,
+    then divided by the gcd of its entries (its content)."""
+    d = math.lcm(*(v.denominator for v in row if type(v) is not int))
+    row = [int(v * d) for v in row] if d > 1 else row
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else list(row)
+
+
+def _rref(m: Matrix) -> tuple[list, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column list).
 
-    An exact matrix picks the first nonzero pivot (deterministic); a float
-    matrix partial-pivots on magnitude and treats |v| <= its context's
-    tolerance as zero.
+    An exact matrix is eliminated fraction-free: each row is cleared of
+    its denominators, rows are combined by integer cross-multiplication
+    and kept primitive, and each pivot row is divided by its pivot only
+    at the end. The reduced form is unique, so this gives the rational
+    RREF exactly. A float matrix partial-pivots on magnitude and treats
+    |v| <= its context's tolerance as zero.
     """
     tol = m.mode.tol
-    grid = [list(row) for row in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
+    if tol is None:
+        grid = [_primitive(row) for row in m.entries]
+        for c in range(ncols):
+            pivot_row = next((i for i in range(r, nrows) if grid[i][c]), None)
+            if pivot_row is None:
+                continue
+            grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+            prow = grid[r]
+            p = prow[c]
+            for i in range(nrows):
+                f = grid[i][c]
+                if f and i != r:
+                    grid[i] = _primitive([p * x - f * y for x, y in zip(grid[i], prow)])
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        reduced = [
+            tuple(v // row[c] if v % row[c] == 0 else Fraction(v, row[c]) for v in row)
+            for row, c in zip(grid, pivots)
+        ]
+        return reduced + [(0,) * ncols] * (nrows - r), pivots
+    grid = [list(row) for row in m.entries]
     for c in range(ncols):
         if r >= nrows:
             break
-        if tol is None:
-            pivot_row = next((i for i in range(r, nrows) if grid[i][c] != 0), None)
-        else:
-            pivot_row = max(range(r, nrows), key=lambda i: abs(grid[i][c]))
-            if abs(grid[pivot_row][c]) <= tol:
-                pivot_row = None
-        if pivot_row is None:
+        pivot_row = max(range(r, nrows), key=lambda i: abs(grid[i][c]))
+        if abs(grid[pivot_row][c]) <= tol:
             continue
         grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
         pv = grid[r][c]
@@ -583,8 +643,7 @@ def _rref(m: Matrix) -> tuple[list[list], list[int]]:
             if i != r and not _is_zero(grid[i][c], m.mode):
                 f = grid[i][c]
                 grid[i] = [x - f * y for x, y in zip(grid[i], grid[r])]
-        if tol is not None:
-            grid = [[0.0 if abs(v) <= tol else v for v in row] for row in grid]
+        grid = [[0.0 if abs(v) <= tol else v for v in row] for row in grid]
         pivots.append(c)
         r += 1
     return grid, pivots
@@ -640,10 +699,10 @@ def column_space(m: Matrix) -> Subspace:
     if m.cols == 0:
         return Subspace(m.rows, _empty(m.rows, m.mode), m.mode)
     grid, pivots = _rref(m.transpose())
-    nonzero = [grid[i] for i in range(len(pivots))]
-    if not nonzero:
+    if not pivots:
         return Subspace(m.rows, _empty(m.rows, m.mode), m.mode)
-    basis = Matrix(nonzero, m.mode).transpose()
+    # the RREF rows are already in the context's entry form
+    basis = _of(tuple(zip(*grid[: len(pivots)])), m.mode)
     return Subspace(m.rows, basis, m.mode)
 
 

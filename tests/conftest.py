@@ -1,6 +1,7 @@
 """Shared builders for the worked 3-state/2-mode system used across suites."""
 
 import random
+from fractions import Fraction
 
 from slsnet.algebra import LogicalMatrix, Matrix
 from slsnet.lcn import LogicalNetwork
@@ -35,15 +36,21 @@ def golden_net():
     )
 
 
-def random_system(rng: random.Random, n_max=3, q_max=3, lo=-2, hi=2):
-    """Random SLS with small integer entries (exact mode)."""
+def random_system(rng: random.Random, n_max=3, q_max=3, lo=-2, hi=2, denominators=None):
+    """Random SLS with small integer entries (exact mode); with a
+    denominators range (lo_q, hi_q), each entry is p/q for q drawn in it."""
     n = rng.randint(1, n_max)
     m = rng.randint(1, 2)
     p = rng.randint(1, 2)
     q = rng.randint(1, q_max)
 
+    def entry():
+        if denominators is None:
+            return rng.randint(lo, hi)
+        return Fraction(rng.randint(lo, hi), rng.randint(*denominators))
+
     def rand(rows, cols):
-        return Matrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+        return Matrix([[entry() for _ in range(cols)] for _ in range(rows)])
 
     return SwitchedLinearSystem([(rand(n, n), rand(n, m), rand(p, n)) for _ in range(q)])
 

@@ -21,6 +21,7 @@ from slsnet.algebra import (
     Numeric,
     SizingError,
     Subspace,
+    _rref,
     basis_vector,
     boolean_and,
     boolean_power,
@@ -94,6 +95,42 @@ def rank_oracle(a):
                 if det(idx_r, idx_c) != 0:
                     return size
     return 0
+
+
+def fraction_rref(rows):
+    """Rational Gauss-Jordan on Fraction entries: first nonzero pivot,
+    pivot row divided at once. Returns (rows, pivot column list)."""
+    grid = [[Fraction(v) for v in row] for row in rows]
+    nrows, ncols = len(grid), len(grid[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if grid[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        pv = grid[r][c]
+        grid[r] = [v / pv for v in grid[r]]
+        for i in range(nrows):
+            if i != r and grid[i][c] != 0:
+                f = grid[i][c]
+                grid[i] = [x - f * y for x, y in zip(grid[i], grid[r])]
+        pivots.append(c)
+        r += 1
+    return grid, pivots
+
+
+def reference_basis(rows):
+    """Column-space basis from fraction_rref of the transpose, as rows of
+    the basis matrix."""
+    grid, pivots = fraction_rref([list(col) for col in zip(*rows)])
+    return [list(row) for row in zip(*grid[: len(pivots)])]
+
+
+def reference_rank(rows):
+    return len(fraction_rref(rows)[1])
 
 
 def as_lists(m):
@@ -423,6 +460,135 @@ def test_unknown_numeric_mode():
 def test_exact_mode_sees_tiny_pivots():
     tiny = Matrix([[1, 1], [1, Fraction(1) + Fraction(1, 10**15)]])
     assert rank(tiny) == 2
+
+
+def _is_exact_entry(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+@st.composite
+def rational_matrices(draw, rows=None):
+    """Integer or rational matrices, entries p/q with |p| <= 6 and q in
+    1..4, up to 6x8, with some rows and columns forced to zero."""
+    r = rows if rows is not None else draw(st.integers(1, 6))
+    c = draw(st.integers(1, 8))
+    q_max = draw(st.sampled_from([1, 4]))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, q_max))
+    grid = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, r - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(grid)]
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_fraction_reference(rows, data):
+    a = Matrix(rows)
+    grid, pivots = _rref(a)
+    ref_grid, ref_pivots = fraction_rref(rows)
+    assert pivots == ref_pivots
+    assert [list(row) for row in grid] == ref_grid
+    assert rank(a) == len(ref_pivots)
+    space = column_space(a)
+    if ref_pivots:
+        assert as_lists(space.basis) == reference_basis(rows)
+    else:
+        assert space.rank == 0
+    assert all(_is_exact_entry(v) for row in space.basis.entries for v in row)
+    # containment and membership against ranks of the reference
+    other = data.draw(rational_matrices(rows=len(rows)))
+    small = column_space(Matrix(other))
+    joined = [list(x) + list(y) for x, y in zip(rows, other)]
+    expected = reference_rank(joined) == len(ref_pivots)
+    assert subspace_contains(space, small) == expected
+    col = data.draw(st.integers(0, len(other[0]) - 1))
+    vector = [[row[col]] for row in other]
+    in_span = reference_rank([x + v for x, v in zip(rows, vector)]) == len(ref_pivots)
+    assert space.contains_vector(Matrix(vector)) == in_span
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_space_invariant_under_invertible_column_operations(rows, data):
+    # U = lower unit triangular times upper triangular with a nonzero
+    # diagonal, so it is invertible and A U spans the same columns
+    c = len(rows[0])
+    ints = st.integers(-3, 3)
+    lower = [[1 if i == j else data.draw(ints) if i > j else 0 for j in range(c)] for i in range(c)]
+    upper = [[data.draw(st.sampled_from([-2, -1, 1, 2])) if i == j else data.draw(ints) if i < j else 0
+              for j in range(c)] for i in range(c)]
+    u = Matrix(lower) @ Matrix(upper)
+    a = Matrix(rows)
+    assert column_space(a).basis.entries == column_space(a @ u).basis.entries
+
+
+def test_integral_entries_are_ints():
+    assert type(Matrix([[Fraction(4, 2)]]).entries[0][0]) is int
+    mixed = Matrix([[Fraction(1, 3), 2.0, True, Fraction(-6, 3)]])
+    assert mixed.entries == ((Fraction(1, 3), 2, 1, -2),)
+    assert [type(v) for v in mixed.entries[0]] == [Fraction, int, int, int]
+    a = Matrix([[1, -2, 0], [3, 4, 5]])
+    b = Matrix([[2, 1], [0, -1], [1, 1]])
+    for m in (a @ b, b @ a, a.transpose(), hstack([a, a]), vstack([a, a]),
+              hstack([Matrix.zeros(2, 0), a]), kronecker(a, b), a + a, a.scale(Fraction(3, 3))):
+        assert all(type(v) is int for row in m.entries for v in row), m
+    # a Fraction product that comes out integral is stored as an int
+    halves = Matrix([[Fraction(1, 2)], [Fraction(3, 2)]])
+    product = Matrix([[2, 2]]) @ halves
+    assert product.entries == ((4,),) and type(product.entries[0][0]) is int
+    assert Matrix([[1, 1]]) @ halves == Matrix([[2]])
+    assert (Matrix([[1, 0]]) @ halves).entries == ((Fraction(1, 2),),)
+
+
+def test_fast_paths_equal_converting_constructor():
+    # transpose, stacks and products of one context build their entries
+    # without conversion; they must equal the converting constructor
+    a = Matrix([[1, Fraction(1, 2)], [0, -3]])
+    b = Matrix([[Fraction(2, 3), 1], [4, Fraction(-1, 4)]])
+    for built, literal in (
+        (a.transpose(), [[1, 0], [Fraction(1, 2), -3]]),
+        (hstack([a, b]), [[1, Fraction(1, 2), Fraction(2, 3), 1], [0, -3, 4, Fraction(-1, 4)]]),
+        (vstack([a, b]), [[1, Fraction(1, 2)], [0, -3], [Fraction(2, 3), 1], [4, Fraction(-1, 4)]]),
+        (a @ b, matmul_oracle(as_lists(a), as_lists(b))),
+    ):
+        expected = Matrix(literal)
+        assert built.entries == expected.entries
+        assert [type(v) for row in built.entries for v in row] == \
+            [type(v) for row in expected.entries for v in row]
+        assert built.mode == expected.mode == Numeric()
+    f = Matrix([[1.0, 2.0], [0.0, 3.0]], "float")
+    for built in (f.transpose(), hstack([f, f]), vstack([f, f]), f @ f, hstack([f, a]), a @ f):
+        assert all(type(v) is float for row in built.entries for v in row)
+        assert built.mode == f.mode
+
+
+def test_float_column_spaces_near_tolerance():
+    tol = 1e-9
+    base = [[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]]
+    nudged = [[1.0, 2.0 + 0.4 * tol], [2.0, 4.0], [0.0, 1.0 - 0.4 * tol]]
+    a, b = Matrix(base, "float"), Matrix(nudged, "float")
+    assert a != Matrix([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0 + 3 * tol]], "float")
+    assert a == b
+    assert column_space(a).basis == column_space(b).basis
+    assert column_space(a) == column_space(b)
+    # exact copies of the same doubles span two different planes
+    exact_a, exact_b = column_space(Matrix(a.entries)), column_space(Matrix(b.entries))
+    assert exact_a.rank == exact_b.rank == 2 and exact_a != exact_b
+
+
+def test_float_rank_flips_at_tolerance():
+    tol = 1e-9
+    below = Matrix([[1.0, 1.0], [1.0, 1.0 + 0.5 * tol]], "float")
+    above = Matrix([[1.0, 1.0], [1.0, 1.0 + 2 * tol]], "float")
+    assert rank(below) == 1
+    assert rank(above) == 2
+    # exact copies of the same doubles see both perturbations
+    for m in (below, above):
+        exact = Matrix(m.entries)
+        assert exact.mode == Numeric() and type(exact[1, 1]) is Fraction
+        assert rank(exact) == 2
+        assert column_space(exact).rank == 2
 
 
 def test_stack_helpers():

@@ -273,13 +273,14 @@ def _full_rank_sequences(sls, net, alphas):
     return []
 
 
-@given(st.integers(0, 10**6))
+@given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=15, deadline=None)
-def test_verdicts_match_oracle(seed):
+def test_verdicts_match_oracle(seed, rational):
     # M = 1, 2 and 4 inputs on N = 2 or 4 states, so the walk must order
     # single-child, binary and wider input trees like the enumeration.
+    # Rational systems make the searches clear denominators in elimination.
     rng = random.Random(seed)
-    sls = random_system(rng)
+    sls = random_system(rng, denominators=(1, 4) if rational else None)
     shapes = [(nn, mm) for nn in (1, 2) for mm in (0, 1, 2) if 2 ** (nn + mm) >= sls.q]
     n_nodes, m_nodes = rng.choice(shapes)
     net = random_net_for(rng, sls.q, n_nodes=n_nodes, m_nodes=m_nodes)
@@ -298,7 +299,7 @@ def test_verdicts_match_oracle(seed):
         for prop, check, merged in pairs:
             mine = check(merged, alphas=alphas)
             ref = kalman_oracle(sls, net, prop=prop, alphas=alphas)
-            tag = (prop, system.mode_flag, seed)
+            tag = (prop, system.mode_flag, seed, rational)
             assert mine.holds == ref.holds, tag
             assert mine.witness == ref.witness, tag
             assert mine.T == ref.T, tag

@@ -68,6 +68,37 @@ def test_golden_text_equals_fixture():
     assert inline.t_max is None and fixture.t_max == 3
 
 
+LOGIC_DUMP = """[logic]
+k = 2
+state_nodes = 2
+input_nodes = 1
+L = 1 1 2 4 4 4 3 3
+q = 1
+R = 1 1 1 1 1 1 1 1
+
+[options]
+numeric = exact
+"""
+
+
+def test_fixture_dumps_are_pinned():
+    # the canonical text of both fixtures, pinned: integral entries print
+    # as integers whether they are stored as int or Fraction
+    sls_text = (FIXTURES / "sls_3x2.txt").read_text()
+    body = sls_text[sls_text.index("[modes]"):]
+    assert dumps(loads(sls_text)) == body
+    assert dumps(loads((FIXTURES / "lcn_double.txt").read_text())) == LOGIC_DUMP
+
+
+def test_exact_entries_are_ints_unless_rational():
+    desc = loads(GOLDEN.replace("A1 = 1 2 -1", "A1 = 1/3 4/2 -1"))
+    a1 = desc.sls.a(1)
+    assert (type(a1[0, 0]), a1[0, 0]) == (Fraction, Fraction(1, 3))
+    assert (type(a1[0, 1]), a1[0, 1]) == (int, 2)
+    assert all(type(v) is int for row in desc.sls.b(1).entries for v in row)
+    assert "A1 = 1/3 2 -1 ;" in dumps(desc)
+
+
 def test_round_trip_golden():
     desc = load(FIXTURES / "sls_3x2.txt")
     assert loads(dumps(desc)) == desc
