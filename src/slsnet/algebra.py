@@ -102,9 +102,8 @@ class Matrix:
 
     Integers first: an exact matrix stores every integral entry as an int
     and only a non-integral one as a Fraction; a float matrix stores
-    floats. Results built from operands of one context (transpose, the
-    stacks, exact products, column-space bases) keep this form without
-    converting each entry again.
+    floats. A transpose and a column-space basis already hold entries in
+    this form and are built without converting each entry again.
 
     ``cols == 0`` is permitted so that empty subspace bases have a
     carrier; all arithmetic degenerates correctly in that case.
@@ -230,10 +229,7 @@ class Matrix:
                     brow = other.entries[k]
                     acc = [a + x * y for a, y in zip(acc, brow)]
             out.append(acc)
-        if mode.tol is not None:
-            return Matrix(out, mode)
-        # int products stay ints; only a Fraction sum may need converting
-        return _of(tuple(tuple(v if type(v) is int else _exact(v) for v in row) for row in out), mode)
+        return Matrix(out, mode)
 
     def transpose(self) -> "Matrix":
         if self.cols == 0:
@@ -261,13 +257,6 @@ def _of(grid: tuple, mode: Numeric) -> Matrix:
     return m
 
 
-def _stacked(grid, mats: list, mode: Numeric) -> Matrix:
-    """Stack result: built as is when every operand shares mode."""
-    if all(m.mode == mode for m in mats):
-        return _of(tuple(map(tuple, grid)), mode)
-    return Matrix(grid, mode)
-
-
 def hstack(mats: Iterable[Matrix]) -> Matrix:
     mats = list(mats)
     if not mats:
@@ -277,7 +266,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
         raise DimensionError("hstack: row counts differ")
     mode = _join(m.mode for m in mats)
     grid = [[v for m in mats for v in m.entries[i]] for i in range(rows)]
-    return _stacked(grid, mats, mode)
+    return Matrix(grid, mode) if grid and grid[0] else _empty(rows, mode)
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
@@ -288,7 +277,7 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack: column counts differ")
     mode = _join(m.mode for m in mats)
-    return _stacked([row for m in mats for row in m.entries], mats, mode)
+    return Matrix([row for m in mats for row in m.entries], mode)
 
 
 def _empty(rows: int, mode: Numeric) -> Matrix:

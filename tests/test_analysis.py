@@ -274,7 +274,7 @@ def _full_rank_sequences(sls, net, alphas):
 
 
 @given(st.integers(0, 10**6), st.booleans())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_verdicts_match_oracle(seed, rational):
     # M = 1, 2 and 4 inputs on N = 2 or 4 states, so the walk must order
     # single-child, binary and wider input trees like the enumeration.
