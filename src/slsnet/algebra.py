@@ -167,7 +167,7 @@ class Matrix:
         if self.shape != other.shape:
             return False
         # a Fraction meets a float as float(Fraction), exactly as if coerced
-        mode = self._joint_mode(other)
+        mode = _join((self.mode, other.mode))
         return all(
             _eq(x, y, mode) for rx, ry in zip(self.entries, other.entries) for x, y in zip(rx, ry)
         )
@@ -181,13 +181,10 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _joint_mode(self, other: "Matrix") -> Numeric:
-        return _join((self.mode, other.mode))
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise DimensionError(f"add: {self.shape} vs {other.shape}")
-        mode = self._joint_mode(other)
+        mode = _join((self.mode, other.mode))
         return Matrix(
             [
                 [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
@@ -199,7 +196,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise DimensionError(f"sub: {self.shape} vs {other.shape}")
-        mode = self._joint_mode(other)
+        mode = _join((self.mode, other.mode))
         return Matrix(
             [
                 [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
@@ -214,10 +211,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError(f"matmul: {self.shape} vs {other.shape}")
-        mode = self._joint_mode(other)
+        mode = _join((self.mode, other.mode))
         _check_size(self.rows, other.cols)
-        if other.cols == 0:
-            return _empty(self.rows, mode)
         # row-by-row accumulation over nonzero left entries only; the
         # structural matrices here (logical, Kronecker-padded) are sparse
         out = []
@@ -266,7 +261,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
         raise DimensionError("hstack: row counts differ")
     mode = _join(m.mode for m in mats)
     grid = [[v for m in mats for v in m.entries[i]] for i in range(rows)]
-    return Matrix(grid, mode) if grid and grid[0] else _empty(rows, mode)
+    return Matrix(grid, mode)
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
@@ -278,10 +273,6 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
         raise DimensionError("vstack: column counts differ")
     mode = _join(m.mode for m in mats)
     return Matrix([row for m in mats for row in m.entries], mode)
-
-
-def _empty(rows: int, mode: Numeric) -> Matrix:
-    return _of(((),) * rows, mode)
 
 
 def basis_vector(n: int, i: int, mode: Numeric | str = EXACT) -> Matrix:
@@ -297,13 +288,11 @@ def basis_vector(n: int, i: int, mode: Numeric | str = EXACT) -> Matrix:
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     _check_size(a.rows * b.rows, a.cols * b.cols)
-    mode = a._joint_mode(b)
+    mode = _join((a.mode, b.mode))
     grid = []
     for arow in a.entries:
         for brow in b.entries:
             grid.append([x * y for x in arow for y in brow])
-    if a.cols * b.cols == 0:
-        return _empty(a.rows * b.rows, mode)
     return Matrix(grid, mode)
 
 
@@ -312,7 +301,7 @@ def khatri_rao(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise DimensionError(f"khatri_rao: {a.cols} vs {b.cols} columns")
     _check_size(a.rows * b.rows, a.cols)
-    mode = a._joint_mode(b)
+    mode = _join((a.mode, b.mode))
     grid = [
         [a.entries[i][j] * b.entries[k][j] for j in range(a.cols)]
         for i in range(a.rows)
@@ -639,36 +628,41 @@ def _rref(m: Matrix) -> tuple[list, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    if m.cols == 0:
-        return 0
     _, pivots = _rref(m)
     return len(pivots)
 
 
 class Subspace:
-    """Linear subspace of R^ambient; basis kept in reduced column echelon form.
+    """Linear subspace of R^ambient, stored as its basis alone, in reduced
+    column echelon form; ambient and mode are read from the basis.
 
-    The canonical basis makes equality and containment checks deterministic:
-    two subspaces are equal iff their basis matrices are identical.
+    The canonical basis makes equality checks deterministic: two subspaces
+    are equal iff their basis matrices are identical. Containment is one
+    rank test: im V lies in the subspace iff rank [basis | V] == rank.
     """
 
-    __slots__ = ("ambient", "basis", "mode")
+    __slots__ = ("basis",)
 
-    def __init__(self, ambient: int, basis: Matrix, mode: Numeric | str):
-        object.__setattr__(self, "ambient", ambient)
+    def __init__(self, basis: Matrix):
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "mode", _context(mode))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.rows
+
+    @property
+    def mode(self) -> Numeric:
+        return self.basis.mode
 
     @property
     def rank(self) -> int:
         return self.basis.cols
 
     def contains_vector(self, v: Matrix) -> bool:
-        if v.rows != self.ambient:
-            raise DimensionError("vector lives in a different ambient space")
+        """Whether every column of v (a vector, or any matrix) lies in the subspace."""
         return rank(hstack([self.basis, v])) == self.rank
 
     def __eq__(self, other) -> bool:
@@ -685,31 +679,21 @@ class Subspace:
 
 def column_space(m: Matrix) -> Subspace:
     """Column space as a Subspace with canonical echelon basis."""
-    if m.cols == 0:
-        return Subspace(m.rows, _empty(m.rows, m.mode), m.mode)
-    grid, pivots = _rref(m.transpose())
+    pivots = []
+    if m.cols:
+        grid, pivots = _rref(m.transpose())
     if not pivots:
-        return Subspace(m.rows, _empty(m.rows, m.mode), m.mode)
+        return Subspace(Matrix.zeros(m.rows, 0, m.mode))
     # the RREF rows are already in the context's entry form
-    basis = _of(tuple(zip(*grid[: len(pivots)])), m.mode)
-    return Subspace(m.rows, basis, m.mode)
+    return Subspace(_of(tuple(zip(*grid[: len(pivots)])), m.mode))
 
 
 def subspace_sum(*spaces: Subspace) -> Subspace:
-    if not spaces:
-        raise DimensionError("subspace_sum of nothing")
-    ambient = spaces[0].ambient
-    if any(s.ambient != ambient for s in spaces):
-        raise DimensionError("subspace_sum: ambient dimensions differ")
     return column_space(hstack([s.basis for s in spaces]))
 
 
 def subspace_contains(big: Subspace, small: Subspace) -> bool:
-    if big.ambient != small.ambient:
-        raise DimensionError("subspace_contains: ambient dimensions differ")
-    if small.rank == 0:
-        return True
-    return rank(hstack([big.basis, small.basis])) == big.rank
+    return big.contains_vector(small.basis)
 
 
 def subspace_is_full(s: Subspace, n: int) -> bool:

@@ -7,7 +7,9 @@ reachable from x = 0 and D the drift A_(s_{T-1}) ... A_(s_0); the dual
 side (merge_dual, transposed modes) folds R' = R + im(D H) and D' = D G,
 so R is the transposed observability row space. Reachability and
 observability hold along a sequence when R is full; controllability and
-reconstructibility when im D lies in R.
+reconstructibility when im D lies in R, decided by the single rank test
+rank [basis of R | D] == rank R, the test kalman_oracle applies to the
+stacked matrices.
 
 Quantifier convention: a property holds iff ONE logical input sequence
 works for EVERY checked initial logical state. The checked set defaults
@@ -16,7 +18,9 @@ basins cover the whole state space); strict mode checks all N states
 instead. Searches run breadth-first in the horizon T (default bound:
 the linear state dimension n) and depth-first, lexicographically within
 each T, folding each input prefix once for all checked states; the
-reported witness is the shortest, lexicographically first one.
+reported witness is the shortest, lexicographically first one. A search
+refuses (BudgetExceededError) a horizon that kalman_oracle's default
+enumeration budget would refuse, just before walking it.
 """
 
 from __future__ import annotations
@@ -25,24 +29,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (
-    Matrix,
-    Subspace,
-    column_space,
-    hstack,
-    rank as matrix_rank,
-    subspace_contains,
-    vstack,
-)
+from .algebra import Matrix, Subspace, column_space, hstack, rank as matrix_rank, vstack
 from .lcn import LogicalNetwork, control_attractors, step
 from .oracle import (
     EnumerationBudget,
     controllability_matrix,
+    enforce_budget,
     enumerate_switching_sequences,
     mode_chain,
     observability_matrix,
 )
 from .sls import DualMergedSystem, MergedSystem
+
+PROPERTIES = ("reachability", "controllability", "observability", "reconstructibility")
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def switching_trajectory(
 def _start(ms, alpha):
     """Walk state before any input: (alpha, empty span, identity chain)."""
     n, mode = ms.sls.n, ms.sls.mode_flag
-    return alpha, Subspace(n, Matrix.zeros(n, 0, mode), mode), Matrix.identity(n, mode)
+    return alpha, Subspace(Matrix.zeros(n, 0, mode)), Matrix.identity(n, mode)
 
 
 def _step(ms, state, gamma):
@@ -156,8 +155,10 @@ def _candidates(ms, alphas, horizon):
     path: path[d] maps alpha to its state after the first d inputs. The
     next sequence in lexicographic order raises one input and resets all
     later ones to 1, so it shares every input before its last non-1 input
-    with the sequence before it, and only the rest is folded.
+    with the sequence before it, and only the rest is folded. The horizon
+    must be within the default enumeration budget.
     """
+    enforce_budget(ms.net, horizon)
     path = [{a: _start(ms, a) for a in alphas}]
     for gammas in itertools.product(range(1, ms.net.M + 1), repeat=horizon):
         shared = max((d for d, g in enumerate(gammas) if g != 1), default=0)
@@ -174,17 +175,29 @@ def _candidates(ms, alphas, horizon):
 def _resolve_alphas(
     net: LogicalNetwork, strict: bool, alphas: Sequence[int] | None
 ) -> tuple[int, ...]:
+    """Checked initial states: the given ones, which must be distinct and in
+    1..N; otherwise all N states (strict) or the control-attractor cover."""
     if alphas is not None:
         out = tuple(int(a) for a in alphas)
         if not out:
             raise ValueError("no initial states to check")
-        for a in out:
+        for i, a in enumerate(out):
             if not 1 <= a <= net.N:
                 raise ValueError(f"initial state {a} outside 1..{net.N}")
+            if a in out[:i]:
+                raise ValueError(f"initial state {a} given twice")
         return out
     if strict:
         return tuple(range(1, net.N + 1))
     return control_attractors(net).checked_states()
+
+
+def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
+    """Search horizon: bound, or the state dimension n by default; >= 1."""
+    bound = n if bound is None else bound
+    if bound < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return bound
 
 
 def _detail(prop: str, n: int, state) -> AlphaDetail:
@@ -192,7 +205,7 @@ def _detail(prop: str, n: int, state) -> AlphaDetail:
     _, span, chain = state
     if prop in ("reachability", "observability"):
         return AlphaDetail(span.rank, span.rank == n)
-    return AlphaDetail(span.rank, subspace_contains(span, column_space(chain)))
+    return AlphaDetail(span.rank, span.contains_vector(chain))
 
 
 def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
@@ -200,9 +213,7 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     must pass at every checked alpha."""
     n = ms.sls.n
     checked = _resolve_alphas(ms.net, strict, alphas)
-    t_max = n if t_max is None else t_max
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    t_max = _horizon(t_max, n)
     best, best_score = None, -1
     for horizon in range(1, t_max + 1):
         for gammas, states in _candidates(ms, checked, horizon):
@@ -268,10 +279,9 @@ def feasible_input_sequences(
     """All input sequences achieving full reachable span at every checked
     state, at the first length where any sequence succeeds. The candidates
     are those of the reachability search, in the same order."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     net, n = ms.net, ms.sls.n
     checked = _resolve_alphas(net, strict, alphas)
+    k_max = _horizon(k_max, n, "k_max")
     for horizon in range(1, k_max + 1):
         found = [
             FeasibleSequence(gammas, {a: switching_trajectory(net, a, gammas) for a in checked})
@@ -300,20 +310,14 @@ def kalman_oracle(
     Enumerates every logical input sequence (default: over all initial
     states), replays the induced switching sequence by direct simulation
     and applies the classical stacked-matrix criteria. No merged-system
-    machinery is involved.
+    machinery is involved: only the input checks (states as in strict
+    mode, the horizon bound) are shared with the searches.
     """
-    if prop not in ("reachability", "controllability", "observability", "reconstructibility"):
+    if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
     n = sls.n
-    horizon_cap = n if t_max is None else t_max
-    if horizon_cap < 1:
-        raise ValueError("t_max must be >= 1")
-    checked = tuple(alphas) if alphas is not None else tuple(range(1, net.N + 1))
-    if not checked:
-        raise ValueError("no initial states to check")
-    for a in checked:
-        if not 1 <= a <= net.N:
-            raise ValueError(f"initial state {a} outside 1..{net.N}")
+    horizon_cap = _horizon(t_max, n)
+    checked = _resolve_alphas(net, True, alphas)
 
     def test(sigmas) -> AlphaDetail:
         if prop == "reachability":

@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .algebra import BooleanMatrix, DimensionError, SizingError
 from .analysis import (
+    PROPERTIES,
     check_controllability,
     check_observability,
     check_reachability,
@@ -51,8 +52,6 @@ from .realize import (
     check_trackable,
 )
 from .sls import merge, merge_dual
-
-_PROPERTIES = ("reachability", "controllability", "observability", "reconstructibility")
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -164,7 +163,7 @@ def _cmd_analyze(args, desc, report) -> int:
         raise ValueError("analysis needs a [modes] section")
     t_max = args.t_max if args.t_max is not None else desc.t_max
     alphas = _int_list(args.alphas, "--alphas") if args.alphas else None
-    wanted = _PROPERTIES if args.property == "all" else (args.property,)
+    wanted = PROPERTIES if args.property == "all" else (args.property,)
     ms = merge(desc.sls, desc.net) if ("reachability" in wanted or "controllability" in wanted) else None
     dms = (
         merge_dual(desc.sls, desc.net)
@@ -321,7 +320,7 @@ def _parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", parents=[common],
                              help="property checks over logical input sequences")
-    analyze.add_argument("property", choices=_PROPERTIES + ("all",))
+    analyze.add_argument("property", choices=PROPERTIES + ("all",))
     analyze.add_argument("file", help="system description file")
     analyze.add_argument("--t-max", type=int, help="search horizon (default: state dimension)")
     analyze.add_argument("--strict", action="store_true",

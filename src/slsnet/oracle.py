@@ -40,6 +40,19 @@ def _simulate(net, alpha: int, gammas: Sequence[int]) -> tuple[int, ...]:
     return tuple(sigmas)
 
 
+def enforce_budget(net, horizon: int, budget: EnumerationBudget = EnumerationBudget()) -> None:
+    """Refuse a horizon past budget.max_horizon, or one with more than
+    budget.max_sequences input sequences (M^horizon)."""
+    if horizon > budget.max_horizon:
+        raise BudgetExceededError(
+            f"horizon {horizon} exceeds the budget of {budget.max_horizon}"
+        )
+    if net.M**horizon > budget.max_sequences:
+        raise BudgetExceededError(
+            f"{net.M}^{horizon} sequences exceed the budget of {budget.max_sequences}"
+        )
+
+
 def enumerate_switching_sequences(
     net, alpha: int, horizon: int, budget: EnumerationBudget = EnumerationBudget()
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -49,10 +62,7 @@ def enumerate_switching_sequences(
         raise DimensionError(f"initial state {alpha} outside 1..{net.N}")
     if horizon < 1:
         raise DimensionError("horizon must be >= 1")
-    if horizon > budget.max_horizon or net.M**horizon > budget.max_sequences:
-        raise BudgetExceededError(
-            f"{net.M}^{horizon} sequences exceed the budget of {budget.max_sequences}"
-        )
+    enforce_budget(net, horizon, budget)
     out = []
     for gammas in itertools.product(range(1, net.M + 1), repeat=horizon):
         out.append((gammas, _simulate(net, alpha, gammas)))

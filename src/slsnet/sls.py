@@ -122,6 +122,10 @@ class _MergedBase:
     __slots__ = ("sls", "net", "g_blocks", "h_blocks", "_h_width")
 
     def __init__(self, sls, net, amats, bmats, h_width):
+        if net.q != sls.q:
+            raise DimensionError(
+                f"signal range mismatch: network emits 1..{net.q}, system has {sls.q} modes"
+            )
         g_blocks, h_blocks = _merge_blocks(amats, bmats, net)
         object.__setattr__(self, "sls", sls)
         object.__setattr__(self, "net", net)
@@ -182,10 +186,6 @@ class MergedSystem(_MergedBase):
     """Hybrid dynamics on z = theta_vec (x) x: z' = G_gamma z + H_gamma (theta_vec (x) u)."""
 
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
-        if net.q != sls.q:
-            raise DimensionError(
-                f"signal range mismatch: network emits 1..{net.q}, system has {sls.q} modes"
-            )
         amats = [sls.a(i) for i in range(1, sls.q + 1)]
         bmats = [sls.b(i) for i in range(1, sls.q + 1)]
         super().__init__(sls, net, amats, bmats, sls.m)
@@ -195,10 +195,6 @@ class DualMergedSystem(_MergedBase):
     """Mergence of the transposed modes (A_i^T, C_i^T) with the same network."""
 
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
-        if net.q != sls.q:
-            raise DimensionError(
-                f"signal range mismatch: network emits 1..{net.q}, system has {sls.q} modes"
-            )
         amats = [sls.a(i).transpose() for i in range(1, sls.q + 1)]
         cmats = [sls.c(i).transpose() for i in range(1, sls.q + 1)]
         super().__init__(sls, net, amats, cmats, sls.p)

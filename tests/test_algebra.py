@@ -378,6 +378,20 @@ def test_subspace_contains():
     assert subspace_contains(both, mixed)
     assert not subspace_contains(e1, e2)
     assert subspace_contains(e1, column_space(Matrix.zeros(2, 1)))
+    # the empty subspace needs no shortcut: rank [basis | V] == 0 iff V == 0
+    empty = Subspace(Matrix.zeros(2, 0))
+    assert (empty.ambient, empty.rank, empty.mode) == (2, 0, Numeric())
+    assert subspace_contains(empty, empty) and subspace_contains(e1, empty)
+    assert not subspace_contains(empty, e1)
+    assert empty.contains_vector(Matrix.zeros(2, 3))
+    line = column_space(Matrix([[1], [0], [0]]))
+    for call in (
+        lambda: subspace_contains(e1, line),
+        lambda: subspace_sum(e1, line),
+        lambda: e1.contains_vector(Matrix.column([1, 0, 0])),
+    ):
+        with pytest.raises(DimensionError):
+            call()
 
 
 @given(matrix_strategy(4), matrix_strategy(4))

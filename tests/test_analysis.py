@@ -234,6 +234,17 @@ def test_alpha_validation():
         check_reachability(MS, t_max=0)
 
 
+def test_repeated_alpha_rejected():
+    # a repeat would count twice among the checked states but once in per_alpha
+    for call in (
+        lambda: check_reachability(MS, alphas=(4, 4)),
+        lambda: feasible_input_sequences(MS, 3, alphas=(4, 4)),
+        lambda: kalman_oracle(golden_sls(), NET, alphas=(4, 4)),
+    ):
+        with pytest.raises(ValueError, match="initial state 4 given twice"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Oracle agreement
 # ---------------------------------------------------------------------------

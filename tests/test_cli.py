@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slsnet import check_reachability, kalman_rank, load, merge
+from slsnet import BudgetExceededError, check_reachability, kalman_rank, load, merge
 from slsnet.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -189,6 +189,64 @@ def test_exit_code_budget(capsys):
                          "--alpha", "1", "--horizon", "40")
     assert code == 3
     assert "budget" in err
+
+
+def _unreachable_single_input(tmp_path):
+    """The fixture with no input node (M = 1) and B1 = B2 = 0: one input
+    sequence per horizon, and reachability fails at every horizon."""
+    text = Path(SLS).read_text()
+    for old, new in (
+        ("B1 = 1 ; 0 ; 0", "B1 = 0 ; 0 ; 0"),
+        ("B2 = 0 ; 1 ; 0", "B2 = 0 ; 0 ; 0"),
+        ("input_nodes = 1", "input_nodes = 0"),
+        ("L = 1 1 2 4 4 4 3 3", "L = 1 1 2 4"),
+        ("R = 2 2 1 1 1 2 2 1", "R = 2 2 1 1"),
+    ):
+        text = text.replace(old, new)
+    path = tmp_path / "unreachable.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def test_analyze_refuses_horizon_past_budget(capsys, tmp_path):
+    # the oracle's default budget caps the horizon at 32
+    path = _unreachable_single_input(tmp_path)
+    code, out, err = run(capsys, "analyze", "reachability", path, "--t-max", "40")
+    assert (code, out) == (3, "")
+    assert "horizon 33 exceeds the budget of 32" in err
+    desc = load(path)
+    with pytest.raises(BudgetExceededError):
+        check_reachability(merge(desc.sls, desc.net), t_max=40)
+
+
+def test_analyze_decides_before_budget(capsys):
+    code, rep = run_json(capsys, "analyze", "all", SLS, "--t-max", "1000")
+    assert code == 0
+    props = ("reachability", "controllability", "observability", "reconstructibility")
+    assert {rep[prop]["T"] for prop in props} == {3}
+
+
+def test_analyze_rejects_repeated_alpha(capsys):
+    code, out, err = run(capsys, "analyze", "reachability", SLS, "--alphas", "4,4")
+    assert (code, out) == (2, "")
+    assert "initial state 4 given twice" in err
+
+
+# analyze_golden.json holds the exit code and JSON report of
+# `analyze all --format json --no-timestamp` with each flag set, on the
+# fixture and on its float copy
+ANALYZE_FLAGS = ([], ["--strict"], ["--t-max", "2"], ["--alphas", "1,3"], ["--t-max", "5", "--strict"])
+
+
+@pytest.mark.parametrize("numeric", ["exact", "float"])
+def test_analyze_all_reports_pinned(capsys, tmp_path, numeric):
+    golden = json.loads((FIXTURES / "analyze_golden.json").read_text())[numeric]
+    path = tmp_path / "sls.txt"
+    path.write_text(Path(SLS).read_text().replace("numeric = exact", f"numeric = {numeric}"))
+    for flags in ANALYZE_FLAGS:
+        want = golden[" ".join(flags)]
+        code, out, _ = run(capsys, "analyze", "all", str(path), *flags, "--format", "json", "--no-timestamp")
+        assert (code, out) == (want["exit"], json.dumps(want["report"], indent=2) + "\n"), flags
 
 
 def test_exit_code_input_errors(capsys):

@@ -66,9 +66,9 @@ def test_enumeration_matches_stepwise_replay():
 
 def test_enumeration_budget():
     net = golden_net()
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"2\^3 sequences exceed the budget of 7"):
         enumerate_switching_sequences(net, 1, 3, EnumerationBudget(max_sequences=7))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="horizon 5 exceeds the budget of 4"):
         enumerate_switching_sequences(net, 1, 5, EnumerationBudget(max_horizon=4))
 
 
