@@ -21,11 +21,18 @@ each T, folding each input prefix once for all checked states; the
 reported witness is the shortest, lexicographically first one. A search
 refuses (BudgetExceededError) a horizon that kalman_oracle's default
 enumeration budget would refuse, just before walking it.
+
+The walk is shared: a merged system keeps one lazily advanced walk per
+tuple of checked states, and every leaf it reaches is judged for both
+properties of its side. A query reads the walk's record and advances
+the walk only as far as it still needs, so the two checks of a side and
+the feasible list fold each (state, prefix) of a horizon at most once.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -147,25 +154,82 @@ def dual_reachable_set(dms: DualMergedSystem, alpha: int, gammas: Sequence[int])
     return _fold(dms, alpha, gammas)
 
 
-def _candidates(ms, alphas, horizon):
-    """Yield every input sequence of length horizon in lexicographic order,
-    with the walk state of each checked alpha after it.
+def _candidates(ms, alphas):
+    """Yield every input sequence in search order, horizon 1, 2, ... and
+    lexicographic within each, with the walk state of each checked alpha
+    after it; the stream does not end.
 
     A depth-first walk of the input tree that holds only the current
     path: path[d] maps alpha to its state after the first d inputs. The
     next sequence in lexicographic order raises one input and resets all
     later ones to 1, so it shares every input before its last non-1 input
-    with the sequence before it, and only the rest is folded. The horizon
-    must be within the default enumeration budget.
+    with the sequence before it, and only the rest is folded. A new
+    horizon starts again from the root.
     """
-    enforce_budget(ms.net, horizon)
     path = [{a: _start(ms, a) for a in alphas}]
-    for gammas in itertools.product(range(1, ms.net.M + 1), repeat=horizon):
-        shared = max((d for d, g in enumerate(gammas) if g != 1), default=0)
-        del path[shared + 1:]
-        for gamma in gammas[shared:]:
-            path.append({a: _step(ms, s, gamma) for a, s in path[-1].items()})
-        yield gammas, path[-1]
+    for horizon in itertools.count(1):
+        for gammas in itertools.product(range(1, ms.net.M + 1), repeat=horizon):
+            shared = max((d for d, g in enumerate(gammas) if g != 1), default=0)
+            del path[shared + 1:]
+            for gamma in gammas[shared:]:
+                path.append({a: _step(ms, s, gamma) for a, s in path[-1].items()})
+            yield gammas, path[-1]
+
+
+class _Walk:
+    """The shared walk of one merged system over one tuple of checked states.
+
+    A leaf is judged for both kinds of property: kind 0, the span is full
+    (reachability, observability), and kind 1, im chain lies in the span
+    (controllability, reconstructibility). Per kind, found holds (T,
+    witness, details, every full-span sequence of level T; kind 0 only)
+    once the kind holds, and best holds, per horizon walked before that,
+    the first highest-scoring details. done counts the horizons walked
+    to the end. A full span holds every chain, so kind 1 holds no later
+    than kind 0, and no query walks past the end of kind 0's level T.
+    Records only grow, and pull holds the lock, so threads may share a walk.
+    """
+
+    __slots__ = ("ms", "checked", "lock", "stream", "done", "found", "best")
+
+    def __init__(self, ms, checked):
+        self.ms, self.checked, self.lock = ms, checked, threading.Lock()
+        self.restart()
+
+    def restart(self):
+        self.stream = _candidates(self.ms, self.checked)
+        self.done, self.found, self.best = 0, [None, None], ([], [])
+
+    def pull(self, kind, t_max):
+        """Advance until kind holds (never, for kind None) or horizon t_max
+        is walked, refusing each horizon past the enumeration budget; returns
+        the records (found, best), which a restart replaces but never clears."""
+        n, net = self.ms.sls.n, self.ms.net
+        with self.lock:
+            while self.done < t_max and (kind is None or self.found[kind] is None):
+                enforce_budget(net, self.done + 1)
+                try:
+                    gammas, states = next(self.stream)
+                except BaseException:
+                    self.restart()  # a generator that raised is spent
+                    raise
+                horizon = len(gammas)
+                for k, best in enumerate(self.best):
+                    hit = self.found[k]
+                    if hit is None:
+                        details = {a: _detail(k, n, s) for a, s in states.items()}
+                        score = sum(d.holds for d in details.values())
+                        if len(best) < horizon:
+                            best.append((-1, None))
+                        if score == len(states):
+                            self.found[k] = (horizon, gammas, details, [gammas])
+                        elif score > best[-1][0]:
+                            best[-1] = (score, details)
+                    elif k == 0 and all(s[1].rank == n for s in states.values()):
+                        hit[3].append(gammas)
+                if gammas == (net.M,) * horizon:
+                    self.done = horizon
+            return self.found, self.best
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +264,33 @@ def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
     return bound
 
 
-def _detail(prop: str, n: int, state) -> AlphaDetail:
-    """Span rank, and whether prop holds: full span, or im chain in the span."""
+def _detail(kind: int, n: int, state) -> AlphaDetail:
+    """Span rank, and whether the property holds: full span (kind 0), or
+    im chain in the span (kind 1)."""
     _, span, chain = state
-    if prop in ("reachability", "observability"):
+    if kind == 0:
         return AlphaDetail(span.rank, span.rank == n)
     return AlphaDetail(span.rank, span.contains_vector(chain))
 
 
-def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
+def _verdict(walk: _Walk, prop: str, t_max: int) -> PropertyVerdict:
     """Breadth-first in T, lexicographic in the input tuple; one sequence
-    must pass at every checked alpha."""
-    n = ms.sls.n
+    must pass at every checked alpha. Read from the walk's record,
+    advancing the walk as far as needed."""
+    kind = PROPERTIES.index(prop) % 2
+    found, best = walk.pull(kind, t_max)
+    hit = found[kind]
+    if hit is not None and hit[0] <= t_max:
+        return PropertyVerdict(prop, True, hit[1], hit[0], dict(hit[2]), walk.checked)
+    _, details = max(best[kind][:t_max], key=lambda b: b[0])
+    return PropertyVerdict(prop, False, None, t_max, dict(details), walk.checked)
+
+
+def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
+    """One property search on the merged system's shared walk."""
     checked = _resolve_alphas(ms.net, strict, alphas)
-    t_max = _horizon(t_max, n)
-    best, best_score = None, -1
-    for horizon in range(1, t_max + 1):
-        for gammas, states in _candidates(ms, checked, horizon):
-            details = {a: _detail(prop, n, s) for a, s in states.items()}
-            score = sum(d.holds for d in details.values())
-            if score == len(checked):
-                return PropertyVerdict(prop, True, gammas, horizon, details, checked)
-            if score > best_score:
-                best, best_score = details, score
-    return PropertyVerdict(prop, False, None, t_max, best, checked)
+    t_max = _horizon(t_max, ms.sls.n)
+    return _verdict(ms._walks.setdefault(checked, _Walk(ms, checked)), prop, t_max)
 
 
 def check_reachability(
@@ -277,20 +344,22 @@ def feasible_input_sequences(
     alphas: Sequence[int] | None = None,
 ) -> list[FeasibleSequence]:
     """All input sequences achieving full reachable span at every checked
-    state, at the first length where any sequence succeeds. The candidates
-    are those of the reachability search, in the same order."""
-    net, n = ms.net, ms.sls.n
+    state, at the first length where any sequence succeeds. The list is
+    read from the shared walk: the reachability verdict for k_max, then
+    the rest of its level T (the witness is the first full-span sequence
+    there), in search order."""
+    net = ms.net
     checked = _resolve_alphas(net, strict, alphas)
-    k_max = _horizon(k_max, n, "k_max")
-    for horizon in range(1, k_max + 1):
-        found = [
-            FeasibleSequence(gammas, {a: switching_trajectory(net, a, gammas) for a in checked})
-            for gammas, states in _candidates(ms, checked, horizon)
-            if all(span.rank == n for _, span, _ in states.values())
-        ]
-        if found:
-            return found
-    return []
+    k_max = _horizon(k_max, ms.sls.n, "k_max")
+    walk = ms._walks.setdefault(checked, _Walk(ms, checked))
+    verdict = _verdict(walk, "reachability", k_max)
+    if not verdict.holds:
+        return []
+    found, _ = walk.pull(None, verdict.T)
+    return [
+        FeasibleSequence(gammas, {a: switching_trajectory(net, a, gammas) for a in checked})
+        for gammas in found[0][3]
+    ]
 
 
 # ---------------------------------------------------------------------------

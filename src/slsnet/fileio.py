@@ -25,7 +25,8 @@ with '#', blank lines are ignored, every other line is either a
 
     [options]             optional
     numeric = exact       exact | float
-    tolerance = 1e-9      float mode zero/pivot tolerance (default 1e-9)
+    tolerance = 1e-9      float mode zero/pivot tolerance (default 1e-9);
+                          refused unless numeric = float
     t_max = 3             property search horizon
 
 Entries are integers or rationals "p/q"; decimals are accepted only
@@ -127,6 +128,7 @@ def loads(text: str) -> SystemDescription:
 
     # options first: the numeric mode decides how matrix entries parse
     numeric, tolerance, t_max = "exact", None, None
+    tolerance_line = None
     for lineno, section, key, value in assignments:
         if section != "options":
             continue
@@ -141,12 +143,15 @@ def loads(text: str) -> SystemDescription:
                 _fail(lineno, f"tolerance must be a number, got {value!r}")
             if not 0 < tolerance < float("inf"):
                 _fail(lineno, f"tolerance must be finite and positive, got {value!r}")
+            tolerance_line = lineno
         elif key == "t_max":
             t_max = _parse_int(value, "t_max", lineno)
             if t_max < 1:
                 _fail(lineno, "t_max must be >= 1")
         else:
             _fail(lineno, f"unknown option {key!r}")
+    if tolerance_line is not None and numeric != "float":
+        _fail(tolerance_line, "tolerance needs numeric = float (exact arithmetic has none)")
 
     logic: dict[str, tuple[int, str]] = {}
     modes: dict[str, tuple[int, str]] = {}

@@ -119,7 +119,7 @@ def _dense(blocks, net, gammas, rows_per_block, cols_per_block, numeric_mode):
 class _MergedBase:
     """Shared storage/access for direct and dual merged systems."""
 
-    __slots__ = ("sls", "net", "g_blocks", "h_blocks", "_h_width")
+    __slots__ = ("sls", "net", "g_blocks", "h_blocks", "_h_width", "_walks")
 
     def __init__(self, sls, net, amats, bmats, h_width):
         if net.q != sls.q:
@@ -132,6 +132,8 @@ class _MergedBase:
         object.__setattr__(self, "g_blocks", g_blocks)
         object.__setattr__(self, "h_blocks", h_blocks)
         object.__setattr__(self, "_h_width", h_width)
+        # the property searches' shared input-tree walks, keyed by checked states
+        object.__setattr__(self, "_walks", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("merged systems are immutable")

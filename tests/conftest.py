@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from slsnet.algebra import LogicalMatrix, Matrix
 from slsnet.lcn import LogicalNetwork
@@ -15,6 +16,7 @@ B2 = [[0], [1], [0]]
 C2 = [[0, 1, 0]]
 L_COLS = [1, 1, 2, 4, 4, 4, 3, 3]
 R_COLS = [2, 2, 1, 1, 1, 2, 2, 1]
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def golden_sls(mode="exact"):
@@ -68,3 +70,18 @@ def random_net_for(rng: random.Random, q: int, n_nodes=2, m_nodes=1, k=2):
             break
     return LogicalNetwork(k, n_nodes, m_nodes, LogicalMatrix(n_states, l_cols),
                           LogicalMatrix(q, r_cols))
+
+
+def unreachable_single_input_text():
+    """The fixture with no input node (M = 1) and B1 = B2 = 0: one input
+    sequence per horizon, and reachability fails at every horizon."""
+    text = (FIXTURES / "sls_3x2.txt").read_text()
+    for old, new in (
+        ("B1 = 1 ; 0 ; 0", "B1 = 0 ; 0 ; 0"),
+        ("B2 = 0 ; 1 ; 0", "B2 = 0 ; 0 ; 0"),
+        ("input_nodes = 1", "input_nodes = 0"),
+        ("L = 1 1 2 4 4 4 3 3", "L = 1 1 2 4"),
+        ("R = 2 2 1 1 1 2 2 1", "R = 2 2 1 1"),
+    ):
+        text = text.replace(old, new)
+    return text

@@ -9,13 +9,17 @@ on identical checked-state sets.
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slsnet.algebra import Matrix, Numeric, column_space, rank, subspace_is_full
+from slsnet import analysis
 from slsnet.analysis import (
+    _resolve_alphas,
     _start,
     _step,
     check_controllability,
@@ -28,17 +32,25 @@ from slsnet.analysis import (
     reachable_set,
     switching_trajectory,
 )
+from slsnet.fileio import loads
 from slsnet.lcn import LogicalNetwork, build_from_functions
 from slsnet.oracle import (
     controllability_matrix,
     enumerate_switching_sequences,
     kalman_rank,
+    BudgetExceededError,
     mode_chain,
     observability_matrix,
 )
 from slsnet.sls import SwitchedLinearSystem, merge, merge_dual
 
-from conftest import golden_net, golden_sls, random_net_for, random_system
+from conftest import (
+    golden_net,
+    golden_sls,
+    random_net_for,
+    random_system,
+    unreachable_single_input_text,
+)
 
 NET = golden_net()
 MS = merge(golden_sls(), NET)
@@ -269,10 +281,11 @@ def _assert_context(merged, mode):
             assert (span.mode, span.basis.mode, chain.mode) == (mode, mode, mode)
 
 
-def _full_rank_sequences(sls, net, alphas):
+def _full_rank_sequences(sls, net, alphas, k_max=None):
     """Enumeration reference for feasible_input_sequences: the sequences of
-    full Kalman rank at every alpha, at the first length that has any."""
-    for horizon in range(1, sls.n + 1):
+    full Kalman rank at every alpha, at the first length up to k_max
+    (default n) that has any."""
+    for horizon in range(1, (k_max or sls.n) + 1):
         runs = [enumerate_switching_sequences(net, a, horizon) for a in alphas]
         found = [
             run[0][0]
@@ -317,6 +330,168 @@ def test_verdicts_match_oracle(seed, rational):
             assert mine.per_alpha == ref.per_alpha, tag
         feasible = feasible_input_sequences(ms, sls.n, alphas=alphas)
         assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas), seed
+
+
+CHECKS = {
+    "reachability": check_reachability,
+    "controllability": check_controllability,
+    "observability": check_observability,
+    "reconstructibility": check_reconstructibility,
+}
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_shared_walk_is_order_free(seed, rational):
+    # The checks of a side and the feasible list share one walk per merged
+    # system and checked tuple. Run them in a random order, with mixed
+    # horizons and checked sets, on one pair of merged systems: each result
+    # must equal the same call on freshly merged systems, and the oracle.
+    rng = random.Random(seed)
+    sls = random_system(rng, denominators=(1, 4) if rational else None)
+    shapes = [(nn, mm) for nn in (1, 2) for mm in (0, 1, 2) if 2 ** (nn + mm) >= sls.q]
+    n_nodes, m_nodes = rng.choice(shapes)
+    net = random_net_for(rng, sls.q, n_nodes=n_nodes, m_nodes=m_nodes)
+    calls = [*CHECKS, "feasible"] * 2
+    rng.shuffle(calls)
+    for system in (sls, _float_copy(sls)):
+        shared = {"primal": merge(system, net), "dual": merge_dual(system, net)}
+        for name in calls:
+            side = "dual" if name in ("observability", "reconstructibility") else "primal"
+            t_max = rng.choice([None, 1, 2, 3])
+            checked = rng.choice([
+                {},
+                {"strict": True},
+                {"alphas": tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))},
+            ])
+            fresh = merge(system, net) if side == "primal" else merge_dual(system, net)
+            tag = (name, t_max, checked, system.mode_flag, seed, rational)
+            if name == "feasible":
+                mine = feasible_input_sequences(shared[side], t_max, **checked)
+                assert mine == feasible_input_sequences(fresh, t_max, **checked), tag
+                alphas = _resolve_alphas(net, checked.get("strict", False), checked.get("alphas"))
+                assert [f.gammas for f in mine] == _full_rank_sequences(sls, net, alphas, t_max), tag
+                continue
+            mine = CHECKS[name](shared[side], t_max, **checked)
+            assert mine == CHECKS[name](fresh, t_max, **checked), tag
+            ref = kalman_oracle(sls, net, t_max, name, alphas=mine.checked_alphas)
+            assert (mine.holds, mine.witness, mine.T) == (ref.holds, ref.witness, ref.T), tag
+            assert mine.per_alpha == ref.per_alpha, tag
+
+
+def _count_folds(monkeypatch):
+    counter = [0]
+
+    def counted(*args):
+        counter[0] += 1
+        return _step(*args)
+
+    monkeypatch.setattr(analysis, "_step", counted)
+    return counter
+
+
+def test_shared_walk_folds_each_prefix_once(monkeypatch):
+    # Worked system, strict: every property holds at T = 3 with 4 checked
+    # states and M = 2. A horizon-h pass folds each prefix of length 1..h
+    # once per state, so walking horizons 1..3 takes 4 * (2 + 6 + 14) = 88
+    # folds, however many queries share the walk.
+    folds = _count_folds(monkeypatch)
+    sls = golden_sls()
+    ms = merge(sls, NET)
+    r = check_reachability(ms, strict=True)
+    c = check_controllability(ms, strict=True)
+    found = feasible_input_sequences(ms, r.T, strict=True)
+    assert (r.T, c.T, [f.gammas for f in found]) == (3, 3, [(1, 2, 2), (2, 2, 2)])
+    assert folds[0] == 88
+    folds[0] = 0
+    dms = merge_dual(sls, NET)
+    o = check_observability(dms, strict=True)
+    k = check_reconstructibility(dms, strict=True)
+    assert (o.witness, k.witness) == ((1, 2, 1), (1, 2, 1))
+    # both dual properties hold first at (1, 2, 1), the third leaf of
+    # horizon 3, whose pass stops there after 6 folds per state
+    assert folds[0] == 4 * (2 + 6 + 6)
+    # a lone query folds what a walk of its own folds: up to its witness,
+    # or, for the feasible list, to the end of its horizon
+    for call, merged, expected in (
+        (lambda m: check_reachability(m, strict=True), merge, 60),
+        (lambda m: check_controllability(m, strict=True), merge, 60),
+        (lambda m: feasible_input_sequences(m, 3, strict=True), merge, 88),
+        (lambda m: check_observability(m, strict=True), merge_dual, 56),
+        (lambda m: check_reconstructibility(m, strict=True), merge_dual, 56),
+    ):
+        folds[0] = 0
+        call(merged(sls, NET))
+        assert folds[0] == expected
+
+
+def test_shared_walk_survives_a_refusal():
+    # M = 1 and B = 0: reachability fails at every horizon, so t_max = 40
+    # walks horizons 1..32 and is refused at 33. The walk's record up to
+    # there stays valid for later queries.
+    desc = loads(unreachable_single_input_text())
+    ms = merge(desc.sls, desc.net)
+    with pytest.raises(BudgetExceededError, match="horizon 33"):
+        check_reachability(ms, t_max=40)
+    for check in (check_reachability, check_controllability):
+        assert check(ms, t_max=3) == check(merge(desc.sls, desc.net), t_max=3)
+    with pytest.raises(BudgetExceededError, match="horizon 33"):
+        check_reachability(ms, t_max=40)
+
+
+def test_shared_walk_restarts_after_an_error(monkeypatch):
+    # an error inside a fold ends the walk's generator; the next query
+    # starts a new walk instead of reading a spent one
+    calls = [0]
+
+    def failing(*args):
+        calls[0] += 1
+        if calls[0] == 30:
+            raise KeyboardInterrupt
+        return _step(*args)
+
+    ms = merge(golden_sls(), NET)
+    monkeypatch.setattr(analysis, "_step", failing)
+    with pytest.raises(KeyboardInterrupt):
+        check_controllability(ms, strict=True)
+    monkeypatch.undo()
+    fresh = merge(golden_sls(), NET)
+    assert check_controllability(ms, strict=True) == check_controllability(fresh, strict=True)
+    assert feasible_input_sequences(ms, 3, strict=True) == feasible_input_sequences(fresh, 3, strict=True)
+
+
+def test_shared_walk_across_threads():
+    # more threads than cores share one pair of merged systems, each asking
+    # in its own order with frequent switches; a lost update to the walk's
+    # record would change some answer
+    sls = golden_sls()
+    calls = [
+        lambda m, d: check_reachability(m, strict=True),
+        lambda m, d: check_controllability(m, t_max=2, strict=True),
+        lambda m, d: feasible_input_sequences(m, 3, strict=True),
+        lambda m, d: check_observability(d, strict=True),
+        lambda m, d: check_reconstructibility(d, t_max=2, strict=True),
+    ]
+    want = [call(merge(sls, NET), merge_dual(sls, NET)) for call in calls]
+    ms, dms = merge(sls, NET), merge_dual(sls, NET)
+    got = {}
+
+    def ask(offset):
+        order = [(i + offset) % len(calls) for i in range(len(calls))]
+        got[offset] = {i: calls[i](ms, dms) for i in order}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: dict(enumerate(want)) for k in range(8)}
 
 
 @given(st.integers(0, 10**6))

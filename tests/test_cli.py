@@ -11,6 +11,8 @@ import pytest
 from slsnet import BudgetExceededError, check_reachability, kalman_rank, load, merge
 from slsnet.cli import main
 
+from conftest import unreachable_single_input_text
+
 FIXTURES = Path(__file__).parent / "fixtures"
 SLS = str(FIXTURES / "sls_3x2.txt")
 LCN = str(FIXTURES / "lcn_double.txt")
@@ -192,19 +194,8 @@ def test_exit_code_budget(capsys):
 
 
 def _unreachable_single_input(tmp_path):
-    """The fixture with no input node (M = 1) and B1 = B2 = 0: one input
-    sequence per horizon, and reachability fails at every horizon."""
-    text = Path(SLS).read_text()
-    for old, new in (
-        ("B1 = 1 ; 0 ; 0", "B1 = 0 ; 0 ; 0"),
-        ("B2 = 0 ; 1 ; 0", "B2 = 0 ; 0 ; 0"),
-        ("input_nodes = 1", "input_nodes = 0"),
-        ("L = 1 1 2 4 4 4 3 3", "L = 1 1 2 4"),
-        ("R = 2 2 1 1 1 2 2 1", "R = 2 2 1 1"),
-    ):
-        text = text.replace(old, new)
     path = tmp_path / "unreachable.txt"
-    path.write_text(text)
+    path.write_text(unreachable_single_input_text())
     return str(path)
 
 
@@ -334,6 +325,15 @@ def test_non_finite_tolerance_exits_2(capsys, tmp_path, tolerance):
     assert code == 2
     assert out == ""
     assert "tolerance must be finite" in err
+
+
+def test_exact_tolerance_exits_2(capsys, tmp_path):
+    # the fixture is exact; a tolerance there used to be stored and ignored
+    path = tmp_path / "exact.txt"
+    path.write_text(Path(SLS).read_text().replace("numeric = exact", "numeric = exact\ntolerance = 0.5"))
+    code, out, err = run(capsys, "analyze", "all", str(path))
+    assert (code, out) == (2, "")
+    assert "tolerance needs numeric = float" in err
 
 
 @pytest.mark.parametrize("module", ["slsnet", "slsnet.cli"])

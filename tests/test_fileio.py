@@ -196,6 +196,10 @@ def test_exact_mode_rejects_decimals():
         (lambda t: t + "\n[options]\ntolerance = inf\n", r"line \d+: tolerance must be finite.*'inf'"),
         (lambda t: t + "\n[options]\ntolerance = 0\n", r"line \d+: tolerance must be finite.*'0'"),
         (lambda t: t + "\n[options]\ntolerance = -1\n", r"line \d+: tolerance must be finite.*'-1'"),
+        # exact arithmetic has no tolerance, so one is refused, not ignored
+        (lambda t: t + "\n[options]\nnumeric = exact\ntolerance = 0.5\n",
+         r"line \d+: tolerance needs numeric = float"),
+        (lambda t: t + "\n[options]\ntolerance = 0.5\n", r"line \d+: tolerance needs numeric = float"),
         (lambda t: t.replace("L = 1 1 2 4 4 4 3 3",
                              "L = 1 1 2 4 4 4 3 3\nnode1 = 1 1 1 2 2 2 2 2"), "not both"),
     ],
