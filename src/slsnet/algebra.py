@@ -637,8 +637,10 @@ class Subspace:
     column echelon form; ambient and mode are read from the basis.
 
     The canonical basis makes equality checks deterministic: two subspaces
-    are equal iff their basis matrices are identical. Containment is one
-    rank test: im V lies in the subspace iff rank [basis | V] == rank.
+    are equal iff their basis matrices are identical. It also decides
+    containment without elimination: basis column j is 1 at its pivot row
+    p_j and 0 at the other pivot rows, so a vector v lies in the subspace
+    iff v equals the sum of v[p_j] times column j.
     """
 
     __slots__ = ("basis",)
@@ -663,7 +665,23 @@ class Subspace:
 
     def contains_vector(self, v: Matrix) -> bool:
         """Whether every column of v (a vector, or any matrix) lies in the subspace."""
-        return rank(hstack([self.basis, v])) == self.rank
+        if v.rows != self.ambient:
+            raise DimensionError(f"contains: ambient {self.ambient} vs {v.rows} rows")
+        tol = _join((self.mode, v.mode)).tol
+        # one pass down the rows: the row holding the next basis column's
+        # pivot 1 gives the entries of v that weight that column; any other
+        # row of v must equal the weighted basis, whose later columns are
+        # still 0 there
+        weights = []
+        for k, brow in enumerate(self.basis.entries):
+            if len(weights) < self.rank and brow[len(weights)] == 1:
+                weights.append(v.entries[k])
+                continue
+            for c, x in enumerate(v.entries[k]):
+                residual = x - sum(b * w[c] for b, w in zip(brow, weights))
+                if residual if tol is None else abs(residual) > tol:
+                    return False
+        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -7,9 +7,9 @@ reachable from x = 0 and D the drift A_(s_{T-1}) ... A_(s_0); the dual
 side (merge_dual, transposed modes) folds R' = R + im(D H) and D' = D G,
 so R is the transposed observability row space. Reachability and
 observability hold along a sequence when R is full; controllability and
-reconstructibility when im D lies in R, decided by the single rank test
-rank [basis of R | D] == rank R, the test kalman_oracle applies to the
-stacked matrices.
+reconstructibility when im D lies in R, read off the canonical basis of
+R without elimination (Subspace.contains_vector); kalman_oracle decides
+the same by a rank test on the stacked matrices.
 
 Quantifier convention: a property holds iff ONE logical input sequence
 works for EVERY checked initial logical state. The checked set defaults
@@ -27,6 +27,9 @@ tuple of checked states, and every leaf it reaches is judged for both
 properties of its side. A query reads the walk's record and advances
 the walk only as far as it still needs, so the two checks of a side and
 the feasible list fold each (state, prefix) of a horizon at most once.
+Neither judgment runs an elimination (the span's rank and canonical
+basis settle both), so a lone query adds little to its folds by also
+judging the property it does not ask for.
 """
 
 from __future__ import annotations
@@ -185,12 +188,13 @@ class _Walk:
     witness, details, every full-span sequence of level T; kind 0 only)
     once the kind holds, and best holds, per horizon walked before that,
     the first highest-scoring details. done counts the horizons walked
-    to the end. A full span holds every chain, so kind 1 holds no later
-    than kind 0, and no query walks past the end of kind 0's level T.
-    Records only grow, and pull holds the lock, so threads may share a walk.
+    to the end, left the leaves still to walk in horizon done + 1. A full
+    span holds every chain, so kind 1 holds no later than kind 0, and no
+    query walks past the end of kind 0's level T. Records only grow, and
+    pull holds the lock, so threads may share a walk.
     """
 
-    __slots__ = ("ms", "checked", "lock", "stream", "done", "found", "best")
+    __slots__ = ("ms", "checked", "lock", "stream", "done", "left", "found", "best")
 
     def __init__(self, ms, checked):
         self.ms, self.checked, self.lock = ms, checked, threading.Lock()
@@ -198,38 +202,54 @@ class _Walk:
 
     def restart(self):
         self.stream = _candidates(self.ms, self.checked)
-        self.done, self.found, self.best = 0, [None, None], ([], [])
+        self.done, self.left, self.found, self.best = 0, 0, [None, None], ([], [])
 
     def pull(self, kind, t_max):
         """Advance until kind holds (never, for kind None) or horizon t_max
-        is walked, refusing each horizon past the enumeration budget; returns
-        the records (found, best), which a restart replaces but never clears."""
-        n, net = self.ms.sls.n, self.ms.net
+        is walked, refusing each horizon past the enumeration budget before
+        its first leaf; returns the records (found, best), which a restart
+        replaces but never clears."""
+        net = self.ms.net
         with self.lock:
             while self.done < t_max and (kind is None or self.found[kind] is None):
-                enforce_budget(net, self.done + 1)
+                if not self.left:
+                    enforce_budget(net, self.done + 1)
+                    self.left = net.M ** (self.done + 1)
                 try:
-                    gammas, states = next(self.stream)
+                    self._judge(*next(self.stream))
                 except BaseException:
-                    self.restart()  # a generator that raised is spent
+                    # a spent generator or a half-judged leaf: start again
+                    self.restart()
                     raise
-                horizon = len(gammas)
-                for k, best in enumerate(self.best):
-                    hit = self.found[k]
-                    if hit is None:
-                        details = {a: _detail(k, n, s) for a, s in states.items()}
-                        score = sum(d.holds for d in details.values())
-                        if len(best) < horizon:
-                            best.append((-1, None))
-                        if score == len(states):
-                            self.found[k] = (horizon, gammas, details, [gammas])
-                        elif score > best[-1][0]:
-                            best[-1] = (score, details)
-                    elif k == 0 and all(s[1].rank == n for s in states.values()):
-                        hit[3].append(gammas)
-                if gammas == (net.M,) * horizon:
-                    self.done = horizon
             return self.found, self.best
+
+    def _judge(self, gammas, states):
+        n, horizon = self.ms.sls.n, len(gammas)
+        for k, best in enumerate(self.best):
+            hit = self.found[k]
+            if hit is None:
+                details = {a: _detail(k, n, s) for a, s in states.items()}
+                score = sum(d.holds for d in details.values())
+                if len(best) < horizon:
+                    best.append((-1, None))
+                if score == len(states):
+                    self.found[k] = (horizon, gammas, details, [gammas])
+                elif score > best[-1][0]:
+                    best[-1] = (score, details)
+            elif k == 0 and all(s[1].rank == n for s in states.values()):
+                hit[3].append(gammas)
+        self.left -= 1
+        if not self.left:
+            self.done = horizon
+
+
+def _walk(ms, strict, alphas) -> _Walk:
+    """The merged system's shared walk over the resolved checked states."""
+    checked = _resolve_alphas(ms.net, strict, alphas)
+    walk = ms._walks.get(checked)
+    if walk is None:
+        walk = ms._walks[checked] = _Walk(ms, checked)
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +286,10 @@ def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
 
 def _detail(kind: int, n: int, state) -> AlphaDetail:
     """Span rank, and whether the property holds: full span (kind 0), or
-    im chain in the span (kind 1)."""
+    im chain in the span (kind 1), which a full span settles at once."""
     _, span, chain = state
-    if kind == 0:
-        return AlphaDetail(span.rank, span.rank == n)
-    return AlphaDetail(span.rank, span.contains_vector(chain))
+    full = span.rank == n
+    return AlphaDetail(span.rank, full if kind == 0 else full or span.contains_vector(chain))
 
 
 def _verdict(walk: _Walk, prop: str, t_max: int) -> PropertyVerdict:
@@ -288,9 +307,8 @@ def _verdict(walk: _Walk, prop: str, t_max: int) -> PropertyVerdict:
 
 def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     """One property search on the merged system's shared walk."""
-    checked = _resolve_alphas(ms.net, strict, alphas)
-    t_max = _horizon(t_max, ms.sls.n)
-    return _verdict(ms._walks.setdefault(checked, _Walk(ms, checked)), prop, t_max)
+    walk = _walk(ms, strict, alphas)
+    return _verdict(walk, prop, _horizon(t_max, ms.sls.n))
 
 
 def check_reachability(
@@ -348,16 +366,13 @@ def feasible_input_sequences(
     read from the shared walk: the reachability verdict for k_max, then
     the rest of its level T (the witness is the first full-span sequence
     there), in search order."""
-    net = ms.net
-    checked = _resolve_alphas(net, strict, alphas)
-    k_max = _horizon(k_max, ms.sls.n, "k_max")
-    walk = ms._walks.setdefault(checked, _Walk(ms, checked))
-    verdict = _verdict(walk, "reachability", k_max)
+    walk = _walk(ms, strict, alphas)
+    verdict = _verdict(walk, "reachability", _horizon(k_max, ms.sls.n, "k_max"))
     if not verdict.holds:
         return []
     found, _ = walk.pull(None, verdict.T)
     return [
-        FeasibleSequence(gammas, {a: switching_trajectory(net, a, gammas) for a in checked})
+        FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in walk.checked})
         for gammas in found[0][3]
     ]
 

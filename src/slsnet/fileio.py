@@ -57,6 +57,10 @@ class SystemDescription:
     tolerance: float | None = None
     t_max: int | None = None
 
+    def __post_init__(self):
+        if self.tolerance is not None and self.numeric != "float":
+            raise ValueError("tolerance needs numeric = float (exact arithmetic has none)")
+
 
 def _fail(lineno: int | None, message: str):
     where = f"line {lineno}: " if lineno else ""

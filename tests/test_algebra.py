@@ -409,6 +409,14 @@ def test_vector_membership():
     plane = column_space(Matrix([[1, 0], [0, 1], [0, 0]]))
     assert plane.contains_vector(Matrix.column([3, -2, 0]))
     assert not plane.contains_vector(Matrix.column([0, 0, 1]))
+    # off the pivot rows, v must equal the basis weighted by v's pivot entries
+    tilted = column_space(Matrix([[2, 0], [0, 1], [4, 3]]))
+    assert tilted.contains_vector(Matrix([[1, 2], [1, 0], [5, 4]]))
+    assert not tilted.contains_vector(Matrix([[1, 2], [1, 0], [5, 3]]))
+    # a float residual counts as zero within the context's tolerance
+    flat = column_space(Matrix([[1, 0], [0, 1], [0, 0]], "float"))
+    assert flat.contains_vector(Matrix.column([3, -2, 1e-12], "float"))
+    assert not flat.contains_vector(Matrix.column([3, -2, 1e-6], "float"))
 
 
 def test_equal_matrices_and_subspaces_hash_equal():

@@ -439,19 +439,27 @@ def test_shared_walk_survives_a_refusal():
         check_reachability(ms, t_max=40)
 
 
-def test_shared_walk_restarts_after_an_error(monkeypatch):
-    # an error inside a fold ends the walk's generator; the next query
-    # starts a new walk instead of reading a spent one
+@pytest.mark.parametrize("target", ["_step", "_detail"])
+def test_shared_walk_restarts_after_an_error(monkeypatch, target):
+    # An error inside a fold ends the walk's generator; one while a leaf is
+    # judged leaves that leaf recorded for one kind only. Either way the
+    # next query starts a new walk instead of skipping the leaf. The error
+    # strikes at the last such call of a lone controllability search, so
+    # inside its witness leaf, after kind 0 has judged that leaf.
+    original = getattr(analysis, target)
     calls = [0]
 
-    def failing(*args):
+    def counted(*args):
         calls[0] += 1
-        if calls[0] == 30:
+        if calls[0] == last:
             raise KeyboardInterrupt
-        return _step(*args)
+        return original(*args)
 
+    monkeypatch.setattr(analysis, target, counted)
+    last = None
+    check_controllability(merge(golden_sls(), NET), strict=True)
+    last, calls[0] = calls[0], 0
     ms = merge(golden_sls(), NET)
-    monkeypatch.setattr(analysis, "_step", failing)
     with pytest.raises(KeyboardInterrupt):
         check_controllability(ms, strict=True)
     monkeypatch.undo()

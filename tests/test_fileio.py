@@ -127,6 +127,15 @@ def test_round_trip_logic_only():
     assert loads(dumps(desc)) == desc
 
 
+def test_tolerance_only_with_float():
+    # a description holds a tolerance only in float mode, as loads demands,
+    # so every description that can be built also round-trips
+    desc = SystemDescription(golden_net(), golden_sls("float"), "float", 1e-9)
+    assert loads(dumps(desc)) == desc
+    with pytest.raises(ValueError, match="tolerance needs numeric = float"):
+        SystemDescription(golden_net(), golden_sls(), "exact", 0.5)
+
+
 def test_save_and_load(tmp_path):
     path = tmp_path / "sys.txt"
     desc = loads(GOLDEN)
