@@ -244,11 +244,16 @@ class _Walk:
 
 
 def _walk(ms, strict, alphas) -> _Walk:
-    """The merged system's shared walk over the resolved checked states."""
-    checked = _resolve_alphas(ms.net, strict, alphas)
-    walk = ms._walks.get(checked)
+    """The merged system's shared walk over the resolved checked states,
+    memoized by the request too, so a request resolves (and the attractor
+    cover is built) once per merged system. A request key (strict, alphas)
+    never equals a tuple of state indices."""
+    request = (strict, None if alphas is None else tuple(alphas))
+    walk = ms._walks.get(request)
     if walk is None:
-        walk = ms._walks[checked] = _Walk(ms, checked)
+        checked = _resolve_alphas(ms.net, strict, alphas)
+        walk = ms._walks.get(checked) or _Walk(ms, checked)
+        ms._walks[request] = ms._walks[checked] = walk
     return walk
 
 
@@ -261,6 +266,8 @@ def _resolve_alphas(
 ) -> tuple[int, ...]:
     """Checked initial states: the given ones, which must be distinct and in
     1..N; otherwise all N states (strict) or the control-attractor cover."""
+    if strict and alphas is not None:
+        raise ValueError("give either strict or explicit initial states, not both")
     if alphas is not None:
         out = tuple(int(a) for a in alphas)
         if not out:
@@ -401,7 +408,7 @@ def kalman_oracle(
         raise ValueError(f"unknown property {prop!r}")
     n = sls.n
     horizon_cap = _horizon(t_max, n)
-    checked = _resolve_alphas(net, True, alphas)
+    checked = _resolve_alphas(net, alphas is None, alphas)
 
     def test(sigmas) -> AlphaDetail:
         if prop == "reachability":

@@ -323,9 +323,10 @@ def _parser() -> argparse.ArgumentParser:
     analyze.add_argument("property", choices=PROPERTIES + ("all",))
     analyze.add_argument("file", help="system description file")
     analyze.add_argument("--t-max", type=int, help="search horizon (default: state dimension)")
-    analyze.add_argument("--strict", action="store_true",
+    checked = analyze.add_mutually_exclusive_group()
+    checked.add_argument("--strict", action="store_true",
                          help="check every initial logical state, not the attractor cover")
-    analyze.add_argument("--alphas", help="explicit initial logical states, e.g. 1,2,4")
+    checked.add_argument("--alphas", help="explicit initial logical states, e.g. 1,2,4")
 
     attractors = sub.add_parser("attractors", parents=[common],
                                 help="control attractors, basins and the checked-state cover")

@@ -2,7 +2,8 @@
 
 Line-oriented text format with three named sections. Comments start
 with '#', blank lines are ignored, every other line is either a
-"[section]" header or a "key = value" assignment.
+"[section]" header or a "key = value" assignment; a key appears at most
+once per section.
 
     [modes]               optional; omit for a logic-only description
     n = 3                 linear state dimension
@@ -31,12 +32,13 @@ with '#', blank lines are ignored, every other line is either a
 
 Entries are integers or rationals "p/q"; decimals are accepted only
 when numeric = float, so exact descriptions stay exact through a
-save/load round trip.
+save/load round trip, and a float entry must be finite.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,13 +46,32 @@ from .algebra import EXACT, FLOAT, LogicalMatrix, Matrix, Numeric
 from .lcn import LogicalNetwork, build_from_functions
 from .sls import SwitchedLinearSystem
 
+_SECTIONS = ("modes", "logic", "options")
+
 
 class ParseError(ValueError):
     """Malformed description file; message carries the 1-based line."""
 
 
+def _numeric_context(numeric: str, tolerance: float | None) -> Numeric:
+    """The context a description's matrices carry: exact, or float at the
+    tolerance (default 1e-9). Each refusal's message starts with the
+    option it blames."""
+    if numeric not in ("exact", "float"):
+        raise ValueError("numeric must be 'exact' or 'float'")
+    context = FLOAT if tolerance is None else Numeric(tolerance)
+    if numeric == "float":
+        return context
+    if tolerance is not None:
+        raise ValueError("tolerance needs numeric = float (exact arithmetic has none)")
+    return EXACT
+
+
 @dataclass(frozen=True)
 class SystemDescription:
+    """A description file's content; it builds only if dumps writes a text
+    that loads reads back equal."""
+
     net: LogicalNetwork
     sls: SwitchedLinearSystem | None = None
     numeric: str = "exact"
@@ -58,8 +79,15 @@ class SystemDescription:
     t_max: int | None = None
 
     def __post_init__(self):
-        if self.tolerance is not None and self.numeric != "float":
-            raise ValueError("tolerance needs numeric = float (exact arithmetic has none)")
+        context = _numeric_context(self.numeric, self.tolerance)
+        if self.t_max is not None and self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
+        if self.sls is None:
+            return
+        if self.sls.q != self.net.q:
+            raise ValueError(f"{self.sls.q} modes but the logic signal range is {self.net.q}")
+        if any(mat.mode != context for triple in self.sls.modes for mat in triple):
+            raise ValueError(f"every matrix must carry the context {context} that the options name")
 
 
 def _fail(lineno: int | None, message: str):
@@ -76,7 +104,7 @@ def _scan(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("modes", "logic", "options"):
+            if section not in _SECTIONS:
                 _fail(lineno, f"unknown section [{section}]")
             continue
         if "=" not in line:
@@ -87,18 +115,59 @@ def _scan(text: str):
         yield lineno, section, key.strip().lower(), value.strip()
 
 
+class _Section(dict):
+    """One [section]'s assignments, key -> (lineno, value). Readers take a
+    key as messages spell it (L, C2) and look it up in lower case."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def line(self, key: str) -> tuple[int, str]:
+        if key.lower() not in self:
+            _fail(None, f"[{self.name}] is missing {key!r}")
+        return self[key.lower()]
+
+    def integer(self, key: str, least: int) -> int:
+        lineno, value = self.line(key)
+        try:
+            out = int(value)
+        except ValueError:
+            _fail(lineno, f"{key} must be an integer, got {value!r}")
+        if out < least:
+            _fail(lineno, f"{key} must be >= {least}")
+        return out
+
+    def indices(self, key: str, width: int, top: int) -> list[int]:
+        """A column-index list: width entries, each in 1..top."""
+        lineno, value = self.line(key)
+        try:
+            cols = [int(tok) for tok in value.split()]
+        except ValueError:
+            _fail(lineno, f"expected a list of integers, got {value!r}")
+        if len(cols) != width:
+            _fail(lineno, f"{key} has {len(cols)} entries, expected {width}")
+        for c in cols:
+            if not 1 <= c <= top:
+                _fail(lineno, f"{key} contains {c}, outside 1..{top}")
+        return cols
+
+    def only(self, known) -> None:
+        for key, (lineno, _) in self.items():
+            if key not in known:
+                _fail(lineno, f"unknown key {key!r} in [{self.name}]")
+
+
 def _parse_scalar(token: str, context: Numeric, lineno: int):
+    exact = context.tol is None
     try:
-        if "/" in token:
-            return Fraction(token)
-        if context.tol is not None:
-            as_float = float(token)
-            return int(as_float) if as_float.is_integer() else as_float
-        return int(token)
-    except (ValueError, ZeroDivisionError):
-        if context.tol is None:
+        value = Fraction(token) if "/" in token else int(token) if exact else float(token)
+        if exact or math.isfinite(value):
+            return value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        if exact:
             _fail(lineno, f"{token!r} is not an integer or rational (decimals need numeric = float)")
-        _fail(lineno, f"{token!r} is not a number")
+    _fail(lineno, f"{token!r} is not a finite number")
 
 
 def _parse_matrix(value: str, context: Numeric, lineno: int) -> Matrix:
@@ -107,185 +176,93 @@ def _parse_matrix(value: str, context: Numeric, lineno: int) -> Matrix:
         _fail(lineno, "empty matrix row")
     if len({len(r) for r in rows}) != 1:
         _fail(lineno, "matrix rows have unequal lengths")
-    return Matrix(
-        [[_parse_scalar(tok, context, lineno) for tok in row] for row in rows],
-        context,
-    )
-
-
-def _parse_int_list(value: str, lineno: int) -> list[int]:
-    try:
-        return [int(tok) for tok in value.split()]
-    except ValueError:
-        _fail(lineno, f"expected a list of integers, got {value!r}")
-
-
-def _parse_int(value: str, key: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        _fail(lineno, f"{key} must be an integer, got {value!r}")
+    return Matrix([[_parse_scalar(tok, context, lineno) for tok in row] for row in rows], context)
 
 
 def loads(text: str) -> SystemDescription:
-    assignments = list(_scan(text))
-
-    # options first: the numeric mode decides how matrix entries parse
-    numeric, tolerance, t_max = "exact", None, None
-    tolerance_line = None
-    for lineno, section, key, value in assignments:
-        if section != "options":
-            continue
-        if key == "numeric":
-            if value not in ("exact", "float"):
-                _fail(lineno, f"numeric must be 'exact' or 'float', got {value!r}")
-            numeric = value
-        elif key == "tolerance":
-            try:
-                tolerance = float(value)
-            except ValueError:
-                _fail(lineno, f"tolerance must be a number, got {value!r}")
-            if not 0 < tolerance < float("inf"):
-                _fail(lineno, f"tolerance must be finite and positive, got {value!r}")
-            tolerance_line = lineno
-        elif key == "t_max":
-            t_max = _parse_int(value, "t_max", lineno)
-            if t_max < 1:
-                _fail(lineno, "t_max must be >= 1")
-        else:
-            _fail(lineno, f"unknown option {key!r}")
-    if tolerance_line is not None and numeric != "float":
-        _fail(tolerance_line, "tolerance needs numeric = float (exact arithmetic has none)")
-
-    logic: dict[str, tuple[int, str]] = {}
-    modes: dict[str, tuple[int, str]] = {}
-    for lineno, section, key, value in assignments:
-        if section == "options":
-            continue
-        bucket = logic if section == "logic" else modes
-        if key in bucket:
+    sections = {name: _Section(name) for name in _SECTIONS}
+    for lineno, section, key, value in _scan(text):
+        if key in sections[section]:
             _fail(lineno, f"duplicate key {key!r} in [{section}]")
-        bucket[key] = (lineno, value)
+        sections[section][key] = (lineno, value)
+    modes, logic, options = sections.values()
 
-    # every parsed matrix carries this context, and so does all arithmetic on them
-    context = Numeric(tolerance or FLOAT.tol) if numeric == "float" else EXACT
+    options.only(("numeric", "tolerance", "t_max"))
+    numeric = options["numeric"][1] if "numeric" in options else "exact"
+    tolerance = None
+    if "tolerance" in options:
+        lineno, value = options["tolerance"]
+        try:
+            tolerance = float(value)
+        except ValueError:
+            _fail(lineno, f"tolerance must be a number, got {value!r}")
+    try:
+        # every parsed matrix carries this context, and so does all arithmetic on them
+        context = _numeric_context(numeric, tolerance)
+    except ValueError as exc:
+        lineno, value = options[str(exc).split()[0]]
+        _fail(lineno, f"{exc}, got {value!r}")
+    t_max = options.integer("t_max", 1) if "t_max" in options else None
+
     net = _build_net(logic)
-    sls = _build_sls(modes, context, net) if modes else None
+    sls = _build_sls(modes, context, net.q) if modes else None
     return SystemDescription(net, sls, numeric, tolerance, t_max)
 
 
-def _logic_int(logic, key, required=True, default=None):
-    if key not in logic:
-        if required:
-            _fail(None, f"[logic] is missing {key!r}")
-        return default
-    lineno, value = logic[key]
-    return _parse_int(value, key, lineno)
-
-
-def _build_net(logic) -> LogicalNetwork:
+def _build_net(logic: _Section) -> LogicalNetwork:
     if not logic:
         _fail(None, "description has no [logic] section")
-    k = _logic_int(logic, "k")
-    n_nodes = _logic_int(logic, "state_nodes")
-    m_nodes = _logic_int(logic, "input_nodes")
-    q = _logic_int(logic, "q", required=False, default=1)
+    k = logic.integer("k", 2)
+    n_nodes = logic.integer("state_nodes", 0)
+    m_nodes = logic.integer("input_nodes", 0)
+    q = logic.integer("q", 1) if "q" in logic else 1
     n_states = k**n_nodes
     width = n_states * k**m_nodes
 
+    # either form is checked against width before anything of that width is built
     node_keys = sorted(key for key in logic if key.startswith("node"))
-    if "l" in logic and node_keys:
-        _fail(logic["l"][0], "give either L or per-node truth tables, not both")
-
     if node_keys:
+        if "l" in logic:
+            _fail(logic["l"][0], "give either L or per-node truth tables, not both")
         expected = [f"node{i}" for i in range(1, n_nodes + 1)]
         if node_keys != expected:
             _fail(None, f"need truth tables {expected}, got {node_keys}")
-        tables = []
-        for key in expected:
-            lineno, value = logic[key]
-            table = _parse_int_list(value, lineno)
-            if len(table) != width:
-                _fail(lineno, f"{key} has {len(table)} entries, expected {width}")
-            tables.append(table)
-        signal = None
-        if "signal" in logic:
-            lineno, value = logic["signal"]
-            signal = _parse_int_list(value, lineno)
-            if len(signal) != width:
-                _fail(lineno, f"signal has {len(signal)} entries, expected {width}")
-            for c in signal:
-                if not 1 <= c <= q:
-                    _fail(lineno, f"signal contains {c}, outside 1..{q}")
-        elif q != 1:
-            _fail(None, f"q = {q} but no signal table given")
-        try:
-            return build_from_functions(k, n_nodes, m_nodes, tables, signal, q=q)
-        except ValueError as exc:
-            _fail(None, str(exc))
-
-    if "l" not in logic:
-        _fail(None, "[logic] needs either L or per-node truth tables")
-    lineno, value = logic["l"]
-    l_cols = _parse_int_list(value, lineno)
-    if len(l_cols) != width:
-        _fail(lineno, f"L has {len(l_cols)} columns, expected {width}")
-    for c in l_cols:
-        if not 1 <= c <= n_states:
-            _fail(lineno, f"L contains {c}, outside 1..{n_states}")
-
-    if "r" in logic:
-        r_lineno, r_value = logic["r"]
-        r_cols = _parse_int_list(r_value, r_lineno)
-        if len(r_cols) != width:
-            _fail(r_lineno, f"R has {len(r_cols)} columns, expected {width}")
-        for c in r_cols:
-            if not 1 <= c <= q:
-                _fail(r_lineno, f"R contains {c}, outside 1..{q}")
+        tables = [logic.indices(key, width, k) for key in expected]
+        signal_key, signal_name = "signal", "signal table"
+    elif "l" in logic:
+        l_cols = logic.indices("L", width, n_states)
+        signal_key = signal_name = "R"
     else:
-        r_cols = [1] * width
-        if q != 1:
-            _fail(None, f"q = {q} but no R given")
+        _fail(None, "[logic] needs either L or per-node truth tables")
 
-    return LogicalNetwork(
-        k, n_nodes, m_nodes,
-        LogicalMatrix(n_states, l_cols), LogicalMatrix(q, r_cols),
-    )
-
-
-def _modes_int(modes, key):
-    if key not in modes:
-        _fail(None, f"[modes] is missing {key!r}")
-    lineno, value = modes[key]
-    return _parse_int(value, key, lineno)
+    if signal_key.lower() in logic:
+        signal = logic.indices(signal_key, width, q)
+    elif q != 1:
+        _fail(None, f"q = {q} but no {signal_name} given")
+    else:
+        signal = [1] * width
+    if node_keys:
+        return build_from_functions(k, n_nodes, m_nodes, tables, signal, q=q)
+    return LogicalNetwork(k, n_nodes, m_nodes, LogicalMatrix(n_states, l_cols), LogicalMatrix(q, signal))
 
 
-def _build_sls(modes, context, net) -> SwitchedLinearSystem:
-    n = _modes_int(modes, "n")
-    m = _modes_int(modes, "inputs")
-    p = _modes_int(modes, "outputs")
-    count = _modes_int(modes, "count")
-    if count != net.q:
-        _fail(None, f"count = {count} modes but the logic signal range is {net.q}")
-
-    known = {"n", "inputs", "outputs", "count"}
+def _build_sls(modes: _Section, context: Numeric, q: int) -> SwitchedLinearSystem:
+    n, m, p, count = (modes.integer(key, 1) for key in ("n", "inputs", "outputs", "count"))
+    if count != q:
+        _fail(None, f"count = {count} modes but the logic signal range is {q}")
     triples = []
     for i in range(1, count + 1):
         triple = []
-        for letter, rows, cols in (("a", n, n), ("b", n, m), ("c", p, n)):
+        for letter, rows, cols in (("A", n, n), ("B", n, m), ("C", p, n)):
             key = f"{letter}{i}"
-            known.add(key)
-            if key not in modes:
-                _fail(None, f"[modes] is missing {key.upper()!r}")
-            lineno, value = modes[key]
+            lineno, value = modes.line(key)
             mat = _parse_matrix(value, context, lineno)
             if mat.shape != (rows, cols):
-                _fail(lineno, f"{key.upper()} is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
+                _fail(lineno, f"{key} is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
             triple.append(mat)
         triples.append(tuple(triple))
-    for key in modes:
-        if key not in known:
-            _fail(modes[key][0], f"unknown key {key!r} in [modes]")
+    # every known key was found by now, so this set is no larger than the file
+    modes.only({"n", "inputs", "outputs", "count", *(f"{x}{i}" for x in "abc" for i in range(1, count + 1))})
     return SwitchedLinearSystem(triples)
 
 

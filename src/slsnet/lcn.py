@@ -396,6 +396,7 @@ def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
     cycles.sort(key=lambda a: (len(a.states), a.states))
 
     attractors = fixed_points + cycles
+    # in (state, input) order, the order the basin search steers in
     predecessors: dict[int, list[tuple[int, int]]] = {t: [] for t in range(1, n_states + 1)}
     for theta, moves in succ.items():
         for g, nxt in moves:
@@ -409,7 +410,7 @@ def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
         while frontier:
             nxt_frontier = []
             for state in frontier:
-                for prev, g in sorted(predecessors[state]):
+                for prev, g in predecessors[state]:
                     if prev not in steering:
                         steering[prev] = (g,) + steering[state]
                         nxt_frontier.append(prev)

@@ -132,7 +132,7 @@ class _MergedBase:
         object.__setattr__(self, "g_blocks", g_blocks)
         object.__setattr__(self, "h_blocks", h_blocks)
         object.__setattr__(self, "_h_width", h_width)
-        # the property searches' shared input-tree walks, keyed by checked states
+        # the property searches' shared input-tree walks, keyed by request and by checked states
         object.__setattr__(self, "_walks", {})
 
     def __setattr__(self, name, value):

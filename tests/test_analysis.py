@@ -246,6 +246,19 @@ def test_alpha_validation():
         check_reachability(MS, t_max=0)
 
 
+def test_strict_with_explicit_alphas_rejected():
+    # strict names every state, so explicit states beside it are refused,
+    # not silently preferred
+    for call in (
+        lambda: check_reachability(MS, strict=True, alphas=[4]),
+        lambda: check_observability(DMS, strict=True, alphas=[4]),
+        lambda: feasible_input_sequences(MS, 3, strict=True, alphas=[4]),
+    ):
+        with pytest.raises(ValueError, match="not both"):
+            call()
+    assert kalman_oracle(golden_sls(), NET, alphas=[4]).checked_alphas == (4,)
+
+
 def test_repeated_alpha_rejected():
     # a repeat would count twice among the checked states but once in per_alpha
     for call in (
@@ -423,6 +436,25 @@ def test_shared_walk_folds_each_prefix_once(monkeypatch):
         folds[0] = 0
         call(merged(sls, NET))
         assert folds[0] == expected
+
+
+def test_cover_built_once_per_merged_system(monkeypatch):
+    # the cover of the worked system is state 4: the four checks and the
+    # feasible list resolve their checked states once per merged system,
+    # and a request for (4,) shares the cover request's walk
+    calls = []
+    cover = analysis.control_attractors
+    monkeypatch.setattr(analysis, "control_attractors", lambda net: calls.append(net) or cover(net))
+    ms, dms = merge(golden_sls(), NET), merge_dual(golden_sls(), NET)
+    r = check_reachability(ms)
+    check_controllability(ms)
+    feasible_input_sequences(ms, r.T)
+    check_observability(dms)
+    check_reconstructibility(dms)
+    assert len(calls) == 2
+    assert analysis._walk(ms, False, [4]) is analysis._walk(ms, False, None)
+    assert analysis._walk(ms, True, None) is not analysis._walk(ms, False, None)
+    assert len(calls) == 2
 
 
 def test_shared_walk_survives_a_refusal():

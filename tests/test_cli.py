@@ -217,6 +217,14 @@ def test_analyze_decides_before_budget(capsys):
     assert {rep[prop]["T"] for prop in props} == {3}
 
 
+def test_analyze_strict_excludes_alphas(capsys):
+    # --alphas used to win silently and check state 4 alone
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "reachability", SLS, "--strict", "--alphas", "4"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_analyze_rejects_repeated_alpha(capsys):
     code, out, err = run(capsys, "analyze", "reachability", SLS, "--alphas", "4,4")
     assert (code, out) == (2, "")
@@ -325,6 +333,17 @@ def test_non_finite_tolerance_exits_2(capsys, tmp_path, tolerance):
     assert code == 2
     assert out == ""
     assert "tolerance must be finite" in err
+
+
+def test_non_finite_entry_exits_2(capsys, tmp_path):
+    # this file used to report reachability holding at T = 3
+    path = tmp_path / "float.txt"
+    path.write_text(
+        Path(SLS).read_text().replace("A1 = 1 2 -1", "A1 = nan 2 -1").replace("numeric = exact", "numeric = float")
+    )
+    code, out, err = run(capsys, "analyze", "all", str(path))
+    assert (code, out) == (2, "")
+    assert "'nan' is not a finite number" in err
 
 
 def test_exact_tolerance_exits_2(capsys, tmp_path):

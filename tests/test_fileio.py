@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slsnet.algebra import EXACT, Matrix, Numeric
 from slsnet.fileio import ParseError, SystemDescription, dumps, load, loads, save
 from slsnet.lcn import build_from_functions
+from slsnet.sls import SwitchedLinearSystem
 
 from conftest import golden_net, golden_sls, random_net_for, random_system
 
@@ -80,6 +82,8 @@ R = 1 1 1 1 1 1 1 1
 numeric = exact
 """
 
+FLOAT_OPTIONS = "\n[options]\nnumeric = float\n"
+
 
 def test_fixture_dumps_are_pinned():
     # the canonical text of both fixtures, pinned: integral entries print
@@ -134,6 +138,56 @@ def test_tolerance_only_with_float():
     assert loads(dumps(desc)) == desc
     with pytest.raises(ValueError, match="tolerance needs numeric = float"):
         SystemDescription(golden_net(), golden_sls(), "exact", 0.5)
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        (lambda: SystemDescription(golden_net(), t_max=0), "t_max must be >= 1"),
+        # one mode on the two-signal network
+        (lambda: SystemDescription(golden_net(), SwitchedLinearSystem(golden_sls().modes[:1])),
+         "1 modes but the logic signal range is 2"),
+        # float matrices would be written under numeric = exact
+        (lambda: SystemDescription(golden_net(), golden_sls("float")), "carry the context"),
+        # these would reload at the default tolerance 1e-9
+        (lambda: SystemDescription(golden_net(), golden_sls(Numeric(1e-6)), "float"), "carry the context"),
+        (lambda: SystemDescription(golden_net(), numeric="decimal"), "numeric must be"),
+    ],
+)
+def test_description_refuses_what_would_not_reload(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_every_description_that_builds_round_trips(seed):
+    # exact, rational and float systems, with and without a tolerance, and
+    # logic-only descriptions; the draws are biased towards consistent ones
+    # and also hit every refusal
+    rng = random.Random(seed)
+    numeric = rng.choice(["exact", "float"])
+    tolerance = rng.choice([None, None, 1e-6, 1e-9]) if numeric == "float" else rng.choice([None] * 5 + [0.5])
+    context = EXACT if numeric == "exact" else Numeric(tolerance or 1e-9)
+    t_max = rng.choice([None, None, 1, 3, 0])
+    sls = None
+    if rng.random() < 0.8:
+        base = random_system(rng, denominators=rng.choice([None, (1, 5)]))
+        matrices = rng.choice([context] * 4 + [EXACT, Numeric(1e-9), Numeric(1e-6)])
+        sls = SwitchedLinearSystem([tuple(Matrix(m.entries, matrices) for m in triple) for triple in base.modes])
+    net = random_net_for(rng, rng.choice([sls.q if sls else 1] * 5 + [1, 2, 3]))
+    builds = (
+        (numeric == "float" or tolerance is None)
+        and (t_max is None or t_max >= 1)
+        and (sls is None or (sls.q == net.q and sls.mode_flag == context))
+    )
+    try:
+        desc = SystemDescription(net, sls, numeric, tolerance, t_max)
+    except ValueError:
+        assert not builds
+        return
+    assert builds
+    assert loads(dumps(desc)) == desc
 
 
 def test_save_and_load(tmp_path):
@@ -211,6 +265,16 @@ def test_exact_mode_rejects_decimals():
         (lambda t: t + "\n[options]\ntolerance = 0.5\n", r"line \d+: tolerance needs numeric = float"),
         (lambda t: t.replace("L = 1 1 2 4 4 4 3 3",
                              "L = 1 1 2 4 4 4 3 3\nnode1 = 1 1 1 2 2 2 2 2"), "not both"),
+        # a float entry must be finite: a nan one used to yield verdicts
+        (lambda t: t.replace("A1 = 1 2 -1", "A1 = nan 2 -1") + FLOAT_OPTIONS, r"line \d+: 'nan' is not a finite"),
+        (lambda t: t.replace("A1 = 1 2 -1", "A1 = -inf 2 -1") + FLOAT_OPTIONS, r"line \d+: '-inf' is not a finite"),
+        (lambda t: t.replace("A1 = 1 2 -1", "A1 = 1e400 2 -1") + FLOAT_OPTIONS, r"line \d+: '1e400' is not a finite"),
+        # one duplicate-key rule for every section; the last value used to win here
+        (lambda t: t + "\n[options]\nnumeric = exact\nnumeric = float\n",
+         r"line \d+: duplicate key 'numeric' in \[options\]"),
+        # refused before N and M are derived from them
+        (lambda t: t.replace("k = 2", "k = 1"), r"line \d+: k must be >= 2"),
+        (lambda t: t.replace("state_nodes = 2", "state_nodes = -1"), r"line \d+: state_nodes must be >= 0"),
     ],
 )
 def test_diagnostics(mangle, fragment):
@@ -242,3 +306,5 @@ signal = 1 2 2 1
         loads(base.replace("signal = 1 2 2 1", ""))
     with pytest.raises(ParseError, match="need truth tables"):
         loads(base.replace("state_nodes = 1", "state_nodes = 2"))
+    with pytest.raises(ParseError, match=r"line \d+: node1 contains 3, outside 1\.\.2"):
+        loads(base.replace("node1 = 1 2 2 1", "node1 = 1 3 2 1"))
