@@ -17,19 +17,25 @@ to representatives of a disjoint control-attractor cover (states whose
 basins cover the whole state space); strict mode checks all N states
 instead. Searches run breadth-first in the horizon T (default bound:
 the linear state dimension n) and depth-first, lexicographically within
-each T, folding each input prefix once for all checked states; the
-reported witness is the shortest, lexicographically first one. A search
-refuses (BudgetExceededError) a horizon that kalman_oracle's default
-enumeration budget would refuse, just before walking it.
+each T; the reported witness is the shortest, lexicographically first
+one. A search refuses (BudgetExceededError) a horizon that kalman_oracle's
+default enumeration budget would refuse, just before walking it.
+
+The fold reads the linear part only through the switching signal: the
+merged block at (gamma, theta', theta) holds the matrices of the mode
+sigma = R(gamma, theta), so (R, D) after a prefix depends on the mode
+sequence it induces alone. A walk therefore folds each mode sequence once,
+however many checked states, input prefixes and horizons induce it, and
+carries per checked state only its logical state and mode sequence.
 
 The walk is shared: a merged system keeps one lazily advanced walk per
 tuple of checked states, and every leaf it reaches is judged for both
 properties of its side. A query reads the walk's record and advances
 the walk only as far as it still needs, so the two checks of a side and
-the feasible list fold each (state, prefix) of a horizon at most once.
-Neither judgment runs an elimination (the span's rank and canonical
-basis settle both), so a lone query adds little to its folds by also
-judging the property it does not ask for.
+the feasible list fold each mode sequence at most once. Neither judgment
+runs an elimination (the span's rank and canonical basis settle both),
+so a lone query adds little to its folds by also judging the property it
+does not ask for.
 """
 
 from __future__ import annotations
@@ -117,32 +123,44 @@ def switching_trajectory(
     return tuple(sigmas), tuple(thetas)
 
 
-def _start(ms, alpha):
-    """Walk state before any input: (alpha, empty span, identity chain)."""
+def _start(ms):
+    """Fold of the empty mode sequence: (empty span, identity chain)."""
     n, mode = ms.sls.n, ms.sls.mode_flag
-    return alpha, Subspace(Matrix.zeros(n, 0, mode)), Matrix.identity(n, mode)
+    return Subspace(Matrix.zeros(n, 0, mode)), Matrix.identity(n, mode)
 
 
-def _step(ms, state, gamma):
-    """Advance a walk state (theta, span, chain) by input gamma through
-    block (theta', theta) of slice gamma; the merged system's type picks
-    the primal or the dual recurrence."""
-    theta, span, chain = state
-    theta_next, _ = step(ms.net, gamma, theta)
-    block = (gamma, theta_next, theta)
+def _step(ms, fold, block):
+    """Advance a fold (span, chain) through the merged block (gamma, theta',
+    theta); the merged system's type picks the primal or the dual
+    recurrence."""
+    span, chain = fold
     g, h = ms.g_blocks[block], ms.h_blocks[block]
     if isinstance(ms, DualMergedSystem):
-        return theta_next, column_space(hstack([span.basis, chain @ h])), chain @ g
-    return theta_next, column_space(hstack([g @ span.basis, h])), g @ chain
+        return column_space(hstack([span.basis, chain @ h])), chain @ g
+    return column_space(hstack([g @ span.basis, h])), g @ chain
+
+
+def _advance(ms, memo, state, gamma):
+    """Advance a walk state (theta, sigmas) by input gamma. Block (gamma,
+    theta', theta) holds the matrices of the mode sigma that R selects
+    there, so the fold depends on the mode sequence alone: memo maps each
+    mode sequence to its fold, and a new one is folded once, from its
+    parent's."""
+    theta, sigmas = state
+    theta_next, sigma = step(ms.net, gamma, theta)
+    key = sigmas + (sigma,)
+    if key not in memo:
+        memo[key] = _step(ms, memo[sigmas], (gamma, theta_next, theta))
+    return theta_next, key
 
 
 def _fold(ms, alpha, gammas) -> ReachableSet:
     if not gammas:
         raise ValueError("need at least one logical input")
-    state = _start(ms, alpha)
+    memo, state = {(): _start(ms)}, (alpha, ())
     for gamma in gammas:
-        state = _step(ms, state, gamma)
-    return ReachableSet(alpha, tuple(gammas), state[1], state[0])
+        state = _advance(ms, memo, state, gamma)
+    return ReachableSet(alpha, tuple(gammas), memo[state[1]][0], state[0])
 
 
 def reachable_set(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
@@ -159,24 +177,29 @@ def dual_reachable_set(dms: DualMergedSystem, alpha: int, gammas: Sequence[int])
 
 def _candidates(ms, alphas):
     """Yield every input sequence in search order, horizon 1, 2, ... and
-    lexicographic within each, with the walk state of each checked alpha
-    after it; the stream does not end.
+    lexicographic within each, with the fold (span, chain) of each checked
+    alpha after it; the stream does not end.
 
     A depth-first walk of the input tree that holds only the current
-    path: path[d] maps alpha to its state after the first d inputs. The
-    next sequence in lexicographic order raises one input and resets all
-    later ones to 1, so it shares every input before its last non-1 input
-    with the sequence before it, and only the rest is folded. A new
-    horizon starts again from the root.
+    path: path[d] maps alpha to its walk state (theta, sigmas) after the
+    first d inputs. The next sequence in lexicographic order raises one
+    input and resets all later ones to 1, so it shares every input before
+    its last non-1 input with the sequence before it, and only the rest is
+    advanced. A new horizon starts again from the root. The folds live in
+    one memo for the whole stream, keyed by mode sequence, so each mode
+    sequence is folded once however many checked states, prefixes and
+    horizons induce it; the depth-first order reaches a prefix before its
+    extensions, so a new sequence always finds its parent's fold.
     """
-    path = [{a: _start(ms, a) for a in alphas}]
+    memo = {(): _start(ms)}
+    path = [{a: (a, ()) for a in alphas}]
     for horizon in itertools.count(1):
         for gammas in itertools.product(range(1, ms.net.M + 1), repeat=horizon):
             shared = max((d for d, g in enumerate(gammas) if g != 1), default=0)
             del path[shared + 1:]
             for gamma in gammas[shared:]:
-                path.append({a: _step(ms, s, gamma) for a, s in path[-1].items()})
-            yield gammas, path[-1]
+                path.append({a: _advance(ms, memo, s, gamma) for a, s in path[-1].items()})
+            yield gammas, {a: memo[sigmas] for a, (_, sigmas) in path[-1].items()}
 
 
 class _Walk:
@@ -191,7 +214,8 @@ class _Walk:
     to the end, left the leaves still to walk in horizon done + 1. A full
     span holds every chain, so kind 1 holds no later than kind 0, and no
     query walks past the end of kind 0's level T. Records only grow, and
-    pull holds the lock, so threads may share a walk.
+    pull holds the lock, so threads may share a walk. The stream holds the
+    memo of folds by mode sequence, so a restart drops it too.
     """
 
     __slots__ = ("ms", "checked", "lock", "stream", "done", "left", "found", "best")
@@ -223,20 +247,20 @@ class _Walk:
                     raise
             return self.found, self.best
 
-    def _judge(self, gammas, states):
+    def _judge(self, gammas, folds):
         n, horizon = self.ms.sls.n, len(gammas)
         for k, best in enumerate(self.best):
             hit = self.found[k]
             if hit is None:
-                details = {a: _detail(k, n, s) for a, s in states.items()}
+                details = {a: _detail(k, n, fold) for a, fold in folds.items()}
                 score = sum(d.holds for d in details.values())
                 if len(best) < horizon:
                     best.append((-1, None))
-                if score == len(states):
+                if score == len(folds):
                     self.found[k] = (horizon, gammas, details, [gammas])
                 elif score > best[-1][0]:
                     best[-1] = (score, details)
-            elif k == 0 and all(s[1].rank == n for s in states.values()):
+            elif k == 0 and all(span.rank == n for span, _ in folds.values()):
                 hit[3].append(gammas)
         self.left -= 1
         if not self.left:
@@ -291,10 +315,10 @@ def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
     return bound
 
 
-def _detail(kind: int, n: int, state) -> AlphaDetail:
+def _detail(kind: int, n: int, fold) -> AlphaDetail:
     """Span rank, and whether the property holds: full span (kind 0), or
     im chain in the span (kind 1), which a full span settles at once."""
-    _, span, chain = state
+    span, chain = fold
     full = span.rank == n
     return AlphaDetail(span.rank, full if kind == 0 else full or span.contains_vector(chain))
 

@@ -88,6 +88,10 @@ class SystemDescription:
             raise ValueError(f"{self.sls.q} modes but the logic signal range is {self.net.q}")
         if any(mat.mode != context for triple in self.sls.modes for mat in triple):
             raise ValueError(f"every matrix must carry the context {context} that the options name")
+        if context.tol is not None and not all(
+            math.isfinite(x) for triple in self.sls.modes for mat in triple for row in mat.entries for x in row
+        ):
+            raise ValueError("every float matrix entry must be finite")
 
 
 def _fail(lineno: int | None, message: str):
@@ -216,24 +220,26 @@ def _build_net(logic: _Section) -> LogicalNetwork:
     n_nodes = logic.integer("state_nodes", 0)
     m_nodes = logic.integer("input_nodes", 0)
     q = logic.integer("q", 1) if "q" in logic else 1
-    n_states = k**n_nodes
-    width = n_states * k**m_nodes
 
-    # either form is checked against width before anything of that width is built
-    node_keys = sorted(key for key in logic if key.startswith("node"))
+    # either form is checked against width before anything of that width is built;
+    # node<i> keys sort by length first, so node10 comes after node9
+    node_keys = sorted((key for key in logic if key.startswith("node")), key=lambda key: (len(key), key))
     if node_keys:
         if "l" in logic:
             _fail(logic["l"][0], "give either L or per-node truth tables, not both")
-        expected = [f"node{i}" for i in range(1, n_nodes + 1)]
-        if node_keys != expected:
-            _fail(None, f"need truth tables {expected}, got {node_keys}")
-        tables = [logic.indices(key, width, k) for key in expected]
+        # the count first, so a huge state_nodes builds no list of names
+        if len(node_keys) != n_nodes or node_keys != [f"node{i}" for i in range(1, n_nodes + 1)]:
+            _fail(None, f"need truth tables node1 to node{n_nodes}, got {node_keys}")
+    elif "l" not in logic:
+        _fail(None, "[logic] needs either L or per-node truth tables")
+    width = _width(logic, k, n_nodes + m_nodes)
+    n_states = k**n_nodes
+    if node_keys:
+        tables = [logic.indices(key, width, k) for key in node_keys]
         signal_key, signal_name = "signal", "signal table"
-    elif "l" in logic:
+    else:
         l_cols = logic.indices("L", width, n_states)
         signal_key = signal_name = "R"
-    else:
-        _fail(None, "[logic] needs either L or per-node truth tables")
 
     if signal_key.lower() in logic:
         signal = logic.indices(signal_key, width, q)
@@ -244,6 +250,24 @@ def _build_net(logic: _Section) -> LogicalNetwork:
     if node_keys:
         return build_from_functions(k, n_nodes, m_nodes, tables, signal, q=q)
     return LogicalNetwork(k, n_nodes, m_nodes, LogicalMatrix(n_states, l_cols), LogicalMatrix(q, signal))
+
+
+def _width(logic: _Section, k: int, exponent: int) -> int:
+    """k**exponent, the entry count of every list. A width past the entries
+    on the longest list line is refused on that line before it is computed,
+    so no length message prints a number too long to write."""
+    key = max(
+        (key for key in logic if key in ("l", "r", "signal") or key.startswith("node")),
+        key=lambda key: len(logic[key][1].split()),
+    )
+    lineno, value = logic[key]
+    most, width = len(value.split()), 1
+    for _ in range(exponent):
+        width *= k
+        if width > most:
+            name = key.upper() if len(key) == 1 else key
+            _fail(lineno, f"{name} has {most} entries, expected k**(state_nodes + input_nodes) = {k}**{exponent}")
+    return width
 
 
 def _build_sls(modes: _Section, context: Numeric, q: int) -> SwitchedLinearSystem:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slsnet.algebra import Matrix, Numeric, column_space, rank, subspace_is_full
+from slsnet.algebra import Matrix, Numeric, column_space, hstack, rank, subspace_is_full
 from slsnet import analysis
 from slsnet.analysis import (
     _resolve_alphas,
@@ -33,7 +33,7 @@ from slsnet.analysis import (
     switching_trajectory,
 )
 from slsnet.fileio import loads
-from slsnet.lcn import LogicalNetwork, build_from_functions
+from slsnet.lcn import LogicalNetwork, build_from_functions, step
 from slsnet.oracle import (
     controllability_matrix,
     enumerate_switching_sequences,
@@ -290,7 +290,8 @@ def _assert_context(merged, mode):
     assert {b.mode for b in blocks} == {mode}
     for alpha in range(1, merged.net.N + 1):
         for gamma in range(1, merged.net.M + 1):
-            _, span, chain = _step(merged, _start(merged, alpha), gamma)
+            theta_next, _ = step(merged.net, gamma, alpha)
+            span, chain = _step(merged, _start(merged), (gamma, theta_next, alpha))
             assert (span.mode, span.basis.mode, chain.mode) == (mode, mode, mode)
 
 
@@ -403,11 +404,14 @@ def _count_folds(monkeypatch):
     return counter
 
 
-def test_shared_walk_folds_each_prefix_once(monkeypatch):
+def test_shared_walk_folds_each_mode_sequence_once(monkeypatch):
     # Worked system, strict: every property holds at T = 3 with 4 checked
-    # states and M = 2. A horizon-h pass folds each prefix of length 1..h
-    # once per state, so walking horizons 1..3 takes 4 * (2 + 6 + 14) = 88
-    # folds, however many queries share the walk.
+    # states, M = 2 inputs and q = 2 modes. The fold depends on the induced
+    # mode sequence alone, and a walk folds each one once, whatever checked
+    # states, prefixes and horizons induce it. Horizons 1..3 induce all
+    # 2 + 4 + 8 = 14 mode sequences, however many queries share the walk.
+    # Each count is also bounded by one fold per (state, prefix) of every
+    # horizon walked: 4 * (2 + 6 + 14) = 88 here.
     folds = _count_folds(monkeypatch)
     sls = golden_sls()
     ms = merge(sls, NET)
@@ -415,27 +419,95 @@ def test_shared_walk_folds_each_prefix_once(monkeypatch):
     c = check_controllability(ms, strict=True)
     found = feasible_input_sequences(ms, r.T, strict=True)
     assert (r.T, c.T, [f.gammas for f in found]) == (3, 3, [(1, 2, 2), (2, 2, 2)])
-    assert folds[0] == 88
+    assert folds[0] == 14 <= 88
     folds[0] = 0
     dms = merge_dual(sls, NET)
     o = check_observability(dms, strict=True)
     k = check_reconstructibility(dms, strict=True)
     assert (o.witness, k.witness) == ((1, 2, 1), (1, 2, 1))
     # both dual properties hold first at (1, 2, 1), the third leaf of
-    # horizon 3, whose pass stops there after 6 folds per state
-    assert folds[0] == 4 * (2 + 6 + 6)
+    # horizon 3, where the walk stops: two length-3 mode sequences are
+    # not induced yet (bound: 4 * (2 + 6 + 6) = 56)
+    assert folds[0] == 12 <= 56
     # a lone query folds what a walk of its own folds: up to its witness,
-    # or, for the feasible list, to the end of its horizon
-    for call, merged, expected in (
-        (lambda m: check_reachability(m, strict=True), merge, 60),
-        (lambda m: check_controllability(m, strict=True), merge, 60),
-        (lambda m: feasible_input_sequences(m, 3, strict=True), merge, 88),
-        (lambda m: check_observability(m, strict=True), merge_dual, 56),
-        (lambda m: check_reconstructibility(m, strict=True), merge_dual, 56),
+    # or, for the feasible list, to the end of its horizon (each beside its
+    # bound of one fold per (state, prefix) of every horizon walked)
+    for call, merged, expected, bound in (
+        (lambda m: check_reachability(m, strict=True), merge, 13, 60),
+        (lambda m: check_controllability(m, strict=True), merge, 13, 60),
+        (lambda m: feasible_input_sequences(m, 3, strict=True), merge, 14, 88),
+        (lambda m: check_observability(m, strict=True), merge_dual, 12, 56),
+        (lambda m: check_reconstructibility(m, strict=True), merge_dual, 12, 56),
     ):
         folds[0] = 0
         call(merged(sls, NET))
-        assert folds[0] == expected
+        assert folds[0] == expected <= bound
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_memoised_folds_match_unshared_folds(seed, rational):
+    # The walk folds each mode sequence once and hands the memoised fold to
+    # every (checked state, prefix) that induces it. At every leaf of
+    # horizons 1..n, for every checked state, that fold's span must equal
+    # an unshared fold of the prefix from that state alone, and judge the
+    # drift's containment the same way as a rank test on it. Same draws as
+    # test_verdicts_match_oracle; both sides, strict, cover and explicit
+    # checked states.
+    rng = random.Random(seed)
+    sls = random_system(rng, denominators=(1, 4) if rational else None)
+    shapes = [(nn, mm) for nn in (1, 2) for mm in (0, 1, 2) if 2 ** (nn + mm) >= sls.q]
+    n_nodes, m_nodes = rng.choice(shapes)
+    net = random_net_for(rng, sls.q, n_nodes=n_nodes, m_nodes=m_nodes)
+    explicit = tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))
+    leaves = sum(net.M**t for t in range(1, sls.n + 1))
+    for system in (sls, _float_copy(sls)):
+        for merged, transpose in ((merge(system, net), False), (merge_dual(system, net), True)):
+            unshared = {}
+
+            def alone(alpha, gammas):
+                span = analysis._fold(merged, alpha, gammas).span
+                drift = mode_chain(switching_trajectory(net, alpha, gammas)[0], system)
+                drift = drift.transpose() if transpose else drift
+                return span, rank(hstack([span.basis, drift])) == span.rank
+
+            for strict, alphas in ((True, None), (False, None), (False, explicit)):
+                checked = _resolve_alphas(net, strict, alphas)
+                for gammas, folds in itertools.islice(analysis._candidates(merged, checked), leaves):
+                    assert set(folds) == set(checked)
+                    for alpha, (span, chain) in folds.items():
+                        if (alpha, gammas) not in unshared:
+                            unshared[alpha, gammas] = alone(alpha, gammas)
+                        ref, contained = unshared[alpha, gammas]
+                        tag = (gammas, alpha, transpose, strict, alphas, system.mode_flag, seed)
+                        assert span == ref, tag
+                        assert (span.rank, span.contains_vector(chain)) == (ref.rank, contained), tag
+
+
+def test_column_space_runs_once_per_mode_sequence(monkeypatch):
+    # Worked system, strict: the 4 states and the prefixes of lengths 1..3
+    # make 56 (state, prefix) pairs, and many induce the same modes. The
+    # feasible list walks all of them, in horizons 1..3, running one
+    # elimination per distinct mode sequence, counted here from the network
+    # alone.
+    calls = [0]
+    original = analysis.column_space
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    monkeypatch.setattr(analysis, "column_space", counted)
+    pairs = [
+        (alpha, gammas)
+        for alpha in range(1, NET.N + 1)
+        for t in (1, 2, 3)
+        for gammas in itertools.product((1, 2), repeat=t)
+    ]
+    sequences = {switching_trajectory(NET, a, g)[0] for a, g in pairs}
+    assert len(pairs) == 56
+    feasible_input_sequences(merge(golden_sls(), NET), 3, strict=True)
+    assert calls[0] == len(sequences) == 14
 
 
 def test_cover_built_once_per_merged_system(monkeypatch):

@@ -170,16 +170,22 @@ def test_every_description_that_builds_round_trips(seed):
     tolerance = rng.choice([None, None, 1e-6, 1e-9]) if numeric == "float" else rng.choice([None] * 5 + [0.5])
     context = EXACT if numeric == "exact" else Numeric(tolerance or 1e-9)
     t_max = rng.choice([None, None, 1, 3, 0])
-    sls = None
+    sls, finite = None, True
     if rng.random() < 0.8:
         base = random_system(rng, denominators=rng.choice([None, (1, 5)]))
         matrices = rng.choice([context] * 4 + [EXACT, Numeric(1e-9), Numeric(1e-6)])
-        sls = SwitchedLinearSystem([tuple(Matrix(m.entries, matrices) for m in triple) for triple in base.modes])
+        modes = [[[list(row) for row in m.entries] for m in triple] for triple in base.modes]
+        if matrices.tol is not None and rng.random() < 0.3:
+            # a non-finite entry, which loads refuses, anywhere in any matrix
+            grid = rng.choice(rng.choice(modes))
+            rng.choice(grid)[0] = rng.choice([float("nan"), float("inf"), float("-inf")])
+            finite = False
+        sls = SwitchedLinearSystem([tuple(Matrix(m, matrices) for m in triple) for triple in modes])
     net = random_net_for(rng, rng.choice([sls.q if sls else 1] * 5 + [1, 2, 3]))
     builds = (
         (numeric == "float" or tolerance is None)
         and (t_max is None or t_max >= 1)
-        and (sls is None or (sls.q == net.q and sls.mode_flag == context))
+        and (sls is None or (sls.q == net.q and sls.mode_flag == context and finite))
     )
     try:
         desc = SystemDescription(net, sls, numeric, tolerance, t_max)
@@ -209,6 +215,16 @@ q = 2
 signal = 2 2 1 1 1 2 2 1
 """
     assert loads(tables).net == golden_net()
+
+
+def test_truth_tables_with_ten_state_nodes():
+    # node10 sorts before node2 as text; the tables are matched in numeric order
+    rng = random.Random(10)
+    tables = [[rng.randint(1, 2) for _ in range(2**10)] for _ in range(10)]
+    lines = "\n".join(f"node{i} = {' '.join(map(str, t))}" for i, t in enumerate(tables, start=1))
+    net = loads(f"[logic]\nk = 2\nstate_nodes = 10\ninput_nodes = 0\n{lines}\n").net
+    assert net.N == 1024
+    assert net == build_from_functions(2, 10, 0, tables)
 
 
 def test_truth_table_builder_agreement():
@@ -275,6 +291,9 @@ def test_exact_mode_rejects_decimals():
         # refused before N and M are derived from them
         (lambda t: t.replace("k = 2", "k = 1"), r"line \d+: k must be >= 2"),
         (lambda t: t.replace("state_nodes = 2", "state_nodes = -1"), r"line \d+: state_nodes must be >= 0"),
+        # a width too long to print is refused on a line, and never computed
+        (lambda t: "[logic]\nk = 2\nstate_nodes = 20000\ninput_nodes = 0\nL = 1 2\n",
+         r"line 5: L has 2 entries, expected k\*\*\(state_nodes \+ input_nodes\) = 2\*\*20000"),
     ],
 )
 def test_diagnostics(mangle, fragment):
