@@ -24,28 +24,26 @@ default enumeration budget would refuse, just before walking it.
 The fold reads the linear part only through the switching signal: the
 merged block at (gamma, theta', theta) holds the matrices of the mode
 sigma = R(gamma, theta), so (R, D) after a prefix depends on the mode
-sequence it induces alone. A walk therefore folds each mode sequence once,
-however many checked states, input prefixes and horizons induce it, and
-carries per checked state only its logical state and mode sequence.
+sequence it induces alone. A merged system therefore keeps one memo,
+mode sequence -> (R, D), and a walk carries per checked state only its
+logical state and mode sequence.
 
-The walk is shared: a merged system keeps one lazily advanced walk per
-tuple of checked states, and every leaf it reaches is judged for both
-properties of its side. A query reads the walk's record and advances
-the walk only as far as it still needs, so the two checks of a side and
-the feasible list fold each mode sequence at most once. Neither judgment
-runs an elimination (the span's rank and canonical basis settle both),
-so a lone query adds little to its folds by also judging the property it
-does not ask for.
+Every query runs its own search over that memo: each horizon's input
+sequences are walked depth-first, each prefix advanced once from its
+parent, and each distinct mode sequence met is judged once per query.
+Queries share only the memo, so the two checks of a side, the feasible
+list and any later query on the same merged system fold each mode
+sequence at most once, whatever the checked states and in any order, and
+no verdict depends on what was asked before. Neither judgment runs an
+elimination: the span's rank and canonical basis settle both.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Matrix, Subspace, column_space, hstack, rank as matrix_rank, vstack
+from .algebra import Subspace, column_space, hstack, rank as matrix_rank, vstack
 from .lcn import LogicalNetwork, control_attractors, step
 from .oracle import (
     EnumerationBudget,
@@ -55,7 +53,7 @@ from .oracle import (
     mode_chain,
     observability_matrix,
 )
-from .sls import DualMergedSystem, MergedSystem
+from .sls import DualMergedSystem, MergedSystem, _start
 
 PROPERTIES = ("reachability", "controllability", "observability", "reconstructibility")
 
@@ -110,8 +108,7 @@ def switching_trajectory(
     net: LogicalNetwork, alpha: int, gammas: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Replay the network: returns (sigmas, thetas) with thetas[0] = alpha."""
-    if not 1 <= alpha <= net.N:
-        raise ValueError(f"initial state {alpha} outside 1..{net.N}")
+    _check_state(net, alpha)
     if not gammas:
         raise ValueError("need at least one logical input")
     thetas = [alpha]
@@ -121,12 +118,6 @@ def switching_trajectory(
         thetas.append(theta_next)
         sigmas.append(sigma)
     return tuple(sigmas), tuple(thetas)
-
-
-def _start(ms):
-    """Fold of the empty mode sequence: (empty span, identity chain)."""
-    n, mode = ms.sls.n, ms.sls.mode_flag
-    return Subspace(Matrix.zeros(n, 0, mode)), Matrix.identity(n, mode)
 
 
 def _step(ms, fold, block):
@@ -155,6 +146,7 @@ def _advance(ms, memo, state, gamma):
 
 
 def _fold(ms, alpha, gammas) -> ReachableSet:
+    _check_state(ms.net, alpha)
     if not gammas:
         raise ValueError("need at least one logical input")
     memo, state = {(): _start(ms)}, (alpha, ())
@@ -175,136 +167,67 @@ def dual_reachable_set(dms: DualMergedSystem, alpha: int, gammas: Sequence[int])
     return _fold(dms, alpha, gammas)
 
 
-def _candidates(ms, alphas):
-    """Yield every input sequence in search order, horizon 1, 2, ... and
-    lexicographic within each, with the fold (span, chain) of each checked
-    alpha after it; the stream does not end.
+def _candidates(ms, alphas, horizon):
+    """Yield one horizon's input sequences in lexicographic order, each with
+    the walk state (theta, sigmas) of every checked alpha after it.
 
-    A depth-first walk of the input tree that holds only the current
-    path: path[d] maps alpha to its walk state (theta, sigmas) after the
-    first d inputs. The next sequence in lexicographic order raises one
-    input and resets all later ones to 1, so it shares every input before
-    its last non-1 input with the sequence before it, and only the rest is
-    advanced. A new horizon starts again from the root. The folds live in
-    one memo for the whole stream, keyed by mode sequence, so each mode
-    sequence is folded once however many checked states, prefixes and
-    horizons induce it; the depth-first order reaches a prefix before its
-    extensions, so a new sequence always finds its parent's fold.
+    A depth-first walk of the input tree: each prefix is advanced once,
+    from its parent's walk states, through the merged system's fold memo,
+    so a new mode sequence always finds its parent's fold there.
     """
-    memo = {(): _start(ms)}
-    path = [{a: (a, ()) for a in alphas}]
-    for horizon in itertools.count(1):
-        for gammas in itertools.product(range(1, ms.net.M + 1), repeat=horizon):
-            shared = max((d for d, g in enumerate(gammas) if g != 1), default=0)
-            del path[shared + 1:]
-            for gamma in gammas[shared:]:
-                path.append({a: _advance(ms, memo, s, gamma) for a, s in path[-1].items()})
-            yield gammas, {a: memo[sigmas] for a, (_, sigmas) in path[-1].items()}
+    memo, inputs = ms._folds, range(1, ms.net.M + 1)
 
+    def below(prefix, states):
+        if len(prefix) == horizon:
+            yield prefix, states
+            return
+        for gamma in inputs:
+            yield from below(prefix + (gamma,), [_advance(ms, memo, s, gamma) for s in states])
 
-class _Walk:
-    """The shared walk of one merged system over one tuple of checked states.
-
-    A leaf is judged for both kinds of property: kind 0, the span is full
-    (reachability, observability), and kind 1, im chain lies in the span
-    (controllability, reconstructibility). Per kind, found holds (T,
-    witness, details, every full-span sequence of level T; kind 0 only)
-    once the kind holds, and best holds, per horizon walked before that,
-    the first highest-scoring details. done counts the horizons walked
-    to the end, left the leaves still to walk in horizon done + 1. A full
-    span holds every chain, so kind 1 holds no later than kind 0, and no
-    query walks past the end of kind 0's level T. Records only grow, and
-    pull holds the lock, so threads may share a walk. The stream holds the
-    memo of folds by mode sequence, so a restart drops it too.
-    """
-
-    __slots__ = ("ms", "checked", "lock", "stream", "done", "left", "found", "best")
-
-    def __init__(self, ms, checked):
-        self.ms, self.checked, self.lock = ms, checked, threading.Lock()
-        self.restart()
-
-    def restart(self):
-        self.stream = _candidates(self.ms, self.checked)
-        self.done, self.left, self.found, self.best = 0, 0, [None, None], ([], [])
-
-    def pull(self, kind, t_max):
-        """Advance until kind holds (never, for kind None) or horizon t_max
-        is walked, refusing each horizon past the enumeration budget before
-        its first leaf; returns the records (found, best), which a restart
-        replaces but never clears."""
-        net = self.ms.net
-        with self.lock:
-            while self.done < t_max and (kind is None or self.found[kind] is None):
-                if not self.left:
-                    enforce_budget(net, self.done + 1)
-                    self.left = net.M ** (self.done + 1)
-                try:
-                    self._judge(*next(self.stream))
-                except BaseException:
-                    # a spent generator or a half-judged leaf: start again
-                    self.restart()
-                    raise
-            return self.found, self.best
-
-    def _judge(self, gammas, folds):
-        n, horizon = self.ms.sls.n, len(gammas)
-        for k, best in enumerate(self.best):
-            hit = self.found[k]
-            if hit is None:
-                details = {a: _detail(k, n, fold) for a, fold in folds.items()}
-                score = sum(d.holds for d in details.values())
-                if len(best) < horizon:
-                    best.append((-1, None))
-                if score == len(folds):
-                    self.found[k] = (horizon, gammas, details, [gammas])
-                elif score > best[-1][0]:
-                    best[-1] = (score, details)
-            elif k == 0 and all(span.rank == n for span, _ in folds.values()):
-                hit[3].append(gammas)
-        self.left -= 1
-        if not self.left:
-            self.done = horizon
-
-
-def _walk(ms, strict, alphas) -> _Walk:
-    """The merged system's shared walk over the resolved checked states,
-    memoized by the request too, so a request resolves (and the attractor
-    cover is built) once per merged system. A request key (strict, alphas)
-    never equals a tuple of state indices."""
-    request = (strict, None if alphas is None else tuple(alphas))
-    walk = ms._walks.get(request)
-    if walk is None:
-        checked = _resolve_alphas(ms.net, strict, alphas)
-        walk = ms._walks.get(checked) or _Walk(ms, checked)
-        ms._walks[request] = ms._walks[checked] = walk
-    return walk
+    return below((), [(a, ()) for a in alphas])
 
 
 # ---------------------------------------------------------------------------
 # Property checks
 # ---------------------------------------------------------------------------
 
+def _check_state(net: LogicalNetwork, alpha) -> int:
+    """An initial logical state: an int (not a bool) in 1..N."""
+    if isinstance(alpha, bool) or not isinstance(alpha, int):
+        raise ValueError(f"initial state {alpha!r} is not an integer")
+    if not 1 <= alpha <= net.N:
+        raise ValueError(f"initial state {alpha} outside 1..{net.N}")
+    return alpha
+
+
 def _resolve_alphas(
     net: LogicalNetwork, strict: bool, alphas: Sequence[int] | None
 ) -> tuple[int, ...]:
-    """Checked initial states: the given ones, which must be distinct and in
-    1..N; otherwise all N states (strict) or the control-attractor cover."""
+    """Checked initial states: the given ones, which must be distinct
+    integers in 1..N; otherwise all N states (strict) or the
+    control-attractor cover."""
     if strict and alphas is not None:
         raise ValueError("give either strict or explicit initial states, not both")
     if alphas is not None:
-        out = tuple(int(a) for a in alphas)
+        out = tuple(_check_state(net, a) for a in alphas)
         if not out:
             raise ValueError("no initial states to check")
         for i, a in enumerate(out):
-            if not 1 <= a <= net.N:
-                raise ValueError(f"initial state {a} outside 1..{net.N}")
             if a in out[:i]:
                 raise ValueError(f"initial state {a} given twice")
         return out
     if strict:
         return tuple(range(1, net.N + 1))
     return control_attractors(net).checked_states()
+
+
+def _checked(ms, strict: bool, alphas: Sequence[int] | None) -> tuple[int, ...]:
+    """The resolved checked states; the cover is built once per merged system."""
+    if strict or alphas is not None:
+        return _resolve_alphas(ms.net, strict, alphas)
+    if ms._cover is None:
+        object.__setattr__(ms, "_cover", _resolve_alphas(ms.net, False, None))
+    return ms._cover
 
 
 def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
@@ -323,23 +246,30 @@ def _detail(kind: int, n: int, fold) -> AlphaDetail:
     return AlphaDetail(span.rank, full if kind == 0 else full or span.contains_vector(chain))
 
 
-def _verdict(walk: _Walk, prop: str, t_max: int) -> PropertyVerdict:
+def _search(ms, prop, t_max, strict, alphas, name="t_max") -> PropertyVerdict:
     """Breadth-first in T, lexicographic in the input tuple; one sequence
-    must pass at every checked alpha. Read from the walk's record,
-    advancing the walk as far as needed."""
-    kind = PROPERTIES.index(prop) % 2
-    found, best = walk.pull(kind, t_max)
-    hit = found[kind]
-    if hit is not None and hit[0] <= t_max:
-        return PropertyVerdict(prop, True, hit[1], hit[0], dict(hit[2]), walk.checked)
-    _, details = max(best[kind][:t_max], key=lambda b: b[0])
-    return PropertyVerdict(prop, False, None, t_max, dict(details), walk.checked)
-
-
-def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
-    """One property search on the merged system's shared walk."""
-    walk = _walk(ms, strict, alphas)
-    return _verdict(walk, prop, _horizon(t_max, ms.sls.n))
+    must pass at every checked alpha. Each distinct mode sequence is judged
+    once per query, however many (sequence, checked state) pairs induce it;
+    without a witness, per_alpha is the first highest-scoring sequence's."""
+    checked = _checked(ms, strict, alphas)
+    t_max = _horizon(t_max, ms.sls.n, name)
+    kind, n, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms._folds
+    judged, best, best_score = {}, None, -1
+    for horizon in range(1, t_max + 1):
+        enforce_budget(ms.net, horizon)
+        for gammas, states in _candidates(ms, checked, horizon):
+            details = []
+            for _, sigmas in states:
+                detail = judged.get(sigmas)
+                if detail is None:
+                    detail = judged[sigmas] = _detail(kind, n, folds[sigmas])
+                details.append(detail)
+            score = sum(d.holds for d in details)
+            if score == len(checked):
+                return PropertyVerdict(prop, True, gammas, horizon, dict(zip(checked, details)), checked)
+            if score > best_score:
+                best, best_score = details, score
+    return PropertyVerdict(prop, False, None, t_max, dict(zip(checked, best)), checked)
 
 
 def check_reachability(
@@ -393,18 +323,19 @@ def feasible_input_sequences(
     alphas: Sequence[int] | None = None,
 ) -> list[FeasibleSequence]:
     """All input sequences achieving full reachable span at every checked
-    state, at the first length where any sequence succeeds. The list is
-    read from the shared walk: the reachability verdict for k_max, then
-    the rest of its level T (the witness is the first full-span sequence
-    there), in search order."""
-    walk = _walk(ms, strict, alphas)
-    verdict = _verdict(walk, "reachability", _horizon(k_max, ms.sls.n, "k_max"))
+    state, at the first length where any sequence succeeds, in search
+    order: the reachability verdict for k_max gives that length T, and a
+    second walk of level T, over folds the search already memoised up to
+    its witness, keeps every sequence whose span is full at every checked
+    state."""
+    verdict = _search(ms, "reachability", k_max, strict, alphas, "k_max")
     if not verdict.holds:
         return []
-    found, _ = walk.pull(None, verdict.T)
+    n, folds, checked = ms.sls.n, ms._folds, verdict.checked_alphas
     return [
-        FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in walk.checked})
-        for gammas in found[0][3]
+        FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in checked})
+        for gammas, states in _candidates(ms, checked, verdict.T)
+        if all(folds[sigmas][0].rank == n for _, sigmas in states)
     ]
 
 

@@ -162,7 +162,7 @@ def _cmd_analyze(args, desc, report) -> int:
     if desc.sls is None:
         raise ValueError("analysis needs a [modes] section")
     t_max = args.t_max if args.t_max is not None else desc.t_max
-    alphas = _int_list(args.alphas, "--alphas") if args.alphas else None
+    alphas = _int_list(args.alphas, "--alphas") if args.alphas is not None else None
     wanted = PROPERTIES if args.property == "all" else (args.property,)
     ms = merge(desc.sls, desc.net) if ("reachability" in wanted or "controllability" in wanted) else None
     dms = (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric
+from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Subspace
 from .lcn import LogicalNetwork, encode_pair, step
 
 
@@ -116,10 +116,16 @@ def _dense(blocks, net, gammas, rows_per_block, cols_per_block, numeric_mode):
     return Matrix(grid, numeric_mode)
 
 
+def _start(ms):
+    """Fold of the empty mode sequence: (empty span, identity chain)."""
+    n, mode = ms.sls.n, ms.sls.mode_flag
+    return Subspace(Matrix.zeros(n, 0, mode)), Matrix.identity(n, mode)
+
+
 class _MergedBase:
     """Shared storage/access for direct and dual merged systems."""
 
-    __slots__ = ("sls", "net", "g_blocks", "h_blocks", "_h_width", "_walks")
+    __slots__ = ("sls", "net", "g_blocks", "h_blocks", "_h_width", "_folds", "_cover")
 
     def __init__(self, sls, net, amats, bmats, h_width):
         if net.q != sls.q:
@@ -132,8 +138,13 @@ class _MergedBase:
         object.__setattr__(self, "g_blocks", g_blocks)
         object.__setattr__(self, "h_blocks", h_blocks)
         object.__setattr__(self, "_h_width", h_width)
-        # the property searches' shared input-tree walks, keyed by request and by checked states
-        object.__setattr__(self, "_walks", {})
+        # the property searches' one fold memo, mode sequence -> (span, chain),
+        # seeded with the empty sequence; every query on this merged system
+        # folds into it and reads from it. A fold depends on its mode sequence
+        # alone, so threads that fold one sequence at once store equal values.
+        object.__setattr__(self, "_folds", {(): _start(self)})
+        # the attractor cover's checked states, built on the first cover request
+        object.__setattr__(self, "_cover", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("merged systems are immutable")

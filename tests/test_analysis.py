@@ -74,6 +74,11 @@ def test_trajectory_rejects_bad_input():
         switching_trajectory(NET, 5, (1,))
     with pytest.raises(ValueError):
         switching_trajectory(NET, 1, ())
+    for alpha in (1.5, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            switching_trajectory(NET, alpha, (1,))
+        with pytest.raises(ValueError, match="not an integer"):
+            reachable_set(MS, alpha, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +243,12 @@ def test_invertible_modes_collapse_pairs():
 def test_alpha_validation():
     with pytest.raises(ValueError):
         check_reachability(MS, alphas=[0])
+    # a float or a bool is refused, not truncated to a state index
+    for bad in ([1.7, 2.2], [True]):
+        with pytest.raises(ValueError, match="not an integer"):
+            check_reachability(MS, alphas=bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            kalman_oracle(golden_sls(), NET, alphas=bad)
     with pytest.raises(ValueError):
         check_reachability(MS, alphas=[9])
     with pytest.raises(ValueError):
@@ -447,41 +458,45 @@ def test_shared_walk_folds_each_mode_sequence_once(monkeypatch):
 @given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_memoised_folds_match_unshared_folds(seed, rational):
-    # The walk folds each mode sequence once and hands the memoised fold to
-    # every (checked state, prefix) that induces it. At every leaf of
-    # horizons 1..n, for every checked state, that fold's span must equal
-    # an unshared fold of the prefix from that state alone, and judge the
-    # drift's containment the same way as a rank test on it. Same draws as
-    # test_verdicts_match_oracle; both sides, strict, cover and explicit
-    # checked states.
+    # The merged system folds each mode sequence once, into its one memo,
+    # and every (checked state, prefix) that induces it reads that fold. At
+    # every leaf of horizons 1..n, for every checked state, the memoised
+    # fold's span must equal an unshared fold of the prefix from that state
+    # alone (a fresh memo), and judge the drift's containment the same way
+    # as a rank test on it. Same draws as test_verdicts_match_oracle; both
+    # sides, strict, cover and explicit checked states.
     rng = random.Random(seed)
     sls = random_system(rng, denominators=(1, 4) if rational else None)
     shapes = [(nn, mm) for nn in (1, 2) for mm in (0, 1, 2) if 2 ** (nn + mm) >= sls.q]
     n_nodes, m_nodes = rng.choice(shapes)
     net = random_net_for(rng, sls.q, n_nodes=n_nodes, m_nodes=m_nodes)
     explicit = tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))
-    leaves = sum(net.M**t for t in range(1, sls.n + 1))
     for system in (sls, _float_copy(sls)):
         for merged, transpose in ((merge(system, net), False), (merge_dual(system, net), True)):
             unshared = {}
 
             def alone(alpha, gammas):
-                span = analysis._fold(merged, alpha, gammas).span
-                drift = mode_chain(switching_trajectory(net, alpha, gammas)[0], system)
+                fold = analysis._fold(merged, alpha, gammas)
+                sigmas = switching_trajectory(net, alpha, gammas)[0]
+                drift = mode_chain(sigmas, system)
                 drift = drift.transpose() if transpose else drift
-                return span, rank(hstack([span.basis, drift])) == span.rank
+                contained = rank(hstack([fold.span.basis, drift])) == fold.span.rank
+                return fold, sigmas, contained
 
             for strict, alphas in ((True, None), (False, None), (False, explicit)):
                 checked = _resolve_alphas(net, strict, alphas)
-                for gammas, folds in itertools.islice(analysis._candidates(merged, checked), leaves):
-                    assert set(folds) == set(checked)
-                    for alpha, (span, chain) in folds.items():
-                        if (alpha, gammas) not in unshared:
-                            unshared[alpha, gammas] = alone(alpha, gammas)
-                        ref, contained = unshared[alpha, gammas]
-                        tag = (gammas, alpha, transpose, strict, alphas, system.mode_flag, seed)
-                        assert span == ref, tag
-                        assert (span.rank, span.contains_vector(chain)) == (ref.rank, contained), tag
+                for horizon in range(1, sls.n + 1):
+                    for gammas, states in analysis._candidates(merged, checked, horizon):
+                        assert len(gammas) == horizon and len(states) == len(checked)
+                        for alpha, (theta, sigmas) in zip(checked, states):
+                            if (alpha, gammas) not in unshared:
+                                unshared[alpha, gammas] = alone(alpha, gammas)
+                            ref, ref_sigmas, contained = unshared[alpha, gammas]
+                            span, chain = merged._folds[sigmas]
+                            tag = (gammas, alpha, transpose, strict, alphas, system.mode_flag, seed)
+                            assert (theta, sigmas) == (ref.terminal_theta, ref_sigmas), tag
+                            assert span == ref.span, tag
+                            assert (span.rank, span.contains_vector(chain)) == (ref.span.rank, contained), tag
 
 
 def test_column_space_runs_once_per_mode_sequence(monkeypatch):
@@ -513,7 +528,8 @@ def test_column_space_runs_once_per_mode_sequence(monkeypatch):
 def test_cover_built_once_per_merged_system(monkeypatch):
     # the cover of the worked system is state 4: the four checks and the
     # feasible list resolve their checked states once per merged system,
-    # and a request for (4,) shares the cover request's walk
+    # and a request for (4,) afterwards reads the folds the cover queries
+    # left in the merged system's memo
     calls = []
     cover = analysis.control_attractors
     monkeypatch.setattr(analysis, "control_attractors", lambda net: calls.append(net) or cover(net))
@@ -524,9 +540,46 @@ def test_cover_built_once_per_merged_system(monkeypatch):
     check_observability(dms)
     check_reconstructibility(dms)
     assert len(calls) == 2
-    assert analysis._walk(ms, False, [4]) is analysis._walk(ms, False, None)
-    assert analysis._walk(ms, True, None) is not analysis._walk(ms, False, None)
+    folds = _count_folds(monkeypatch)
+    assert check_reachability(ms, alphas=[4]) == check_reachability(ms)
+    assert check_controllability(ms, alphas=[4]) == check_controllability(ms)
+    assert feasible_input_sequences(ms, r.T, alphas=[4]) == feasible_input_sequences(ms, r.T)
+    assert check_observability(dms, alphas=[4]) == check_observability(dms)
+    assert check_reconstructibility(dms, alphas=[4]) == check_reconstructibility(dms)
+    assert folds[0] == 0
+    check_reachability(ms, strict=True)
     assert len(calls) == 2
+
+
+def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
+    # Worked system, strict: every property holds at T = 3. A query judges
+    # each distinct mode sequence it meets once, however many (checked
+    # state, leaf) pairs induce it, and the next query judges afresh. The
+    # count comes from the network alone: the mode sequences of the leaves
+    # in search order up to the witness, from every state.
+    calls = [0]
+    original = analysis._detail
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "_detail", counted)
+    sls = golden_sls()
+    ms, dms = merge(sls, NET), merge_dual(sls, NET)
+    pairs = (
+        (check_reachability, ms),
+        (check_controllability, ms),
+        (check_observability, dms),
+        (check_reconstructibility, dms),
+    )
+    for check, merged in pairs * 2:
+        calls[0] = 0
+        v = check(merged, strict=True)
+        leaves = [g for t in range(1, v.T + 1) for g in itertools.product((1, 2), repeat=t)]
+        leaves = leaves[: leaves.index(v.witness) + 1]
+        sequences = {switching_trajectory(NET, a, g)[0] for a in v.checked_alphas for g in leaves}
+        assert calls[0] == len(sequences) < len(v.checked_alphas) * len(leaves), check
 
 
 def test_shared_walk_survives_a_refusal():

@@ -231,6 +231,14 @@ def test_analyze_rejects_repeated_alpha(capsys):
     assert "initial state 4 given twice" in err
 
 
+def test_analyze_rejects_empty_alphas(capsys):
+    # an empty list names no state to check; it does not fall back to the cover
+    for text in ("", ","):
+        code, out, err = run(capsys, "analyze", "reachability", SLS, "--alphas", text)
+        assert (code, out) == (2, ""), text
+        assert "no initial states to check" in err, text
+
+
 # analyze_golden.json holds the exit code and JSON report of
 # `analyze all --format json --no-timestamp` with each flag set, on the
 # fixture and on its float copy
