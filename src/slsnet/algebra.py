@@ -40,6 +40,18 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+def check_int(value, what: str, least: int = 1, most: int | None = None) -> int:
+    """An index or count: an int (not a bool) in least..most, or at least
+    least when most is None. Refusals raise DimensionError naming what."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DimensionError(f"{what} {value!r} is not an integer")
+    if most is not None and not least <= value <= most:
+        raise DimensionError(f"{what} {value} outside {least}..{most}")
+    if value < least:
+        raise DimensionError(f"{what} must be >= {least}")
+    return value
+
+
 @dataclass(frozen=True)
 class Numeric:
     """Numeric context of a matrix: exact (tol None), or float with the
@@ -277,8 +289,7 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
 
 def basis_vector(n: int, i: int, mode: Numeric | str = EXACT) -> Matrix:
     """Canonical basis column vector of length n with a 1 in slot i (1-based)."""
-    if not 1 <= i <= n:
-        raise DimensionError(f"basis index {i} out of range 1..{n}")
+    check_int(i, "basis index", 1, n)
     return Matrix([[1 if r == i - 1 else 0] for r in range(n)], mode)
 
 
@@ -349,12 +360,13 @@ class LogicalMatrix:
     __slots__ = ("rows", "col_index")
 
     def __init__(self, rows: int, col_index: Sequence[int]):
-        idx = tuple(int(i) for i in col_index)
+        idx = tuple(col_index)
         if rows < 1:
             raise DimensionError("logical matrix needs at least one row")
-        for j, i in enumerate(idx):
-            if not 1 <= i <= rows:
-                raise DimensionError(f"column {j + 1}: index {i} outside 1..{rows}")
+        # one pass over the whole tuple; the rule names the first bad column
+        if idx and not (all(type(i) is int for i in idx) and 1 <= min(idx) and max(idx) <= rows):
+            for j, i in enumerate(idx, start=1):
+                check_int(i, f"column {j}: index", 1, rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "col_index", idx)
 

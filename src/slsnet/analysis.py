@@ -43,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Subspace, column_space, hstack, rank as matrix_rank, vstack
-from .lcn import LogicalNetwork, control_attractors, step
+from .algebra import Subspace, check_int, column_space, hstack, rank as matrix_rank, vstack
+from .lcn import LogicalNetwork, control_attractors, unchecked_step
 from .oracle import (
     EnumerationBudget,
     controllability_matrix,
@@ -108,13 +108,10 @@ def switching_trajectory(
     net: LogicalNetwork, alpha: int, gammas: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Replay the network: returns (sigmas, thetas) with thetas[0] = alpha."""
-    _check_state(net, alpha)
-    if not gammas:
-        raise ValueError("need at least one logical input")
-    thetas = [alpha]
-    sigmas = []
+    _check_walk(net, alpha, gammas)
+    thetas, sigmas = [alpha], []
     for gamma in gammas:
-        theta_next, sigma = step(net, gamma, thetas[-1])
+        theta_next, sigma = unchecked_step(net, gamma, thetas[-1])
         thetas.append(theta_next)
         sigmas.append(sigma)
     return tuple(sigmas), tuple(thetas)
@@ -138,17 +135,25 @@ def _advance(ms, memo, state, gamma):
     mode sequence to its fold, and a new one is folded once, from its
     parent's."""
     theta, sigmas = state
-    theta_next, sigma = step(ms.net, gamma, theta)
+    theta_next, sigma = unchecked_step(ms.net, gamma, theta)
     key = sigmas + (sigma,)
     if key not in memo:
         memo[key] = _step(ms, memo[sigmas], (gamma, theta_next, theta))
     return theta_next, key
 
 
-def _fold(ms, alpha, gammas) -> ReachableSet:
-    _check_state(ms.net, alpha)
+def _check_walk(net: LogicalNetwork, alpha, gammas) -> None:
+    """An initial state in 1..N and a non-empty input sequence in 1..M,
+    checked before the walk, which looks the pairs up unchecked."""
+    check_int(alpha, "initial state", 1, net.N)
     if not gammas:
         raise ValueError("need at least one logical input")
+    for gamma in gammas:
+        check_int(gamma, "input index", 1, net.M)
+
+
+def _fold(ms, alpha, gammas) -> ReachableSet:
+    _check_walk(ms.net, alpha, gammas)
     memo, state = {(): _start(ms)}, (alpha, ())
     for gamma in gammas:
         state = _advance(ms, memo, state, gamma)
@@ -191,15 +196,6 @@ def _candidates(ms, alphas, horizon):
 # Property checks
 # ---------------------------------------------------------------------------
 
-def _check_state(net: LogicalNetwork, alpha) -> int:
-    """An initial logical state: an int (not a bool) in 1..N."""
-    if isinstance(alpha, bool) or not isinstance(alpha, int):
-        raise ValueError(f"initial state {alpha!r} is not an integer")
-    if not 1 <= alpha <= net.N:
-        raise ValueError(f"initial state {alpha} outside 1..{net.N}")
-    return alpha
-
-
 def _resolve_alphas(
     net: LogicalNetwork, strict: bool, alphas: Sequence[int] | None
 ) -> tuple[int, ...]:
@@ -209,7 +205,7 @@ def _resolve_alphas(
     if strict and alphas is not None:
         raise ValueError("give either strict or explicit initial states, not both")
     if alphas is not None:
-        out = tuple(_check_state(net, a) for a in alphas)
+        out = tuple(check_int(a, "initial state", 1, net.N) for a in alphas)
         if not out:
             raise ValueError("no initial states to check")
         for i, a in enumerate(out):
@@ -232,10 +228,7 @@ def _checked(ms, strict: bool, alphas: Sequence[int] | None) -> tuple[int, ...]:
 
 def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
     """Search horizon: bound, or the state dimension n by default; >= 1."""
-    bound = n if bound is None else bound
-    if bound < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return bound
+    return check_int(n if bound is None else bound, name)
 
 
 def _detail(kind: int, n: int, fold) -> AlphaDetail:
@@ -246,13 +239,13 @@ def _detail(kind: int, n: int, fold) -> AlphaDetail:
     return AlphaDetail(span.rank, full if kind == 0 else full or span.contains_vector(chain))
 
 
-def _search(ms, prop, t_max, strict, alphas, name="t_max") -> PropertyVerdict:
+def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     """Breadth-first in T, lexicographic in the input tuple; one sequence
     must pass at every checked alpha. Each distinct mode sequence is judged
     once per query, however many (sequence, checked state) pairs induce it;
     without a witness, per_alpha is the first highest-scoring sequence's."""
     checked = _checked(ms, strict, alphas)
-    t_max = _horizon(t_max, ms.sls.n, name)
+    t_max = _horizon(t_max, ms.sls.n)
     kind, n, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms._folds
     judged, best, best_score = {}, None, -1
     for horizon in range(1, t_max + 1):
@@ -324,19 +317,21 @@ def feasible_input_sequences(
 ) -> list[FeasibleSequence]:
     """All input sequences achieving full reachable span at every checked
     state, at the first length where any sequence succeeds, in search
-    order: the reachability verdict for k_max gives that length T, and a
-    second walk of level T, over folds the search already memoised up to
-    its witness, keeps every sequence whose span is full at every checked
-    state."""
-    verdict = _search(ms, "reachability", k_max, strict, alphas, "k_max")
-    if not verdict.holds:
-        return []
-    n, folds, checked = ms.sls.n, ms._folds, verdict.checked_alphas
-    return [
-        FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in checked})
-        for gammas, states in _candidates(ms, checked, verdict.T)
-        if all(folds[sigmas][0].rank == n for _, sigmas in states)
-    ]
+    order: levels 1..k_max are walked as the reachability search walks
+    them, and the first level holding any such sequence is returned whole."""
+    checked = _checked(ms, strict, alphas)
+    k_max = _horizon(k_max, ms.sls.n, "k_max")
+    n, folds = ms.sls.n, ms._folds
+    for horizon in range(1, k_max + 1):
+        enforce_budget(ms.net, horizon)
+        found = [
+            FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in checked})
+            for gammas, states in _candidates(ms, checked, horizon)
+            if all(folds[sigmas][0].rank == n for _, sigmas in states)
+        ]
+        if found:
+            return found
+    return []
 
 
 # ---------------------------------------------------------------------------

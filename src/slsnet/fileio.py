@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import EXACT, FLOAT, LogicalMatrix, Matrix, Numeric
+from .algebra import EXACT, FLOAT, LogicalMatrix, Matrix, Numeric, check_int
 from .lcn import LogicalNetwork, build_from_functions
 from .sls import SwitchedLinearSystem
 
@@ -80,8 +80,8 @@ class SystemDescription:
 
     def __post_init__(self):
         context = _numeric_context(self.numeric, self.tolerance)
-        if self.t_max is not None and self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
+        if self.t_max is not None:
+            check_int(self.t_max, "t_max")
         if self.sls is None:
             return
         if self.sls.q != self.net.q:

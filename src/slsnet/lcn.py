@@ -29,6 +29,7 @@ from .algebra import (
     DimensionError,
     LogicalMatrix,
     Matrix,
+    check_int,
 )
 
 
@@ -54,6 +55,9 @@ class LogicalNetwork:
     m_nodes: int
     L: LogicalMatrix
     R: LogicalMatrix
+    # k**n_nodes and k**m_nodes, computed once
+    N: int = field(init=False, repr=False, compare=False)
+    M: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -62,20 +66,14 @@ class LogicalNetwork:
         # useful as the trivial switching layer of a one-mode system
         if self.n_nodes < 0 or self.m_nodes < 0:
             raise DimensionError("need n_nodes >= 0 and m_nodes >= 0")
+        object.__setattr__(self, "N", self.k**self.n_nodes)
+        object.__setattr__(self, "M", self.k**self.m_nodes)
         if self.L.rows != self.N:
             raise DimensionError(f"L has {self.L.rows} rows, expected N={self.N}")
         if self.L.cols != self.M * self.N:
             raise DimensionError(f"L has {self.L.cols} columns, expected M*N={self.M * self.N}")
         if self.R.cols != self.M * self.N:
             raise DimensionError(f"R has {self.R.cols} columns, expected M*N={self.M * self.N}")
-
-    @property
-    def N(self) -> int:
-        return self.k**self.n_nodes
-
-    @property
-    def M(self) -> int:
-        return self.k**self.m_nodes
 
     @property
     def q(self) -> int:
@@ -127,8 +125,7 @@ def build_from_functions(
         if len(table) != width:
             raise DimensionError(f"node {node}: table has {len(table)} entries, expected {width}")
         for v in table:
-            if not 1 <= int(v) <= k:
-                raise DimensionError(f"node {node}: value {v} outside 1..{k}")
+            check_int(v, f"node {node}: value", 1, k)
         structures.append(LogicalMatrix(k, table))
     transition = structures[0]
     for extra in structures[1:]:
@@ -145,12 +142,16 @@ def build_from_functions(
 
 def step(net: LogicalNetwork, gamma: int, theta: int) -> tuple[int, int]:
     """One network step: returns (theta_next, sigma)."""
-    if not 1 <= gamma <= net.M:
-        raise ValueError(f"input index {gamma} outside 1..{net.M}")
-    if not 1 <= theta <= net.N:
-        raise ValueError(f"state index {theta} outside 1..{net.N}")
-    col = encode_pair(gamma, theta, net.N)
-    return net.L.target(col), net.R.target(col)
+    check_int(gamma, "input index", 1, net.M)
+    check_int(theta, "state index", 1, net.N)
+    return unchecked_step(net, gamma, theta)
+
+
+def unchecked_step(net: LogicalNetwork, gamma: int, theta: int) -> tuple[int, int]:
+    """step for indices already checked: the column (gamma-1)*N + theta of
+    L and R, read without a range check (gamma 0 would wrap silently)."""
+    col = (gamma - 1) * net.N + theta - 1
+    return net.L.col_index[col], net.R.col_index[col]
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +166,9 @@ class InputStateSubset:
     mn: int
 
     def __init__(self, members: Iterable[int], mn: int):
-        mem = frozenset(int(i) for i in members)
+        mem = frozenset(check_int(i, "input-state index", 1, mn) for i in members)
         if not mem:
             raise DimensionError("input-state subset may not be empty")
-        for i in mem:
-            if not 1 <= i <= mn:
-                raise DimensionError(f"input-state index {i} outside 1..{mn}")
         object.__setattr__(self, "members", mem)
         object.__setattr__(self, "mn", mn)
 
@@ -222,8 +220,7 @@ def set_reachability_matrix(
     count onto its L-target state, and the state totals are repeated for
     each of the M free next inputs, so a step costs O(M*N).
     """
-    if ell < 1:
-        raise DimensionError("ell must be >= 1")
+    check_int(ell, "ell")
     mn = net.M * net.N
     if omega0.mn != mn or omega_d.mn != mn:
         raise DimensionError(f"subset classes must live on {mn} input-state pairs")

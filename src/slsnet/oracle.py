@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import DimensionError, Matrix, hstack, rank, vstack
+from .algebra import DimensionError, Matrix, check_int, hstack, rank, vstack
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,8 @@ def enumerate_switching_sequences(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All M^T logical input sequences with their induced switching
     sequences from initial state alpha, in lexicographic input order."""
-    if not 1 <= alpha <= net.N:
-        raise DimensionError(f"initial state {alpha} outside 1..{net.N}")
-    if horizon < 1:
-        raise DimensionError("horizon must be >= 1")
+    check_int(alpha, "initial state", 1, net.N)
+    check_int(horizon, "horizon")
     enforce_budget(net, horizon, budget)
     out = []
     for gammas in itertools.product(range(1, net.M + 1), repeat=horizon):
@@ -121,15 +119,11 @@ def count_paths(
     Pair (gamma, theta), encoded (gamma-1)*N + theta, steps to
     (gamma', L-target) for every free next input gamma'.
     """
-    if ell < 0:
-        raise DimensionError("ell must be >= 0")
+    check_int(ell, "ell", 0)
     n_states = net.N
     mn = net.M * n_states
-    sources = sorted(set(int(i) for i in from_subset))
-    targets = set(int(i) for i in to_subset)
-    for i in itertools.chain(sources, targets):
-        if not 1 <= i <= mn:
-            raise DimensionError(f"input-state index {i} outside 1..{mn}")
+    sources = sorted({check_int(i, "input-state index", 1, mn) for i in from_subset})
+    targets = {check_int(i, "input-state index", 1, mn) for i in to_subset}
     if len(sources) * net.M**ell > budget.max_sequences:
         raise BudgetExceededError("path enumeration exceeds the budget")
 

@@ -16,15 +16,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .algebra import DimensionError, check_int
 from .lcn import LogicalNetwork, decode_pair
 
 INFINITY = math.inf
 
 
-def _is_valid_duration(d) -> bool:
-    if d == INFINITY:
-        return True
-    return isinstance(d, int) and not isinstance(d, bool) and d >= 1
+def _check_duration(d, what: str, infinite: bool):
+    """A positive integer duration, or INFINITY where infinite allows it."""
+    try:
+        return d if infinite and d == INFINITY else check_int(d, what)
+    except DimensionError:
+        raise ValueError(f"{what} {d!r} is not a positive integer{' or INFINITY' if infinite else ''}") from None
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,7 @@ class FotSpec:
     durations: tuple
 
     def __init__(self, durations: Sequence):
-        durs = tuple(durations)
-        for d in durs:
-            if not _is_valid_duration(d):
-                raise ValueError(f"duration {d!r} is not a positive integer or INFINITY")
+        durs = tuple(_check_duration(d, "duration", True) for d in durations)
         object.__setattr__(self, "durations", durs)
 
     @property
@@ -74,10 +74,11 @@ class TrackingProblem:
     reference: tuple[int, ...]
 
     def __init__(self, theta0: int, reference: Sequence[int]):
-        ref = tuple(int(s) for s in reference)
+        # stored as given: check_trackable checks them against the network
+        ref = tuple(reference)
         if not ref:
             raise ValueError("reference sequence may not be empty")
-        object.__setattr__(self, "theta0", int(theta0))
+        object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "reference", ref)
 
 
@@ -187,8 +188,7 @@ def check_dwell_time_realizable(
     if len(dwells) != net.q:
         raise ValueError(f"{len(dwells)} dwell times given, network emits {net.q} signals")
     for d in dwells:
-        if not (isinstance(d, int) and not isinstance(d, bool) and d >= 1):
-            raise ValueError(f"dwell time {d!r} is not a positive integer")
+        _check_duration(d, "dwell time", False)
     return _realizability(net, dwells, [(True, True)] * net.q)
 
 
@@ -202,11 +202,9 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     ascending order, in O(|frontier| + M*N). On success the witness is
     recovered by walking predecessor links backwards, smallest pair first.
     """
-    if not 1 <= problem.theta0 <= net.N:
-        raise ValueError(f"initial state {problem.theta0} outside 1..{net.N}")
+    check_int(problem.theta0, "initial state", 1, net.N)
     for sigma in problem.reference:
-        if not 1 <= sigma <= net.q:
-            raise ValueError(f"reference signal {sigma} outside 1..{net.q}")
+        check_int(sigma, "reference signal", 1, net.q)
 
     preimages = {p.sigma: set(p.members) for p in signal_preimages(net)}
     frontier = sorted(

@@ -79,6 +79,16 @@ def test_trajectory_rejects_bad_input():
             switching_trajectory(NET, alpha, (1,))
         with pytest.raises(ValueError, match="not an integer"):
             reachable_set(MS, alpha, (1,))
+    # the folds look each pair up unchecked, so every input is checked
+    # before the walk: 0 would otherwise wrap to a negative column
+    for gamma in (0, NET.M + 1, 1.5, True):
+        for walk in (
+            lambda gammas: switching_trajectory(NET, 1, gammas),
+            lambda gammas: reachable_set(MS, 1, gammas),
+            lambda gammas: dual_reachable_set(DMS, 1, gammas),
+        ):
+            with pytest.raises(ValueError, match="input index"):
+                walk((1, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +377,11 @@ CHECKS = {
 
 @given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=20, deadline=None)
-def test_shared_walk_is_order_free(seed, rational):
-    # The checks of a side and the feasible list share one walk per merged
-    # system and checked tuple. Run them in a random order, with mixed
-    # horizons and checked sets, on one pair of merged systems: each result
-    # must equal the same call on freshly merged systems, and the oracle.
+def test_queries_sharing_a_memo_are_order_free(seed, rational):
+    # The checks of a side and the feasible list share one fold memo per
+    # merged system. Run them in a random order, with mixed horizons and
+    # checked sets, on one pair of merged systems: each result must equal
+    # the same call on freshly merged systems, and the oracle.
     rng = random.Random(seed)
     sls = random_system(rng, denominators=(1, 4) if rational else None)
     shapes = [(nn, mm) for nn in (1, 2) for mm in (0, 1, 2) if 2 ** (nn + mm) >= sls.q]
@@ -415,12 +425,13 @@ def _count_folds(monkeypatch):
     return counter
 
 
-def test_shared_walk_folds_each_mode_sequence_once(monkeypatch):
+def test_memo_folds_each_mode_sequence_once(monkeypatch):
     # Worked system, strict: every property holds at T = 3 with 4 checked
     # states, M = 2 inputs and q = 2 modes. The fold depends on the induced
-    # mode sequence alone, and a walk folds each one once, whatever checked
-    # states, prefixes and horizons induce it. Horizons 1..3 induce all
-    # 2 + 4 + 8 = 14 mode sequences, however many queries share the walk.
+    # mode sequence alone, and a merged system's memo folds each one once,
+    # whatever checked states, prefixes and horizons induce it. Horizons
+    # 1..3 induce all 2 + 4 + 8 = 14 mode sequences, however many queries
+    # share the memo.
     # Each count is also bounded by one fold per (state, prefix) of every
     # horizon walked: 4 * (2 + 6 + 14) = 88 here.
     folds = _count_folds(monkeypatch)
@@ -437,12 +448,13 @@ def test_shared_walk_folds_each_mode_sequence_once(monkeypatch):
     k = check_reconstructibility(dms, strict=True)
     assert (o.witness, k.witness) == ((1, 2, 1), (1, 2, 1))
     # both dual properties hold first at (1, 2, 1), the third leaf of
-    # horizon 3, where the walk stops: two length-3 mode sequences are
+    # horizon 3, where each search stops: two length-3 mode sequences are
     # not induced yet (bound: 4 * (2 + 6 + 6) = 56)
     assert folds[0] == 12 <= 56
-    # a lone query folds what a walk of its own folds: up to its witness,
-    # or, for the feasible list, to the end of its horizon (each beside its
-    # bound of one fold per (state, prefix) of every horizon walked)
+    # a lone query on a fresh merged system folds up to its witness, or,
+    # for the feasible list, to the end of the first level that holds any
+    # (each beside its bound of one fold per (state, prefix) of every
+    # horizon walked)
     for call, merged, expected, bound in (
         (lambda m: check_reachability(m, strict=True), merge, 13, 60),
         (lambda m: check_controllability(m, strict=True), merge, 13, 60),
@@ -582,10 +594,10 @@ def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
         assert calls[0] == len(sequences) < len(v.checked_alphas) * len(leaves), check
 
 
-def test_shared_walk_survives_a_refusal():
+def test_memo_survives_a_refusal():
     # M = 1 and B = 0: reachability fails at every horizon, so t_max = 40
-    # walks horizons 1..32 and is refused at 33. The walk's record up to
-    # there stays valid for later queries.
+    # walks horizons 1..32 and is refused at 33. The folds memoised up to
+    # there stay valid for later queries.
     desc = loads(unreachable_single_input_text())
     ms = merge(desc.sls, desc.net)
     with pytest.raises(BudgetExceededError, match="horizon 33"):
@@ -597,12 +609,12 @@ def test_shared_walk_survives_a_refusal():
 
 
 @pytest.mark.parametrize("target", ["_step", "_detail"])
-def test_shared_walk_restarts_after_an_error(monkeypatch, target):
-    # An error inside a fold ends the walk's generator; one while a leaf is
-    # judged leaves that leaf recorded for one kind only. Either way the
-    # next query starts a new walk instead of skipping the leaf. The error
-    # strikes at the last such call of a lone controllability search, so
-    # inside its witness leaf, after kind 0 has judged that leaf.
+def test_error_mid_query_leaves_the_memo_valid(monkeypatch, target):
+    # An error mid-query, inside a fold or while a mode sequence is judged,
+    # leaves the memo valid: no entry is half written, and a later query
+    # gives the verdict a fresh merged system gives. The error strikes at
+    # the last such call of a lone controllability search, so inside its
+    # witness leaf.
     original = getattr(analysis, target)
     calls = [0]
 
@@ -625,10 +637,10 @@ def test_shared_walk_restarts_after_an_error(monkeypatch, target):
     assert feasible_input_sequences(ms, 3, strict=True) == feasible_input_sequences(fresh, 3, strict=True)
 
 
-def test_shared_walk_across_threads():
+def test_memo_shared_across_threads():
     # more threads than cores share one pair of merged systems, each asking
-    # in its own order with frequent switches; a lost update to the walk's
-    # record would change some answer
+    # in its own order with frequent switches; a lost or half-written memo
+    # entry would change some answer
     sls = golden_sls()
     calls = [
         lambda m, d: check_reachability(m, strict=True),

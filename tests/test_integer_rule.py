@@ -1,0 +1,111 @@
+"""One integer rule for every logical index and count the library takes.
+
+Every site below calls `algebra.check_int`: an `int` (not a `bool`)
+within its bounds, or `ValueError`. Floats used to be truncated, read as
+a wrong index or fail with `TypeError`, and bools used to pass as 1.
+"""
+
+import pytest
+
+from slsnet.algebra import DimensionError, LogicalMatrix, basis_vector, check_int
+from slsnet.analysis import (
+    check_observability,
+    check_reachability,
+    dual_reachable_set,
+    feasible_input_sequences,
+    reachable_set,
+    switching_trajectory,
+)
+from slsnet.fileio import SystemDescription
+from slsnet.lcn import (
+    InputStateSubset,
+    SubsetClass,
+    build_from_functions,
+    set_reachability_matrix,
+    step,
+)
+from slsnet.oracle import count_paths, enumerate_switching_sequences
+from slsnet.realize import (
+    FotSpec,
+    TrackingProblem,
+    check_dwell_time_realizable,
+    check_trackable,
+)
+from slsnet.sls import merge, merge_dual
+
+from conftest import golden_net, golden_sls
+
+NET = golden_net()  # N = 4, M = 2, q = 2, so M*N = 8
+MS, DMS = merge(golden_sls(), NET), merge_dual(golden_sls(), NET)
+WHOLE = SubsetClass([InputStateSubset([1], 8)])
+
+# site -> (call taking the value, least bound, top bound or None)
+SITES = {
+    "LogicalMatrix index": (lambda v: LogicalMatrix(2, [v, 2]), 1, 2),
+    "basis_vector index": (lambda v: basis_vector(3, v), 1, 3),
+    "step input": (lambda v: step(NET, v, 1), 1, 2),
+    "step state": (lambda v: step(NET, 1, v), 1, 4),
+    "InputStateSubset member": (lambda v: InputStateSubset([v], 8), 1, 8),
+    "set_reachability_matrix ell": (lambda v: set_reachability_matrix(NET, WHOLE, WHOLE, v), 1, None),
+    "build_from_functions value": (lambda v: build_from_functions(2, 1, 0, [[v, 2]]), 1, 2),
+    "initial state": (lambda v: check_observability(DMS, alphas=[v]), 1, 4),
+    "t_max": (lambda v: check_reachability(MS, t_max=v), 1, None),
+    "k_max": (lambda v: feasible_input_sequences(MS, v), 1, None),
+    "switching_trajectory state": (lambda v: switching_trajectory(NET, v, (1,)), 1, 4),
+    "switching_trajectory input": (lambda v: switching_trajectory(NET, 1, (1, v)), 1, 2),
+    "reachable_set input": (lambda v: reachable_set(MS, 1, (v,)), 1, 2),
+    "dual_reachable_set input": (lambda v: dual_reachable_set(DMS, 1, (2, v)), 1, 2),
+    "enumerate state": (lambda v: enumerate_switching_sequences(NET, v, 1), 1, 4),
+    "enumerate horizon": (lambda v: enumerate_switching_sequences(NET, 1, v), 1, None),
+    "count_paths source": (lambda v: count_paths(NET, [v], [1], 1), 1, 8),
+    "count_paths target": (lambda v: count_paths(NET, [1], [v], 1), 1, 8),
+    "count_paths ell": (lambda v: count_paths(NET, [1], [1], v), 0, None),
+    "FotSpec duration": (lambda v: FotSpec([v, 2]), 1, None),
+    "dwell time": (lambda v: check_dwell_time_realizable(NET, [v, 2]), 1, None),
+    "tracking initial state": (lambda v: check_trackable(NET, TrackingProblem(v, [1])), 1, 4),
+    "tracking reference": (lambda v: check_trackable(NET, TrackingProblem(1, [2, v])), 1, 2),
+    "SystemDescription t_max": (lambda v: SystemDescription(NET, t_max=v), 1, None),
+}
+
+
+def _cases():
+    for site, (call, least, most) in SITES.items():
+        bad = [1.5, True, least - 1] + ([most + 1] if most is not None else [])
+        for value in bad:
+            yield pytest.param(call, value, id=f"{site}-{value!r}")
+
+
+@pytest.mark.parametrize("call, value", _cases())
+def test_every_site_refuses_non_integers_and_out_of_range(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_site_accepts_its_bounds(site):
+    call, least, most = SITES[site]
+    for value in (least, most if most is not None else least + 1):
+        call(value)
+
+
+def test_check_int_messages():
+    assert check_int(3, "state", 1, 4) == 3
+    assert check_int(0, "ell", 0) == 0
+    for value, what, bounds, message in (
+        (1.5, "state", (1, 4), "state 1.5 is not an integer"),
+        (True, "state", (1, 4), "state True is not an integer"),
+        ("2", "state", (1, 4), "state '2' is not an integer"),
+        (5, "state", (1, 4), "state 5 outside 1..4"),
+        (0, "t_max", (1,), "t_max must be >= 1"),
+    ):
+        with pytest.raises(DimensionError) as raised:
+            check_int(value, what, *bounds)
+        assert str(raised.value) == message
+
+
+def test_tracking_problem_keeps_values_as_given():
+    # a float start state used to be truncated to a valid one
+    problem = TrackingProblem(1.7, [1])
+    assert problem.theta0 == 1.7
+    with pytest.raises(ValueError, match="initial state 1.7 is not an integer"):
+        check_trackable(NET, problem)
