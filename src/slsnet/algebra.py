@@ -164,9 +164,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -289,6 +286,7 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
 
 def basis_vector(n: int, i: int, mode: Numeric | str = EXACT) -> Matrix:
     """Canonical basis column vector of length n with a 1 in slot i (1-based)."""
+    check_int(n, "basis size")
     check_int(i, "basis index", 1, n)
     return Matrix([[1 if r == i - 1 else 0] for r in range(n)], mode)
 
@@ -361,8 +359,7 @@ class LogicalMatrix:
 
     def __init__(self, rows: int, col_index: Sequence[int]):
         idx = tuple(col_index)
-        if rows < 1:
-            raise DimensionError("logical matrix needs at least one row")
+        check_int(rows, "logical matrix rows")
         # one pass over the whole tuple; the rule names the first bad column
         if idx and not (all(type(i) is int for i in idx) and 1 <= min(idx) and max(idx) <= rows):
             for j, i in enumerate(idx, start=1):
@@ -445,16 +442,15 @@ def swap_matrix(m: int, n: int) -> LogicalMatrix:
     Built as the block row [I_n (x) d_m^1, ..., I_n (x) d_m^m]; column
     (i-1)n + j carries the basis vector with index (j-1)m + i.
     """
-    if m < 1 or n < 1:
-        raise DimensionError("swap_matrix needs positive dimensions")
+    check_int(m, "swap_matrix m")
+    check_int(n, "swap_matrix n")
     idx = [(j - 1) * m + i for i in range(1, m + 1) for j in range(1, n + 1)]
     return LogicalMatrix(m * n, idx)
 
 
 def power_reducing_matrix(n: int) -> LogicalMatrix:
     """P with P x == x stp x for every basis vector x in Delta_n."""
-    if n < 1:
-        raise DimensionError("power_reducing_matrix needs n >= 1")
+    check_int(n, "power_reducing_matrix n")
     return LogicalMatrix(n * n, [(i - 1) * n + i for i in range(1, n + 1)])
 
 
@@ -468,26 +464,22 @@ class BooleanMatrix:
     __slots__ = ("rows", "cols", "bits")
 
     def __init__(self, bits: Sequence[Sequence[int]]):
-        grid = tuple(tuple(int(b) for b in row) for row in bits)
+        rows = [tuple(row) for row in bits]
+        # checked before int(), which would truncate 1.5 or parse "1"
+        if any(b not in (0, 1) for row in rows for b in row):
+            raise DimensionError("boolean entries must be 0 or 1")
+        grid = tuple(tuple(int(b) for b in row) for row in rows)
         if not grid or not grid[0]:
             raise DimensionError("boolean matrix needs at least one entry")
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise DimensionError("ragged rows in boolean matrix")
-        for row in grid:
-            for b in row:
-                if b not in (0, 1):
-                    raise DimensionError("boolean entries must be 0 or 1")
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "bits", grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("BooleanMatrix is immutable")
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "BooleanMatrix":
-        return BooleanMatrix([[0] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "BooleanMatrix":
@@ -562,8 +554,7 @@ def boolean_and(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
 def boolean_power(a: BooleanMatrix, k: int) -> BooleanMatrix:
     if a.rows != a.cols:
         raise DimensionError("boolean_power needs a square matrix")
-    if k < 0:
-        raise DimensionError("boolean_power needs k >= 0")
+    check_int(k, "boolean_power k", 0)
     out = BooleanMatrix.identity(a.rows)
     for _ in range(k):
         out = boolean_product(out, a)

@@ -1,11 +1,12 @@
 """Control-property checks for merged switched linear systems.
 
 Every check walks the input tree with one forward step through the
-merged blocks (G, H) at block (theta', theta) of input slice gamma. The
-primal side (merge) folds R' = G R + im H and D' = G D, so R is the set
-reachable from x = 0 and D the drift A_(s_{T-1}) ... A_(s_0); the dual
-side (merge_dual, transposed modes) folds R' = R + im(D H) and D' = D G,
-so R is the transposed observability row space. Reachability and
+merged system's mode pair (G-block, H-block) of the signal sigma that
+each input-state pair emits. The primal side (merge) folds
+R' = G R + im H and D' = G D, so R is the set reachable from x = 0 and
+D the drift A_(s_{T-1}) ... A_(s_0); the dual side (merge_dual,
+transposed modes) folds R' = R + im(D H) and D' = D G, so R is the
+transposed observability row space. Reachability and
 observability hold along a sequence when R is full; controllability and
 reconstructibility when im D lies in R, read off the canonical basis of
 R without elimination (Subspace.contains_vector); kalman_oracle decides
@@ -22,9 +23,9 @@ one. A search refuses (BudgetExceededError) a horizon that kalman_oracle's
 default enumeration budget would refuse, just before walking it.
 
 The fold reads the linear part only through the switching signal: the
-merged block at (gamma, theta', theta) holds the matrices of the mode
-sigma = R(gamma, theta), so (R, D) after a prefix depends on the mode
-sequence it induces alone. A merged system therefore keeps one memo,
+nonzero merged block of column (gamma, theta) holds the matrices of the
+mode sigma = R(gamma, theta), so (R, D) after a prefix depends on the
+mode sequence it induces alone. A merged system therefore keeps one memo,
 mode sequence -> (R, D), and a walk carries per checked state only its
 logical state and mode sequence.
 
@@ -117,28 +118,27 @@ def switching_trajectory(
     return tuple(sigmas), tuple(thetas)
 
 
-def _step(ms, fold, block):
-    """Advance a fold (span, chain) through the merged block (gamma, theta',
-    theta); the merged system's type picks the primal or the dual
+def _step(ms, fold, sigma):
+    """Advance a fold (span, chain) through the merged system's pair for
+    mode sigma; the merged system's type picks the primal or the dual
     recurrence."""
     span, chain = fold
-    g, h = ms.g_blocks[block], ms.h_blocks[block]
+    g, h = ms.modes[sigma - 1]
     if isinstance(ms, DualMergedSystem):
         return column_space(hstack([span.basis, chain @ h])), chain @ g
     return column_space(hstack([g @ span.basis, h])), g @ chain
 
 
 def _advance(ms, memo, state, gamma):
-    """Advance a walk state (theta, sigmas) by input gamma. Block (gamma,
-    theta', theta) holds the matrices of the mode sigma that R selects
-    there, so the fold depends on the mode sequence alone: memo maps each
-    mode sequence to its fold, and a new one is folded once, from its
-    parent's."""
+    """Advance a walk state (theta, sigmas) by input gamma. The step reads
+    the matrices of the mode sigma that R selects at (gamma, theta), so the
+    fold depends on the mode sequence alone: memo maps each mode sequence
+    to its fold, and a new one is folded once, from its parent's."""
     theta, sigmas = state
     theta_next, sigma = unchecked_step(ms.net, gamma, theta)
     key = sigmas + (sigma,)
     if key not in memo:
-        memo[key] = _step(ms, memo[sigmas], (gamma, theta_next, theta))
+        memo[key] = _step(ms, memo[sigmas], sigma)
     return theta_next, key
 
 
@@ -162,7 +162,7 @@ def _fold(ms, alpha, gammas) -> ReachableSet:
 
 def reachable_set(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
     """Reachable set along one logical input sequence, folded forward
-    through the merged blocks: R_(t+1) = A_(s_t) R_t + im B_(s_t)."""
+    through the merged mode pairs: R_(t+1) = A_(s_t) R_t + im B_(s_t)."""
     return _fold(ms, alpha, gammas)
 
 

@@ -60,12 +60,11 @@ class LogicalNetwork:
     M: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DimensionError("k must be at least 2")
+        check_int(self.k, "k", 2)
         # n_nodes == 0 gives the degenerate single-state net (N = 1),
         # useful as the trivial switching layer of a one-mode system
-        if self.n_nodes < 0 or self.m_nodes < 0:
-            raise DimensionError("need n_nodes >= 0 and m_nodes >= 0")
+        check_int(self.n_nodes, "n_nodes", 0)
+        check_int(self.m_nodes, "m_nodes", 0)
         object.__setattr__(self, "N", self.k**self.n_nodes)
         object.__setattr__(self, "M", self.k**self.m_nodes)
         if self.L.rows != self.N:
@@ -115,8 +114,9 @@ def build_from_functions(
     of the per-node structure matrices. The optional signal table maps
     every combination to a value in 1..q (default: constant signal 1).
     """
-    if n_nodes < 1:
-        raise DimensionError("build_from_functions needs at least one state node")
+    check_int(k, "k", 2)
+    check_int(n_nodes, "n_nodes")
+    check_int(m_nodes, "m_nodes", 0)
     if len(node_tables) != n_nodes:
         raise DimensionError(f"expected {n_nodes} node tables, got {len(node_tables)}")
     width = k ** (m_nodes + n_nodes)

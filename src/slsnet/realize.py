@@ -118,8 +118,9 @@ class TrackVerdict:
 
 
 def check_one_step_universal(net: LogicalNetwork) -> bool:
-    """True when every state can be driven to every state in one step,
-    which drops all signal constraints from the property checks."""
+    """True when every state can be driven to every state in one step: for
+    each pair of states, some input moves the first to the second. A
+    diagnostic of the logical layer alone; no property check calls it."""
     counts = [[0] * net.N for _ in range(net.N)]
     for j, target in enumerate(net.L.col_index):
         theta = j % net.N

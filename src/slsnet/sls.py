@@ -8,12 +8,14 @@ system on z = theta_vec (x) x whose dynamics are carried by two large
 matrices G (nN x nMN) and H (nN x mMN).
 
 Each block column (gamma, beta) of G and H holds exactly one nonzero
-block: it sits at the L-target block row of (gamma, beta) and equals
-the A (resp. B) matrix of the mode R selects there. A merged system
-stores only these blocks; the dense G and H are views built from them
-when accessed. The closed-form semi-tensor-product construction of G
-and H is kept in the tests as the reference the blocks must match. A
-dual mergence with transposed mode matrices (A_i^T, C_i^T) supports the
+block: it sits at block row L(gamma, beta) and equals the A (resp. B)
+matrix of the mode R(gamma, beta). A merged system therefore stores
+only the q mode pairs (A_sigma, B_sigma) and places every block, slice
+and dense view from them through L and R when asked; a block index
+outside 1..M or 1..N is refused, not read as a zero block. The
+closed-form semi-tensor-product construction of G and H is kept in the
+tests as the reference the placed blocks must match. A dual mergence
+with transposed mode matrices (A_i^T, C_i^T) supports the
 observability-side checks.
 """
 
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Subspace
-from .lcn import LogicalNetwork, encode_pair, step
+from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Subspace, check_int
+from .lcn import LogicalNetwork, step
 
 
 @dataclass(frozen=True)
@@ -87,35 +89,6 @@ class SwitchedLinearSystem:
 # Mergence
 # ---------------------------------------------------------------------------
 
-def _merge_blocks(amats, bmats, net: LogicalNetwork):
-    """Direct placement: block (L-target, beta) of slice gamma holds the
-    R-selected mode matrix; everything else is zero."""
-    g_blocks: dict[tuple[int, int, int], Matrix] = {}
-    h_blocks: dict[tuple[int, int, int], Matrix] = {}
-    for gamma in range(1, net.M + 1):
-        for beta in range(1, net.N + 1):
-            col = encode_pair(gamma, beta, net.N)
-            upsilon = net.L.target(col)
-            sigma = net.R.target(col)
-            g_blocks[(gamma, upsilon, beta)] = amats[sigma - 1]
-            h_blocks[(gamma, upsilon, beta)] = bmats[sigma - 1]
-    return g_blocks, h_blocks
-
-
-def _dense(blocks, net, gammas, rows_per_block, cols_per_block, numeric_mode):
-    """Dense view of the input slices `gammas`, side by side, placed from the blocks."""
-    width = cols_per_block * net.N
-    offset = {gamma: k * width for k, gamma in enumerate(gammas)}
-    grid = [[0] * (width * len(gammas)) for _ in range(rows_per_block * net.N)]
-    for (gamma, alpha, beta), block in blocks.items():
-        if gamma in offset:
-            row0 = (alpha - 1) * rows_per_block
-            col0 = offset[gamma] + (beta - 1) * cols_per_block
-            for i, row in enumerate(block.entries):
-                grid[row0 + i][col0:col0 + cols_per_block] = row
-    return Matrix(grid, numeric_mode)
-
-
 def _start(ms):
     """Fold of the empty mode sequence: (empty span, identity chain)."""
     n, mode = ms.sls.n, ms.sls.mode_flag
@@ -123,21 +96,22 @@ def _start(ms):
 
 
 class _MergedBase:
-    """Shared storage/access for direct and dual merged systems."""
+    """Shared storage/access for direct and dual merged systems.
 
-    __slots__ = ("sls", "net", "g_blocks", "h_blocks", "_h_width", "_folds", "_cover")
+    modes[sigma - 1] is the (G-block, H-block) pair of mode sigma; every
+    block of G and H is placed from it through L and R (see _placed).
+    """
 
-    def __init__(self, sls, net, amats, bmats, h_width):
+    __slots__ = ("sls", "net", "modes", "_folds", "_cover")
+
+    def __init__(self, sls, net, modes):
         if net.q != sls.q:
             raise DimensionError(
                 f"signal range mismatch: network emits 1..{net.q}, system has {sls.q} modes"
             )
-        g_blocks, h_blocks = _merge_blocks(amats, bmats, net)
         object.__setattr__(self, "sls", sls)
         object.__setattr__(self, "net", net)
-        object.__setattr__(self, "g_blocks", g_blocks)
-        object.__setattr__(self, "h_blocks", h_blocks)
-        object.__setattr__(self, "_h_width", h_width)
+        object.__setattr__(self, "modes", tuple(modes))
         # the property searches' one fold memo, mode sequence -> (span, chain),
         # seeded with the empty sequence; every query on this merged system
         # folds into it and reads from it. A fold depends on its mode sequence
@@ -149,49 +123,64 @@ class _MergedBase:
     def __setattr__(self, name, value):
         raise AttributeError("merged systems are immutable")
 
+    def _placed(self, gamma: int, beta: int) -> tuple[int, tuple[Matrix, Matrix]]:
+        """Block column (gamma, beta): its one nonzero block row, the
+        L-target, and the mode pair R selects there; indices are checked."""
+        alpha, sigma = step(self.net, gamma, beta)
+        return alpha, self.modes[sigma - 1]
+
+    def _block(self, part: int, gamma: int, alpha: int, beta: int) -> Matrix:
+        check_int(alpha, "state index", 1, self.net.N)
+        target, pair = self._placed(gamma, beta)
+        block = pair[part]
+        if alpha == target:
+            return block
+        return Matrix.zeros(block.rows, block.cols, self.sls.mode_flag)
+
+    def _view(self, part: int, gammas) -> Matrix:
+        """Dense view of the input slices `gammas`, side by side."""
+        n, n_states = self.sls.n, self.net.N
+        width = self.modes[0][part].cols
+        grid = [[0] * (width * n_states * len(gammas)) for _ in range(n * n_states)]
+        for k, gamma in enumerate(gammas):
+            for beta in range(1, n_states + 1):
+                alpha, pair = self._placed(gamma, beta)
+                col0 = (k * n_states + beta - 1) * width
+                for i, row in enumerate(pair[part].entries, start=(alpha - 1) * n):
+                    grid[i][col0:col0 + width] = row
+        return Matrix(grid, self.sls.mode_flag)
+
     def g_block(self, gamma: int, alpha: int, beta: int) -> Matrix:
-        n = self.sls.n
-        return self.g_blocks.get((gamma, alpha, beta), Matrix.zeros(n, n, self.sls.mode_flag))
+        return self._block(0, gamma, alpha, beta)
 
     def h_block(self, gamma: int, alpha: int, beta: int) -> Matrix:
-        n = self.sls.n
-        return self.h_blocks.get(
-            (gamma, alpha, beta), Matrix.zeros(n, self._h_width, self.sls.mode_flag)
-        )
-
-    def _g_view(self, gammas) -> Matrix:
-        return _dense(self.g_blocks, self.net, gammas, self.sls.n, self.sls.n, self.sls.mode_flag)
-
-    def _h_view(self, gammas) -> Matrix:
-        return _dense(self.h_blocks, self.net, gammas, self.sls.n, self._h_width, self.sls.mode_flag)
+        return self._block(1, gamma, alpha, beta)
 
     @property
     def flat_g(self) -> Matrix:
-        """Dense nN x nMN G, built from the blocks on each access."""
-        return self._g_view(range(1, self.net.M + 1))
+        """Dense nN x nMN G, built from the mode pairs on each access."""
+        return self._view(0, range(1, self.net.M + 1))
 
     @property
     def flat_h(self) -> Matrix:
         """Dense nN x mMN H (nN x pMN on the dual side), built on each access."""
-        return self._h_view(range(1, self.net.M + 1))
+        return self._view(1, range(1, self.net.M + 1))
 
     def g_slice(self, gamma: int) -> Matrix:
-        """The nN x nN slice of G selected by input gamma, built from the blocks."""
-        return self._g_view((gamma,))
+        """The nN x nN slice of G selected by input gamma."""
+        return self._view(0, (gamma,))
 
     def h_slice(self, gamma: int) -> Matrix:
-        """The slice of H selected by input gamma, built from the blocks."""
-        return self._h_view((gamma,))
+        """The slice of H selected by input gamma."""
+        return self._view(1, (gamma,))
 
     def compressed_pattern(self, gamma: int) -> BooleanMatrix:
         """N x N sign pattern of slice gamma's blocks (1 = nonzero block)."""
-        bits = []
-        for alpha in range(1, self.net.N + 1):
-            row = []
-            for beta in range(1, self.net.N + 1):
-                block = self.g_blocks.get((gamma, alpha, beta))
-                row.append(0 if block is None or block.is_zero() else 1)
-            bits.append(row)
+        n_states = self.net.N
+        bits = [[0] * n_states for _ in range(n_states)]
+        for beta in range(1, n_states + 1):
+            alpha, (g, _) = self._placed(gamma, beta)
+            bits[alpha - 1][beta - 1] = 0 if g.is_zero() else 1
         return BooleanMatrix(bits)
 
 
@@ -199,18 +188,14 @@ class MergedSystem(_MergedBase):
     """Hybrid dynamics on z = theta_vec (x) x: z' = G_gamma z + H_gamma (theta_vec (x) u)."""
 
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
-        amats = [sls.a(i) for i in range(1, sls.q + 1)]
-        bmats = [sls.b(i) for i in range(1, sls.q + 1)]
-        super().__init__(sls, net, amats, bmats, sls.m)
+        super().__init__(sls, net, ((a, b) for a, b, _ in sls.modes))
 
 
 class DualMergedSystem(_MergedBase):
     """Mergence of the transposed modes (A_i^T, C_i^T) with the same network."""
 
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
-        amats = [sls.a(i).transpose() for i in range(1, sls.q + 1)]
-        cmats = [sls.c(i).transpose() for i in range(1, sls.q + 1)]
-        super().__init__(sls, net, amats, cmats, sls.p)
+        super().__init__(sls, net, ((a.transpose(), c.transpose()) for a, _, c in sls.modes))
 
 
 def merge(sls: SwitchedLinearSystem, net: LogicalNetwork) -> MergedSystem:
@@ -229,13 +214,12 @@ def step_merged(
     The column of z = theta_vec (x) x selected by (gamma, theta) meets a
     single nonzero block of G_gamma and H_gamma, in the block row of the
     L-target theta_next, so x_next = G-block x + H-block u. The logical
-    state comes from L, so x_next = 0 cannot erase it.
+    state comes from L, so x_next = 0 cannot erase it. u has as many rows
+    as the H-block has columns: m, or p on the dual side.
     """
-    sls, net = ms.sls, ms.net
-    if x.shape != (sls.n, 1):
-        raise DimensionError(f"x is {x.shape}, expected {sls.n}x1")
-    if u.shape != (sls.m, 1):
-        raise DimensionError(f"u is {u.shape}, expected {sls.m}x1")
-    theta_next, _ = step(net, gamma, theta)
-    block = (gamma, theta_next, theta)
-    return theta_next, ms.g_blocks[block] @ x + ms.h_blocks[block] @ u
+    theta_next, (g, h) = ms._placed(gamma, theta)
+    if x.shape != (g.cols, 1):
+        raise DimensionError(f"x is {x.shape}, expected {g.cols}x1")
+    if u.shape != (h.cols, 1):
+        raise DimensionError(f"u is {u.shape}, expected {h.cols}x1")
+    return theta_next, g @ x + h @ u

@@ -338,8 +338,10 @@ def test_boolean_power_walks():
 
 
 def test_boolean_validation():
-    with pytest.raises(DimensionError):
-        BooleanMatrix([[2, 0]])
+    # an entry other than 0 or 1 is refused, not truncated or parsed to one
+    for bad in (2, 1.5, 0.5, "1"):
+        with pytest.raises(DimensionError):
+            BooleanMatrix([[bad, 0]])
     with pytest.raises(DimensionError):
         boolean_product(BooleanMatrix([[1, 0]]), BooleanMatrix([[1, 0]]))
 

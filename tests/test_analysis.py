@@ -306,13 +306,12 @@ def _float_copy(sls):
 
 
 def _assert_context(merged, mode):
-    """Blocks, and the spans and chains of one step from every state, carry mode."""
-    blocks = list(merged.g_blocks.values()) + list(merged.h_blocks.values())
-    assert {b.mode for b in blocks} == {mode}
+    """Mode pairs, and the spans and chains of one step from every state, carry mode."""
+    assert {block.mode for pair in merged.modes for block in pair} == {mode}
     for alpha in range(1, merged.net.N + 1):
         for gamma in range(1, merged.net.M + 1):
-            theta_next, _ = step(merged.net, gamma, alpha)
-            span, chain = _step(merged, _start(merged), (gamma, theta_next, alpha))
+            _, sigma = step(merged.net, gamma, alpha)
+            span, chain = _step(merged, _start(merged), sigma)
             assert (span.mode, span.basis.mode, chain.mode) == (mode, mode, mode)
 
 

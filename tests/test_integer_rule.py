@@ -1,13 +1,23 @@
-"""One integer rule for every logical index and count the library takes.
+"""One integer rule for every logical index, count and size the library takes.
 
 Every site below calls `algebra.check_int`: an `int` (not a `bool`)
 within its bounds, or `ValueError`. Floats used to be truncated, read as
-a wrong index or fail with `TypeError`, and bools used to pass as 1.
+a wrong index or fail with `TypeError`, and bools used to pass as 1;
+sizes (logical-matrix rows, network counts) also took integral floats.
 """
 
 import pytest
 
-from slsnet.algebra import DimensionError, LogicalMatrix, basis_vector, check_int
+from slsnet.algebra import (
+    BooleanMatrix,
+    DimensionError,
+    LogicalMatrix,
+    basis_vector,
+    boolean_power,
+    check_int,
+    power_reducing_matrix,
+    swap_matrix,
+)
 from slsnet.analysis import (
     check_observability,
     check_reachability,
@@ -19,6 +29,7 @@ from slsnet.analysis import (
 from slsnet.fileio import SystemDescription
 from slsnet.lcn import (
     InputStateSubset,
+    LogicalNetwork,
     SubsetClass,
     build_from_functions,
     set_reachability_matrix,
@@ -39,9 +50,35 @@ NET = golden_net()  # N = 4, M = 2, q = 2, so M*N = 8
 MS, DMS = merge(golden_sls(), NET), merge_dual(golden_sls(), NET)
 WHOLE = SubsetClass([InputStateSubset([1], 8)])
 
+
+def _network(k=2, n_nodes=0, m_nodes=0):
+    """A network whose L and R are sized from the counts as numbers, so only
+    the count check itself can refuse a float or a bool."""
+    n_states, width = int(k**n_nodes), int(k ** (n_nodes + m_nodes))
+    return LogicalNetwork(
+        k, n_nodes, m_nodes, LogicalMatrix(n_states, [1] * width), LogicalMatrix(1, [1] * width)
+    )
+
+
 # site -> (call taking the value, least bound, top bound or None)
 SITES = {
     "LogicalMatrix index": (lambda v: LogicalMatrix(2, [v, 2]), 1, 2),
+    "LogicalMatrix rows": (lambda v: LogicalMatrix(v, [1]), 1, None),
+    "LogicalNetwork k": (lambda v: _network(k=v), 2, None),
+    "LogicalNetwork n_nodes": (lambda v: _network(n_nodes=v), 0, None),
+    "LogicalNetwork m_nodes": (lambda v: _network(m_nodes=v), 0, None),
+    "build_from_functions k": (lambda v: build_from_functions(v, 1, 0, [[1] * int(v)]), 2, None),
+    "build_from_functions n_nodes": (
+        lambda v: build_from_functions(2, v, 0, [[1] * int(2**v)] * int(v)), 1, None
+    ),
+    "build_from_functions m_nodes": (
+        lambda v: build_from_functions(2, 1, v, [[1] * int(2 ** (v + 1))]), 0, None
+    ),
+    "swap_matrix m": (lambda v: swap_matrix(v, 2), 1, None),
+    "swap_matrix n": (lambda v: swap_matrix(2, v), 1, None),
+    "power_reducing_matrix n": (lambda v: power_reducing_matrix(v), 1, None),
+    "boolean_power k": (lambda v: boolean_power(BooleanMatrix([[1]]), v), 0, None),
+    "basis_vector size": (lambda v: basis_vector(v, 1), 1, None),
     "basis_vector index": (lambda v: basis_vector(3, v), 1, 3),
     "step input": (lambda v: step(NET, v, 1), 1, 2),
     "step state": (lambda v: step(NET, 1, v), 1, 4),
@@ -70,7 +107,7 @@ SITES = {
 
 def _cases():
     for site, (call, least, most) in SITES.items():
-        bad = [1.5, True, least - 1] + ([most + 1] if most is not None else [])
+        bad = [1.5, float(least), True, least - 1] + ([most + 1] if most is not None else [])
         for value in bad:
             yield pytest.param(call, value, id=f"{site}-{value!r}")
 

@@ -1,8 +1,9 @@
 """Mergence tests: block placement vs closed-form formula, stepping.
 
-Merged systems hold only the G/H blocks. The closed-form semi-tensor
-product construction lives here as the reference: the dense views built
-from the blocks must equal it. The tests also check the golden block
+Merged systems hold only one G/H mode pair per signal value and place
+every block through L and R. The closed-form semi-tensor product
+construction lives here as the reference: the dense views built from
+the pairs must equal it. The tests also check the golden block
 layout, the block pattern identities, and step equivalence against
 plain two-system simulation.
 """
@@ -83,7 +84,7 @@ def test_golden_g2_blocks():
             assert ms.g_block(2, alpha, beta) == want
 
 
-def test_golden_h_blocks_follow_g_pattern():
+def test_golden_h_block_follows_g_pattern():
     ms = merge(golden_sls(), golden_net())
     b1, b2 = ms.sls.b(1), ms.sls.b(2)
     assert ms.h_block(1, 1, 1) == b2
@@ -132,14 +133,15 @@ def test_single_nonzero_block_per_column():
         sls = random_system(rng)
         net = random_net_for(rng, sls.q)
         ms = merge(sls, net)
+        zero_g, zero_h = Matrix.zeros(sls.n, sls.n), Matrix.zeros(sls.n, sls.m)
         for gamma in range(1, net.M + 1):
             for beta in range(1, net.N + 1):
-                placed = [
-                    alpha
-                    for alpha in range(1, net.N + 1)
-                    if (gamma, alpha, beta) in ms.g_blocks
-                ]
-                assert len(placed) == 1
+                col = encode_pair(gamma, beta, net.N)
+                target, sigma = net.L.target(col), net.R.target(col)
+                for alpha in range(1, net.N + 1):
+                    placed = alpha == target
+                    assert ms.g_block(gamma, alpha, beta) == (sls.a(sigma) if placed else zero_g)
+                    assert ms.h_block(gamma, alpha, beta) == (sls.b(sigma) if placed else zero_h)
         assert_matches_closed_form(sls, net)
 
 
@@ -170,8 +172,43 @@ def test_dual_blocks_are_transposes():
     ms = merge(golden_sls(), golden_net())
     dual = merge_dual(golden_sls(), golden_net())
     assert dual.g_block(1, 2, 3) == ms.sls.a(1).transpose()
-    for (gamma, alpha, beta), block in ms.g_blocks.items():
-        assert dual.g_block(gamma, alpha, beta) == block.transpose()
+    for gamma in (1, 2):
+        for alpha in range(1, 5):
+            for beta in range(1, 5):
+                assert dual.g_block(gamma, alpha, beta) == ms.g_block(gamma, alpha, beta).transpose()
+
+
+@pytest.mark.parametrize("merger", [merge, merge_dual])
+@pytest.mark.parametrize(
+    "access",
+    [
+        lambda ms: ms.g_block(0, 1, 1),
+        lambda ms: ms.g_block(3, 1, 1),
+        lambda ms: ms.g_block(1, 0, 1),
+        lambda ms: ms.g_block(1, 5, 1),
+        lambda ms: ms.g_block(1, 1, 0),
+        lambda ms: ms.g_block(1, 1, 5),
+        lambda ms: ms.g_block(1, 1.5, 1),
+        lambda ms: ms.h_block(3, 1, 1),
+        lambda ms: ms.h_block(1, 5, 1),
+        lambda ms: ms.h_block(1, 1, 5),
+        lambda ms: ms.g_slice(0),
+        lambda ms: ms.g_slice(3),
+        lambda ms: ms.h_slice(3),
+        lambda ms: ms.compressed_pattern(0),
+        lambda ms: ms.compressed_pattern(3),
+    ],
+    ids=[
+        "g_block-gamma0", "g_block-gamma3", "g_block-alpha0", "g_block-alpha5",
+        "g_block-beta0", "g_block-beta5", "g_block-alpha1.5", "h_block-gamma3",
+        "h_block-alpha5", "h_block-beta5", "g_slice-0", "g_slice-3", "h_slice-3",
+        "compressed_pattern-0", "compressed_pattern-3",
+    ],
+)
+def test_block_access_refuses_out_of_range_indices(merger, access):
+    # golden: M = 2, N = 4; such an index used to read as a zero block
+    with pytest.raises(DimensionError):
+        access(merger(golden_sls(), golden_net()))
 
 
 def test_merge_rejects_mode_count_mismatch():
@@ -230,6 +267,24 @@ def test_step_merged_dimension_errors():
         step_merged(ms, 1, 1, Matrix.zeros(2, 1), Matrix.zeros(1, 1))
     with pytest.raises(DimensionError):
         step_merged(ms, 1, 1, Matrix.zeros(3, 1), Matrix.zeros(2, 1))
+
+
+def test_step_merged_dual_takes_p_wide_u():
+    # m = 2 inputs, p = 1 output: the dual H-block C^T is 2x1, so the dual
+    # step takes a 1x1 u and refuses a 2x1 one
+    a = Matrix([[1, 2], [0, 1]])
+    b = Matrix([[1, 0], [0, 1]])
+    c = Matrix([[3, -1]])
+    sls = SwitchedLinearSystem([(a, b, c)])
+    net = LogicalNetwork(2, 0, 0, LogicalMatrix(1, [1]), LogicalMatrix(1, [1]))
+    x, u = Matrix.column([1, 2]), Matrix.column([5])
+    theta_next, x_next = step_merged(merge_dual(sls, net), 1, 1, x, u)
+    assert theta_next == 1
+    assert x_next == a.transpose() @ x + c.transpose() @ u
+    with pytest.raises(DimensionError):
+        step_merged(merge_dual(sls, net), 1, 1, x, Matrix.column([1, 1]))
+    with pytest.raises(DimensionError):
+        step_merged(merge(sls, net), 1, 1, x, u)
 
 
 def test_system_validation():
