@@ -80,15 +80,17 @@ class LogicalNetwork:
 
     def l_block(self, gamma: int) -> LogicalMatrix:
         """The N x N block of L selected by input gamma."""
-        lo = (gamma - 1) * self.N
+        lo = (check_int(gamma, "input index", 1, self.M) - 1) * self.N
         return LogicalMatrix(self.N, self.L.col_index[lo:lo + self.N])
 
     def successors(self, theta: int) -> list[tuple[int, int]]:
         """All (gamma, theta_next) moves out of a state."""
+        check_int(theta, "state index", 1, self.N)
         return [(g, self.L.target(encode_pair(g, theta, self.N))) for g in range(1, self.M + 1)]
 
     def state_values(self, theta: int) -> tuple[int, ...]:
         """Decode a state index into per-node values, most significant first."""
+        check_int(theta, "state index", 1, self.N)
         digits = []
         rem = theta - 1
         for _ in range(self.n_nodes):

@@ -6,20 +6,29 @@ time, or an explicit finite reference sequence to track. Each check
 reads successor indices of the input-state graph: a pair moves to
 (gamma', L-target) for every next input gamma', so whether a pair
 emitting sigma can stay on sigma or escape from it is decided by the M
-signals emitted after its L-target. The checks run per pair, so the
+signals emitted after its L-target. These checks run per pair, so the
 diagnostics name exactly which input-state pair breaks the requirement.
+Tracking instead follows the set of states the reference allows, as a
+bitmask, and names pairs only in its witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Sequence
 
 from .algebra import DimensionError, check_int
-from .lcn import LogicalNetwork, decode_pair
+from .lcn import LogicalNetwork
 
 INFINITY = math.inf
+# binary digits of a state set as 0/1 bytes, the selectors of compress
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+# below N/_SPARSE members, walking the set bits beats scanning all N digits
+_SPARSE = 8
 
 
 def _check_duration(d, what: str, infinite: bool):
@@ -196,51 +205,73 @@ def check_dwell_time_realizable(
 def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdict:
     """Can some input sequence make the emitted signals equal the reference?
 
-    Propagates the set of input-state pairs consistent with the reference
-    so far; tracking fails at the first step where it empties. Each step
-    keeps the smallest frontier pair per L-target state (a successor
-    fixes its target state), then emits the successors input by input in
-    ascending order, in O(|frontier| + M*N). On success the witness is
-    recovered by walking predecessor links backwards, smallest pair first.
+    Forward pass: S_t, the set of states consistent with the reference so
+    far, is one N-bit int per step (bit theta-1 for state theta). Its
+    frontier is the pairs (gamma, theta) with theta in S_t that emit the
+    reference signal sigma_t, and tracking fails at the first step whose
+    frontier is empty. An O((M+q)*N) precomputation gives, per signal value
+    sigma, the successor mask of each state (the L-targets of its inputs
+    that emit sigma) and, per input gamma, the mask of the states at which
+    gamma emits sigma. S_{t+1} is the OR of the successor masks of the
+    members of S_t, and the frontier size is the popcount of S_t under
+    each emit mask. A sparse S_t is walked bit by bit; a dense one picks
+    its masks by its binary digits in C. So a step costs |S_t| mask ORs,
+    however large the pair frontier, and memory is one int per step.
+
+    Backward pass, on success only: the witness ends at the smallest pair
+    of the last frontier. Each earlier pair is the first entry of the
+    ascending L-preimage list of the next pair's state that emits sigma_t
+    from a state in S_t, i.e. the smallest frontier pair leading there.
     """
     check_int(problem.theta0, "initial state", 1, net.N)
     for sigma in problem.reference:
         check_int(sigma, "reference signal", 1, net.q)
 
-    preimages = {p.sigma: set(p.members) for p in signal_preimages(net)}
-    frontier = sorted(
-        (gamma - 1) * net.N + problem.theta0
-        for gamma in range(1, net.M + 1)
-        if (gamma - 1) * net.N + problem.theta0 in preimages[problem.reference[0]]
-    )
-    sizes = [len(frontier)]
-    if not frontier:
-        return TrackVerdict(False, None, 0, tuple(sizes))
+    N, M = net.N, net.M
+    l_target, signal = net.L.col_index, net.R.col_index
+    # successor masks per signal value, listed from state N down to state 1
+    # so that they line up with the binary digits of a state set
+    succ = [[0] * N for _ in range(net.q)]
+    emits = [[0] * M for _ in range(net.q)]
+    for pair, (target, sigma) in enumerate(zip(l_target, signal)):
+        gamma, theta = divmod(pair, N)
+        succ[sigma - 1][N - 1 - theta] |= 1 << (target - 1)
+        emits[sigma - 1][gamma] |= 1 << theta
 
-    l_target = net.L.col_index
-    links: list[dict[int, int]] = []
-    for t in range(1, len(problem.reference)):
-        wanted = preimages[problem.reference[t]]
-        # walked backwards, so the smallest pair per target state is kept
-        first_pair = {l_target[pair - 1]: pair for pair in reversed(frontier)}
-        targets = sorted(first_pair)
-        step_links = {
-            offset + theta: first_pair[theta]
-            for offset in range(0, net.M * net.N, net.N)
-            for theta in targets
-            if offset + theta in wanted
-        }
-        frontier = list(step_links)
-        links.append(step_links)
-        sizes.append(len(frontier))
-        if not frontier:
+    reference = problem.reference
+    states = 1 << (problem.theta0 - 1)
+    history, sizes = [], []
+    for t, sigma in enumerate(reference):
+        if t:
+            step_succ = succ[reference[t - 1] - 1]
+            if states.bit_count() * _SPARSE < N:  # few states: visit each
+                rest, states = states, 0
+                while rest:
+                    low = rest & -rest
+                    states |= step_succ[N - low.bit_length()]
+                    rest ^= low
+            else:  # many: select the masks by the binary digits of S_t
+                digits = format(states, f"0{N}b").encode().translate(_DIGITS)
+                states = reduce(or_, compress(step_succ, digits), 0)
+        sizes.append(sum((states & mask).bit_count() for mask in emits[sigma - 1]))
+        if not sizes[-1]:
             return TrackVerdict(False, None, t, tuple(sizes))
+        history.append(states)
 
-    pair = frontier[0]
-    chain = [pair]
-    for step_links in reversed(links):
-        pair = step_links[pair]
-        chain.append(pair)
-    chain.reverse()
-    witness = tuple(decode_pair(p, net.N)[0] for p in chain)
+    # 0-based pair j = gamma*N + theta; the first gamma emitting the last
+    # signal from S_T, at its lowest state, is the smallest pair
+    j = next(
+        gamma * N + (hit & -hit).bit_length() - 1
+        for gamma, mask in enumerate(emits[reference[-1] - 1])
+        if (hit := history[-1] & mask)
+    )
+    preimage: list[list[int]] = [[] for _ in range(N)]
+    for pair, target in enumerate(l_target):
+        preimage[target - 1].append(pair)
+    chain = [j]
+    for t in range(len(reference) - 2, -1, -1):
+        sigma, states = reference[t], history[t]
+        j = next(p for p in preimage[j % N] if signal[p] == sigma and states >> (p % N) & 1)
+        chain.append(j)
+    witness = tuple(j // N + 1 for j in reversed(chain))
     return TrackVerdict(True, witness, None, tuple(sizes))

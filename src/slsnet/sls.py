@@ -72,17 +72,21 @@ class SwitchedLinearSystem:
     def mode_flag(self) -> Numeric:
         return self.modes[0][0].mode
 
+    def _mode(self, sigma: int) -> tuple[Matrix, Matrix, Matrix]:
+        return self.modes[check_int(sigma, "mode", 1, self.q) - 1]
+
     def a(self, sigma: int) -> Matrix:
-        return self.modes[sigma - 1][0]
+        return self._mode(sigma)[0]
 
     def b(self, sigma: int) -> Matrix:
-        return self.modes[sigma - 1][1]
+        return self._mode(sigma)[1]
 
     def c(self, sigma: int) -> Matrix:
-        return self.modes[sigma - 1][2]
+        return self._mode(sigma)[2]
 
     def apply(self, sigma: int, x: Matrix, u: Matrix) -> Matrix:
-        return self.a(sigma) @ x + self.b(sigma) @ u
+        a, b, _ = self._mode(sigma)
+        return a @ x + b @ u
 
 
 # ---------------------------------------------------------------------------

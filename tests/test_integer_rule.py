@@ -12,6 +12,7 @@ from slsnet.algebra import (
     BooleanMatrix,
     DimensionError,
     LogicalMatrix,
+    Matrix,
     basis_vector,
     boolean_power,
     check_int,
@@ -47,7 +48,8 @@ from slsnet.sls import merge, merge_dual
 from conftest import golden_net, golden_sls
 
 NET = golden_net()  # N = 4, M = 2, q = 2, so M*N = 8
-MS, DMS = merge(golden_sls(), NET), merge_dual(golden_sls(), NET)
+SLS = golden_sls()  # q = 2 modes, n = 3, m = 1
+MS, DMS = merge(SLS, NET), merge_dual(SLS, NET)
 WHOLE = SubsetClass([InputStateSubset([1], 8)])
 
 
@@ -82,6 +84,13 @@ SITES = {
     "basis_vector index": (lambda v: basis_vector(3, v), 1, 3),
     "step input": (lambda v: step(NET, v, 1), 1, 2),
     "step state": (lambda v: step(NET, 1, v), 1, 4),
+    "l_block input": (lambda v: NET.l_block(v), 1, 2),
+    "successors state": (lambda v: NET.successors(v), 1, 4),
+    "state_values state": (lambda v: NET.state_values(v), 1, 4),
+    "sls a mode": (lambda v: SLS.a(v), 1, 2),
+    "sls b mode": (lambda v: SLS.b(v), 1, 2),
+    "sls c mode": (lambda v: SLS.c(v), 1, 2),
+    "sls apply mode": (lambda v: SLS.apply(v, Matrix.zeros(3, 1), Matrix.zeros(1, 1)), 1, 2),
     "InputStateSubset member": (lambda v: InputStateSubset([v], 8), 1, 8),
     "set_reachability_matrix ell": (lambda v: set_reachability_matrix(NET, WHOLE, WHOLE, v), 1, None),
     "build_from_functions value": (lambda v: build_from_functions(2, 1, 0, [[v, 2]]), 1, 2),

@@ -402,6 +402,34 @@ def test_tracking_verdict_matches_pair_frontier(seed, live):
     assert verdict.trackable or not live
 
 
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("m_nodes", [0, 1, 2])
+@pytest.mark.parametrize("n_nodes", [6, 7, 8])
+def test_tracking_matches_pair_frontier_at_scale(n_nodes, m_nodes, q):
+    # N = 64..256 and M = 1..4, the sizes the benchmark tracks at, where
+    # state sets are both sparse and dense; theta0 emits only signal 1
+    rng = random.Random(f"track:{n_nodes}:{m_nodes}:{q}")
+    net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
+    theta0 = rng.randint(1, net.N)
+    signals = list(net.R.col_index)
+    for gamma in range(net.M):
+        signals[gamma * net.N + theta0 - 1] = 1
+    net = LogicalNetwork(2, n_nodes, m_nodes, net.L, LogicalMatrix(q, signals))
+    live, theta = [], theta0
+    for _ in range(300):
+        theta, sigma = step(net, rng.randint(1, net.M), theta)
+        live.append(sigma)
+    # a live prefix, then random signals that mostly die part way
+    mixed = live[:150] + [rng.randint(1, q) for _ in range(150)]
+    references = [live, mixed] + ([[q] + live[1:]] if q > 1 else [])
+    for reference in references:
+        problem = TrackingProblem(theta0, reference)
+        assert check_trackable(net, problem) == pair_frontier_track(net, problem)
+    assert check_trackable(net, TrackingProblem(theta0, live)).trackable
+    if q > 1:
+        assert check_trackable(net, TrackingProblem(theta0, [q] + live[1:])).failed_at == 0
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
 def test_tracking_monotone_under_preimage_growth(seed):
