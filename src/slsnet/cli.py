@@ -54,16 +54,27 @@ from .realize import (
 from .sls import merge, merge_dual
 
 
+def _tokens(text: str, what: str) -> list[str]:
+    """The values of a comma- or space-separated list; an empty field beside
+    a value (1,,2 or 1, or ,1) is refused, while a list of only empty
+    fields is the empty list."""
+    fields = [field.split() for field in text.split(",")]
+    if any(fields) and not all(fields):
+        raise ValueError(f"{what} has an empty field, got {text!r}")
+    return [tok for field in fields for tok in field]
+
+
 def _int_list(text: str, what: str) -> list[int]:
+    tokens = _tokens(text, what)
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}")
 
 
-def _duration_list(text: str) -> list:
+def _duration_list(text: str, what: str) -> list:
     out = []
-    for tok in text.replace(",", " ").split():
+    for tok in _tokens(text, what):
         if tok.lower() in ("inf", "infinity"):
             out.append(INFINITY)
         else:
@@ -246,7 +257,7 @@ def _diagnostics_dict(verdict, n_states) -> list[dict]:
 
 def _cmd_realize(args, desc, report) -> int:
     if args.constraint == "fot":
-        verdict = check_fot_realizable(desc.net, FotSpec(_duration_list(args.durations)))
+        verdict = check_fot_realizable(desc.net, FotSpec(_duration_list(args.durations, "--durations")))
     else:
         verdict = check_dwell_time_realizable(desc.net, _int_list(args.min, "--min"))
     report["realizable"] = verdict.realizable

@@ -239,6 +239,49 @@ def test_analyze_rejects_empty_alphas(capsys):
         assert "no initial states to check" in err, text
 
 
+# an empty field beside a value used to be dropped, so "1,,2" ran as "1,2"
+EMPTY_FIELDS = ("1,,2", "1,", ",1", "1, ,2")
+
+
+@pytest.mark.parametrize("text", EMPTY_FIELDS)
+def test_analyze_rejects_empty_alpha_field(capsys, text):
+    code, out, err = run(capsys, "analyze", "reachability", SLS, "--alphas", text)
+    assert (code, out) == (2, "")
+    assert f"--alphas has an empty field, got {text!r}" in err
+
+
+@pytest.mark.parametrize("text", EMPTY_FIELDS)
+def test_track_rejects_empty_reference_field(capsys, text):
+    code, out, err = run(capsys, "track", SLS, "--theta0", "4", "--ref", text)
+    assert (code, out) == (2, "")
+    assert f"--ref has an empty field, got {text!r}" in err
+
+
+def test_track_rejects_empty_reference(capsys):
+    for text in ("", ","):
+        code, out, err = run(capsys, "track", SLS, "--theta0", "4", "--ref", text)
+        assert (code, out) == (2, ""), text
+        assert "reference sequence may not be empty" in err, text
+
+
+@pytest.mark.parametrize("text", EMPTY_FIELDS)
+def test_realize_dwell_rejects_empty_field(capsys, text):
+    code, out, err = run(capsys, "realize", "dwell", SLS, "--min", text)
+    assert (code, out) == (2, "")
+    assert f"--min has an empty field, got {text!r}" in err
+
+
+@pytest.mark.parametrize("text", EMPTY_FIELDS + ("inf,,2",))
+def test_realize_fot_rejects_empty_field(capsys, text):
+    code, out, err = run(capsys, "realize", "fot", SLS, "--durations", text)
+    assert (code, out) == (2, "")
+    assert f"--durations has an empty field, got {text!r}" in err
+
+
+def test_list_flags_still_take_spaces(capsys):
+    assert run_json(capsys, "track", SLS, "--theta0", "4", "--ref", "1, 2 2")[1]["witness"] == [2, 2, 2]
+
+
 # analyze_golden.json holds the exit code and JSON report of
 # `analyze all --format json --no-timestamp` with each flag set, on the
 # fixture and on its float copy

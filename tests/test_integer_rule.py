@@ -6,6 +6,8 @@ a wrong index or fail with `TypeError`, and bools used to pass as 1;
 sizes (logical-matrix rows, network counts) also took integral floats.
 """
 
+from enum import IntEnum
+
 import pytest
 
 from slsnet.algebra import (
@@ -155,3 +157,22 @@ def test_tracking_problem_keeps_values_as_given():
     assert problem.theta0 == 1.7
     with pytest.raises(ValueError, match="initial state 1.7 is not an integer"):
         check_trackable(NET, problem)
+
+
+@pytest.mark.parametrize("tail", [[], [0, 1.5]])
+@pytest.mark.parametrize("bad", [True, 1.0, 0, 3, "2"])
+def test_tracking_reference_names_a_late_bad_value(bad, tail):
+    # the reference is checked in one pass first; a miss falls back to the
+    # per-value rule, so the refusal is check_int's for the first bad value
+    reference = [1, 2] * 400 + [bad] + tail
+    with pytest.raises(DimensionError) as expected:
+        check_int(bad, "reference signal", 1, NET.q)
+    with pytest.raises(ValueError) as raised:
+        check_trackable(NET, TrackingProblem(1, reference))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_tracking_reference_accepts_int_subclasses():
+    signal = IntEnum("Signal", ["LOW", "HIGH"])
+    problem = TrackingProblem(4, [signal.LOW, signal.HIGH, signal.HIGH])
+    assert check_trackable(NET, problem) == check_trackable(NET, TrackingProblem(4, [1, 2, 2]))

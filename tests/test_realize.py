@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slsnet import realize
 from slsnet.algebra import BooleanMatrix, LogicalMatrix, boolean_product
 from slsnet.lcn import LogicalNetwork, decode_pair, input_state_matrix, step
 from slsnet.realize import (
@@ -428,6 +429,98 @@ def test_tracking_matches_pair_frontier_at_scale(n_nodes, m_nodes, q):
     assert check_trackable(net, TrackingProblem(theta0, live)).trackable
     if q > 1:
         assert check_trackable(net, TrackingProblem(theta0, [q] + live[1:])).failed_at == 0
+
+
+def _count_tables(monkeypatch):
+    """Spy on the per-byte successor tables: the length of each block built."""
+    built, or_table = [], realize._or_table
+
+    def counting(masks):
+        built.append(len(masks))
+        return or_table(masks)
+
+    monkeypatch.setattr(realize, "_or_table", counting)
+    return built
+
+
+def _live_reference(rng, net, theta0, length):
+    reference, theta = [], theta0
+    for _ in range(length):
+        theta, sigma = step(net, rng.randint(1, net.M), theta)
+        reference.append(sigma)
+    return reference
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 5])
+def test_tracking_tables_with_short_last_block(monkeypatch, n_nodes):
+    # k = 3 gives N = 27, 81, 243: the last 8-state block holds 3, 1, 3
+    built = _count_tables(monkeypatch)
+    rng = random.Random(f"track-k3:{n_nodes}")
+    net = random_net_for(rng, 2, n_nodes=n_nodes, m_nodes=1, k=3)
+    for theta0 in rng.sample(range(1, net.N + 1), 3):
+        live = _live_reference(rng, net, theta0, 60)
+        for reference in (live, live[:30] + [rng.randint(1, 2) for _ in range(30)]):
+            problem = TrackingProblem(theta0, reference)
+            assert check_trackable(net, problem) == pair_frontier_track(net, problem)
+    assert net.N % 8 in built
+
+
+@pytest.mark.parametrize("k, n_nodes", [(2, 0), (2, 1), (3, 1), (2, 2), (3, 2)])
+def test_tracking_tables_on_tiny_networks(monkeypatch, k, n_nodes):
+    # N = 1, 2, 3, 4, 9: below 9 states every step is a table step
+    built = _count_tables(monkeypatch)
+    rng = random.Random(f"track-tiny:{k}:{n_nodes}")
+    for m_nodes in (0, 1):
+        width = k ** (n_nodes + m_nodes)
+        for _ in range(20):
+            net = random_net_for(rng, rng.randint(1, min(3, width)), n_nodes=n_nodes, m_nodes=m_nodes, k=k)
+            theta0 = rng.randint(1, net.N)
+            live = _live_reference(rng, net, theta0, rng.randint(1, 12))
+            drawn = [rng.randint(1, net.q) for _ in range(rng.randint(1, 12))]
+            for reference in (live, drawn):
+                problem = TrackingProblem(theta0, reference)
+                assert check_trackable(net, problem) == pair_frontier_track(net, problem)
+    assert built
+
+
+def _spread_and_collapse_net():
+    """N = 64, M = 4: input 1 sends every state to state 1 and emits 2
+    (3 at state 1); inputs 2..4 spread to random states other than 1 and
+    emit 1."""
+    rng = random.Random("track-spread")
+    n = 64
+    l_cols = [1] * n + [rng.randint(2, n) for _ in range(3 * n)]
+    r_cols = [3] + [2] * (n - 1) + [1] * (3 * n)
+    return LogicalNetwork(2, 6, 2, LogicalMatrix(n, l_cols), LogicalMatrix(3, r_cols))
+
+
+def test_tracking_goes_sparse_dense_sparse(monkeypatch):
+    built = _count_tables(monkeypatch)
+    net = _spread_and_collapse_net()
+    # ten spreading steps make S_t dense, signal 2 collapses it to state 1,
+    # and signal 3 can only be emitted there
+    reference = [1] * 10 + [2, 3] + [1] * 10 + [2, 1, 1]
+    problem = TrackingProblem(5, reference)
+    verdict = check_trackable(net, problem)
+    assert verdict == pair_frontier_track(net, problem)
+    assert verdict.trackable
+    assert verdict.frontier_sizes[11] == 1 and max(verdict.frontier_sizes[:10]) > 8 * 3
+    # signals 1 and 2 both step a dense set twice, but build their eight
+    # block tables once each
+    assert built == [8] * 16
+
+
+def test_tracking_dies_after_tables_were_built(monkeypatch):
+    built = _count_tables(monkeypatch)
+    net = _spread_and_collapse_net()
+    # only state 1 emits 3, and spreading never reaches it: 3 dies on a
+    # dense set; after a collapse to state 1, which emits 3, 2 dies
+    for reference, failed_at in (([1] * 10 + [3], 10), ([1] * 10 + [2, 2], 11)):
+        problem = TrackingProblem(7, reference)
+        verdict = check_trackable(net, problem)
+        assert verdict == pair_frontier_track(net, problem)
+        assert verdict.failed_at == failed_at
+    assert built and set(built) == {8}
 
 
 @given(st.integers(0, 10**6))
