@@ -23,8 +23,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 # Results larger than this many entries are refused outright: merged-system
@@ -52,16 +52,57 @@ def check_int(value, what: str, least: int = 1, most: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Numeric:
+class Record:
+    """Base of the package's records, the immutable value objects that carry
+    inputs and results.
+
+    A record lists its fields in ``__slots__``, in constructor order, and
+    sets them in its own ``__init__`` through ``object.__setattr__``.
+    Equality and the hash go field by field, leaving out the fields named
+    by the class keyword ``uncompared``; the repr reads
+    ``Name(field=value, ...)``, leaving out those named by ``hidden``.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden=(), uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
+        cls._key = attrgetter(*(name for name in cls.__slots__ if name not in uncompared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+
+class Numeric(Record):
     """Numeric context of a matrix: exact (tol None), or float with the
     tolerance below which a magnitude counts as zero."""
 
-    tol: float | None = None
+    __slots__ = ("tol",)
 
-    def __post_init__(self):
-        if self.tol is not None and not 0 < self.tol < math.inf:
+    def __init__(self, tol: float | None = None):
+        if tol is not None and (
+            isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf
+        ):
             raise ValueError("tolerance must be finite and positive")
+        object.__setattr__(self, "tol", tol)
 
 
 EXACT = Numeric()

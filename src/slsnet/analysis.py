@@ -41,10 +41,9 @@ elimination: the span's rank and canonical basis settle both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Subspace, check_int, column_space, hstack, rank as matrix_rank, vstack
+from .algebra import Record, Subspace, check_int, column_space, hstack, rank as matrix_rank, vstack
 from .lcn import LogicalNetwork, control_attractors, unchecked_step
 from .oracle import (
     EnumerationBudget,
@@ -59,8 +58,7 @@ from .sls import DualMergedSystem, MergedSystem, _start
 PROPERTIES = ("reachability", "controllability", "observability", "reconstructibility")
 
 
-@dataclass(frozen=True)
-class ReachableSet:
+class ReachableSet(Record):
     """States reachable from x = 0 at time T along one input sequence.
 
     span is the reachable subspace (on the dual side, the transposed
@@ -69,20 +67,24 @@ class ReachableSet:
     state after the last input.
     """
 
-    alpha: int
-    gammas: tuple[int, ...]
-    span: Subspace
-    terminal_theta: int
+    __slots__ = ("alpha", "gammas", "span", "terminal_theta")
+
+    def __init__(self, alpha: int, gammas: tuple[int, ...], span: Subspace, terminal_theta: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "terminal_theta", terminal_theta)
 
 
-@dataclass(frozen=True)
-class AlphaDetail:
-    span_rank: int
-    holds: bool
+class AlphaDetail(Record):
+    __slots__ = ("span_rank", "holds")
+
+    def __init__(self, span_rank: int, holds: bool):
+        object.__setattr__(self, "span_rank", span_rank)
+        object.__setattr__(self, "holds", holds)
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Record):
     """Outcome of one property search up to horizon T.
 
     per_alpha always describes one candidate input sequence at every
@@ -90,19 +92,36 @@ class PropertyVerdict:
     first sequence in search order that holds at the most checked states.
     """
 
-    property: str
-    holds: bool
-    witness: tuple[int, ...] | None
-    T: int | None
-    per_alpha: dict[int, AlphaDetail]
-    checked_alphas: tuple[int, ...]
+    __slots__ = ("property", "holds", "witness", "T", "per_alpha", "checked_alphas")
+
+    def __init__(
+        self,
+        property: str,
+        holds: bool,
+        witness: tuple[int, ...] | None,
+        T: int | None,
+        per_alpha: dict[int, AlphaDetail],
+        checked_alphas: tuple[int, ...],
+    ):
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "per_alpha", per_alpha)
+        object.__setattr__(self, "checked_alphas", checked_alphas)
 
 
-@dataclass(frozen=True)
-class FeasibleSequence:
-    gammas: tuple[int, ...]
-    # alpha -> (sigmas, thetas) replay
-    trajectories: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+class FeasibleSequence(Record):
+    __slots__ = ("gammas", "trajectories")
+
+    def __init__(
+        self,
+        gammas: tuple[int, ...],
+        # alpha -> (sigmas, thetas) replay
+        trajectories: dict[int, tuple[tuple[int, ...], tuple[int, ...]]],
+    ):
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "trajectories", trajectories)
 
 
 def switching_trajectory(

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
 
 from . import __version__
 from .algebra import BooleanMatrix, DimensionError, SizingError
@@ -423,6 +422,8 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args, desc, report)
         if args.command != "graph" or args.out:
             if not args.no_timestamp:
+                from datetime import datetime, timezone  # only a stamped report needs it
+
                 report["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
                 report["elapsed_ms"] = round((time.perf_counter() - started) * 1000)
             _emit(report, args)

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import EXACT, FLOAT, LogicalMatrix, Matrix, Numeric, check_int
+from .algebra import EXACT, FLOAT, LogicalMatrix, Matrix, Numeric, Record, check_int
 from .lcn import LogicalNetwork, build_from_functions
 from .sls import SwitchedLinearSystem
 
@@ -67,31 +66,36 @@ def _numeric_context(numeric: str, tolerance: float | None) -> Numeric:
     return EXACT
 
 
-@dataclass(frozen=True)
-class SystemDescription:
+class SystemDescription(Record):
     """A description file's content; it builds only if dumps writes a text
     that loads reads back equal."""
 
-    net: LogicalNetwork
-    sls: SwitchedLinearSystem | None = None
-    numeric: str = "exact"
-    tolerance: float | None = None
-    t_max: int | None = None
+    __slots__ = ("net", "sls", "numeric", "tolerance", "t_max")
 
-    def __post_init__(self):
-        context = _numeric_context(self.numeric, self.tolerance)
-        if self.t_max is not None:
-            check_int(self.t_max, "t_max")
-        if self.sls is None:
-            return
-        if self.sls.q != self.net.q:
-            raise ValueError(f"{self.sls.q} modes but the logic signal range is {self.net.q}")
-        if any(mat.mode != context for triple in self.sls.modes for mat in triple):
-            raise ValueError(f"every matrix must carry the context {context} that the options name")
-        if context.tol is not None and not all(
-            math.isfinite(x) for triple in self.sls.modes for mat in triple for row in mat.entries for x in row
-        ):
-            raise ValueError("every float matrix entry must be finite")
+    def __init__(
+        self,
+        net: LogicalNetwork,
+        sls: SwitchedLinearSystem | None = None,
+        numeric: str = "exact",
+        tolerance: float | None = None,
+        t_max: int | None = None,
+    ):
+        context = _numeric_context(numeric, tolerance)
+        if t_max is not None:
+            check_int(t_max, "t_max")
+        if sls is not None:
+            if sls.q != net.q:
+                raise ValueError(f"{sls.q} modes but the logic signal range is {net.q}")
+            if any(mat.mode != context for triple in sls.modes for mat in triple):
+                raise ValueError(f"every matrix must carry the context {context} that the options name")
+            entries = (x for triple in sls.modes for mat in triple for row in mat.entries for x in row)
+            if context.tol is not None and not all(map(math.isfinite, entries)):
+                raise ValueError("every float matrix entry must be finite")
+        object.__setattr__(self, "net", net)
+        object.__setattr__(self, "sls", sls)
+        object.__setattr__(self, "numeric", numeric)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "t_max", t_max)
 
 
 def _fail(lineno: int | None, message: str):

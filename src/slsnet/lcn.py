@@ -21,7 +21,6 @@ library API and the reference the tests check set reachability against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -29,6 +28,7 @@ from .algebra import (
     DimensionError,
     LogicalMatrix,
     Matrix,
+    Record,
     check_int,
 )
 
@@ -46,33 +46,34 @@ def decode_pair(index: int, n_states: int) -> tuple[int, int]:
 # Network model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogicalNetwork:
-    """Logical control network theta(t+1) = L.gamma(t).theta(t), sigma = R.gamma.theta."""
+class LogicalNetwork(Record, hidden=("N", "M"), uncompared=("N", "M")):
+    """Logical control network theta(t+1) = L.gamma(t).theta(t), sigma = R.gamma.theta.
 
-    k: int
-    n_nodes: int
-    m_nodes: int
-    L: LogicalMatrix
-    R: LogicalMatrix
-    # k**n_nodes and k**m_nodes, computed once
-    N: int = field(init=False, repr=False, compare=False)
-    M: int = field(init=False, repr=False, compare=False)
+    N = k**n_nodes and M = k**m_nodes are computed once, at construction.
+    """
 
-    def __post_init__(self):
-        check_int(self.k, "k", 2)
+    __slots__ = ("k", "n_nodes", "m_nodes", "L", "R", "N", "M")
+
+    def __init__(self, k: int, n_nodes: int, m_nodes: int, L: LogicalMatrix, R: LogicalMatrix):
+        check_int(k, "k", 2)
         # n_nodes == 0 gives the degenerate single-state net (N = 1),
         # useful as the trivial switching layer of a one-mode system
-        check_int(self.n_nodes, "n_nodes", 0)
-        check_int(self.m_nodes, "m_nodes", 0)
-        object.__setattr__(self, "N", self.k**self.n_nodes)
-        object.__setattr__(self, "M", self.k**self.m_nodes)
-        if self.L.rows != self.N:
-            raise DimensionError(f"L has {self.L.rows} rows, expected N={self.N}")
-        if self.L.cols != self.M * self.N:
-            raise DimensionError(f"L has {self.L.cols} columns, expected M*N={self.M * self.N}")
-        if self.R.cols != self.M * self.N:
-            raise DimensionError(f"R has {self.R.cols} columns, expected M*N={self.M * self.N}")
+        check_int(n_nodes, "n_nodes", 0)
+        check_int(m_nodes, "m_nodes", 0)
+        N, M = k**n_nodes, k**m_nodes
+        if L.rows != N:
+            raise DimensionError(f"L has {L.rows} rows, expected N={N}")
+        if L.cols != M * N:
+            raise DimensionError(f"L has {L.cols} columns, expected M*N={M * N}")
+        if R.cols != M * N:
+            raise DimensionError(f"R has {R.cols} columns, expected M*N={M * N}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n_nodes", n_nodes)
+        object.__setattr__(self, "m_nodes", m_nodes)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "M", M)
 
     @property
     def q(self) -> int:
@@ -160,12 +161,10 @@ def unchecked_step(net: LogicalNetwork, gamma: int, theta: int) -> tuple[int, in
 # Input-state subsets and l-step set reachability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InputStateSubset:
+class InputStateSubset(Record):
     """Non-empty subset of input-state pair indices in 1..M*N."""
 
-    members: frozenset[int]
-    mn: int
+    __slots__ = ("members", "mn")
 
     def __init__(self, members: Iterable[int], mn: int):
         mem = frozenset(check_int(i, "input-state index", 1, mn) for i in members)
@@ -175,11 +174,10 @@ class InputStateSubset:
         object.__setattr__(self, "mn", mn)
 
 
-@dataclass(frozen=True)
-class SubsetClass:
+class SubsetClass(Record):
     """Ordered list of input-state subsets sharing the ambient size M*N."""
 
-    subsets: tuple[InputStateSubset, ...]
+    __slots__ = ("subsets",)
 
     def __init__(self, subsets: Sequence[InputStateSubset]):
         subs = tuple(subsets)
@@ -241,14 +239,22 @@ def set_reachability_matrix(
     return BooleanMatrix([[1 if c else 0 for c in row] for row in rows])
 
 
-@dataclass(frozen=True)
-class SetReachabilityVerdicts:
+class SetReachabilityVerdicts(Record):
     """The four verdict forms read off a Boolean reachability matrix."""
 
-    pairwise: BooleanMatrix
-    source_reaches_all: tuple[bool, ...]    # column j all ones
-    target_reached_by_all: tuple[bool, ...]  # row i all ones
-    fully_reachable: bool
+    __slots__ = ("pairwise", "source_reaches_all", "target_reached_by_all", "fully_reachable")
+
+    def __init__(
+        self,
+        pairwise: BooleanMatrix,
+        source_reaches_all: tuple[bool, ...],  # column j all ones
+        target_reached_by_all: tuple[bool, ...],  # row i all ones
+        fully_reachable: bool,
+    ):
+        object.__setattr__(self, "pairwise", pairwise)
+        object.__setattr__(self, "source_reaches_all", source_reaches_all)
+        object.__setattr__(self, "target_reached_by_all", target_reached_by_all)
+        object.__setattr__(self, "fully_reachable", fully_reachable)
 
 
 def set_reachability_verdicts(c_ell: BooleanMatrix) -> SetReachabilityVerdicts:
@@ -265,8 +271,7 @@ def set_reachability_verdicts(c_ell: BooleanMatrix) -> SetReachabilityVerdicts:
 # Control attractors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Attractor:
+class Attractor(Record):
     """A sustainable state loop: states visited in order, inputs closing it.
 
     Fixed points have a single state and the input that holds it; cycles
@@ -274,8 +279,11 @@ class Attractor:
     states[i] to states[(i+1) % len].
     """
 
-    states: tuple[int, ...]
-    inputs: tuple[int, ...]
+    __slots__ = ("states", "inputs")
+
+    def __init__(self, states: tuple[int, ...], inputs: tuple[int, ...]):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "inputs", inputs)
 
     @property
     def is_cycle(self) -> bool:
@@ -286,15 +294,23 @@ class Attractor:
         return self.states[0]
 
 
-@dataclass(frozen=True)
-class ControlAttractorReport:
+class ControlAttractorReport(Record, uncompared=("basins",)):
     """`cycles` holds the canonical cycle of each SCC of two or more states."""
 
-    fixed_points: tuple[Attractor, ...]
-    cycles: tuple[Attractor, ...]
-    # attractor states -> {basin state -> steering input sequence}
-    basins: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = field(compare=False)
-    cover: tuple[Attractor, ...] = ()
+    __slots__ = ("fixed_points", "cycles", "basins", "cover")
+
+    def __init__(
+        self,
+        fixed_points: tuple[Attractor, ...],
+        cycles: tuple[Attractor, ...],
+        # attractor states -> {basin state -> steering input sequence}
+        basins: dict[tuple[int, ...], dict[int, tuple[int, ...]]],
+        cover: tuple[Attractor, ...] = (),
+    ):
+        object.__setattr__(self, "fixed_points", fixed_points)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "basins", basins)
+        object.__setattr__(self, "cover", cover)
 
     def all_attractors(self) -> tuple[Attractor, ...]:
         return self.fixed_points + self.cycles

@@ -12,16 +12,20 @@ matrix core.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import DimensionError, Matrix, check_int, hstack, rank, vstack
+from .algebra import DimensionError, Matrix, Record, check_int, hstack, rank, vstack
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_sequences: int = 10**6
-    max_horizon: int = 32
+class EnumerationBudget(Record):
+    """Limits of an enumeration: at most max_sequences input sequences and
+    a horizon of at most max_horizon, both integers >= 1."""
+
+    __slots__ = ("max_sequences", "max_horizon")
+
+    def __init__(self, max_sequences: int = 10**6, max_horizon: int = 32):
+        object.__setattr__(self, "max_sequences", check_int(max_sequences, "max_sequences"))
+        object.__setattr__(self, "max_horizon", check_int(max_horizon, "max_horizon"))
 
 
 class BudgetExceededError(RuntimeError):

@@ -16,12 +16,11 @@ names pairs only in its witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import getitem, or_
 from typing import Sequence
 
-from .algebra import DimensionError, check_int
+from .algebra import DimensionError, Record, check_int
 from .lcn import LogicalNetwork
 
 INFINITY = math.inf
@@ -37,8 +36,7 @@ def _check_duration(d, what: str, infinite: bool):
         raise ValueError(f"{what} {d!r} is not a positive integer{' or INFINITY' if infinite else ''}") from None
 
 
-@dataclass(frozen=True)
-class FotSpec:
+class FotSpec(Record):
     """Fixed operating times, one per signal value; INFINITY allowed.
 
     Duration 1 means the signal must be left immediately after each
@@ -46,7 +44,7 @@ class FotSpec:
     and leavable, INFINITY means it must be sustainable forever.
     """
 
-    durations: tuple
+    __slots__ = ("durations",)
 
     def __init__(self, durations: Sequence):
         durs = tuple(_check_duration(d, "duration", True) for d in durations)
@@ -63,22 +61,22 @@ class FotSpec:
         return self.durations[sigma - 1] > 1
 
 
-@dataclass(frozen=True)
-class SignalPreimage:
+class SignalPreimage(Record):
     """Input-state pairs emitting one signal value."""
 
-    sigma: int
-    members: tuple[int, ...]
+    __slots__ = ("sigma", "members")
+
+    def __init__(self, sigma: int, members: tuple[int, ...]):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "members", members)
 
     @property
     def empty(self) -> bool:
         return not self.members
 
 
-@dataclass(frozen=True)
-class TrackingProblem:
-    theta0: int
-    reference: tuple[int, ...]
+class TrackingProblem(Record):
+    __slots__ = ("theta0", "reference")
 
     def __init__(self, theta0: int, reference: Sequence[int]):
         # stored as given: check_trackable checks them against the network
@@ -89,8 +87,7 @@ class TrackingProblem:
         object.__setattr__(self, "reference", ref)
 
 
-@dataclass(frozen=True)
-class SignalDiagnostic:
+class SignalDiagnostic(Record):
     """Outcome of the stay/escape conditions for one signal value.
 
     Failure tuples hold the input-state pair encodings that violate the
@@ -98,30 +95,52 @@ class SignalDiagnostic:
     conditions hold vacuously.
     """
 
-    sigma: int
-    requirement: object
-    unreachable: bool = False
-    escape_failures: tuple[int, ...] = ()
-    stay_failures: tuple[int, ...] = ()
+    __slots__ = ("sigma", "requirement", "unreachable", "escape_failures", "stay_failures")
+
+    def __init__(
+        self,
+        sigma: int,
+        requirement: object,
+        unreachable: bool = False,
+        escape_failures: tuple[int, ...] = (),
+        stay_failures: tuple[int, ...] = (),
+    ):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "requirement", requirement)
+        object.__setattr__(self, "unreachable", unreachable)
+        object.__setattr__(self, "escape_failures", escape_failures)
+        object.__setattr__(self, "stay_failures", stay_failures)
 
     @property
     def ok(self) -> bool:
         return not self.escape_failures and not self.stay_failures
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
-    realizable: bool
-    diagnostics: tuple[SignalDiagnostic, ...]
-    warnings: tuple[str, ...] = ()
+class RealizabilityVerdict(Record):
+    __slots__ = ("realizable", "diagnostics", "warnings")
+
+    def __init__(
+        self, realizable: bool, diagnostics: tuple[SignalDiagnostic, ...], warnings: tuple[str, ...] = ()
+    ):
+        object.__setattr__(self, "realizable", realizable)
+        object.__setattr__(self, "diagnostics", diagnostics)
+        object.__setattr__(self, "warnings", warnings)
 
 
-@dataclass(frozen=True)
-class TrackVerdict:
-    trackable: bool
-    witness: tuple[int, ...] | None
-    failed_at: int | None
-    frontier_sizes: tuple[int, ...]
+class TrackVerdict(Record):
+    __slots__ = ("trackable", "witness", "failed_at", "frontier_sizes")
+
+    def __init__(
+        self,
+        trackable: bool,
+        witness: tuple[int, ...] | None,
+        failed_at: int | None,
+        frontier_sizes: tuple[int, ...],
+    ):
+        object.__setattr__(self, "trackable", trackable)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "failed_at", failed_at)
+        object.__setattr__(self, "frontier_sizes", frontier_sizes)
 
 
 def check_one_step_universal(net: LogicalNetwork) -> bool:

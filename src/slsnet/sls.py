@@ -21,17 +21,14 @@ observability-side checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Subspace, check_int
+from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, Subspace, check_int
 from .lcn import LogicalNetwork, step
 
 
-@dataclass(frozen=True)
-class SwitchedLinearSystem:
+class SwitchedLinearSystem(Record):
     """Mode family (A_i, B_i, C_i), i in 1..q, on fixed dimensions n, m, p."""
 
-    modes: tuple[tuple[Matrix, Matrix, Matrix], ...]
+    __slots__ = ("modes",)
 
     def __init__(self, modes):
         mds = tuple((a, b, c) for a, b, c in modes)

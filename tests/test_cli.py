@@ -438,3 +438,19 @@ def test_unwritable_stdout_exits_2():
             os.close(write_end)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_cli_import_leaves_out_heavy_standard_modules():
+    # records are built without dataclasses (which pulls in inspect, ast and
+    # dis), and datetime is loaded only to stamp a report
+    root = Path(__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys; b = set(sys.modules); import slsnet.cli; print(' '.join(sorted(set(sys.modules) - b)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "slsnet.realize" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "datetime"}

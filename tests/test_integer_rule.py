@@ -4,6 +4,7 @@ Every site below calls `algebra.check_int`: an `int` (not a `bool`)
 within its bounds, or `ValueError`. Floats used to be truncated, read as
 a wrong index or fail with `TypeError`, and bools used to pass as 1;
 sizes (logical-matrix rows, network counts) also took integral floats.
+A float tolerance follows the same line: a number, never a bool or a string.
 """
 
 from enum import IntEnum
@@ -15,6 +16,7 @@ from slsnet.algebra import (
     DimensionError,
     LogicalMatrix,
     Matrix,
+    Numeric,
     basis_vector,
     boolean_power,
     check_int,
@@ -38,7 +40,7 @@ from slsnet.lcn import (
     set_reachability_matrix,
     step,
 )
-from slsnet.oracle import count_paths, enumerate_switching_sequences
+from slsnet.oracle import EnumerationBudget, count_paths, enumerate_switching_sequences
 from slsnet.realize import (
     FotSpec,
     TrackingProblem,
@@ -108,6 +110,8 @@ SITES = {
     "count_paths source": (lambda v: count_paths(NET, [v], [1], 1), 1, 8),
     "count_paths target": (lambda v: count_paths(NET, [1], [v], 1), 1, 8),
     "count_paths ell": (lambda v: count_paths(NET, [1], [1], v), 0, None),
+    "EnumerationBudget max_sequences": (lambda v: EnumerationBudget(max_sequences=v), 1, None),
+    "EnumerationBudget max_horizon": (lambda v: EnumerationBudget(max_horizon=v), 1, None),
     "FotSpec duration": (lambda v: FotSpec([v, 2]), 1, None),
     "dwell time": (lambda v: check_dwell_time_realizable(NET, [v, 2]), 1, None),
     "tracking initial state": (lambda v: check_trackable(NET, TrackingProblem(v, [1])), 1, 4),
@@ -176,3 +180,20 @@ def test_tracking_reference_accepts_int_subclasses():
     signal = IntEnum("Signal", ["LOW", "HIGH"])
     problem = TrackingProblem(4, [signal.LOW, signal.HIGH, signal.HIGH])
     assert check_trackable(NET, problem) == check_trackable(NET, TrackingProblem(4, [1, 2, 2]))
+
+
+def test_budget_names_its_field():
+    # a float or bool budget used to reach the messages as "the budget of 2.5"
+    with pytest.raises(DimensionError, match="max_horizon 2.5 is not an integer"):
+        EnumerationBudget(max_horizon=2.5)
+    with pytest.raises(DimensionError, match="max_sequences True is not an integer"):
+        EnumerationBudget(max_sequences=True)
+    with pytest.raises(DimensionError, match="max_horizon '9' is not an integer"):
+        EnumerationBudget(max_horizon="9")
+
+
+@pytest.mark.parametrize("tol", [True, False, "1e-9", 1j, [1e-9]])
+def test_tolerance_is_a_number(tol):
+    # Numeric(True) used to build a float context, and a string raised TypeError
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        Numeric(tol)
