@@ -17,7 +17,11 @@ Conventions:
   float contexts store doubles, and every zero/equality test and every
   elimination pivot (after partial pivoting) uses the context's own
   tolerance. Mixing exact and float operands gives float; mixing two
-  different float tolerances is refused.
+  different float tolerances is refused;
+- Matrix, LogicalMatrix, BooleanMatrix and Subspace stand on Record like
+  the package's records: frozen, compared and hashed field by field. A
+  Matrix instead compares within its context's tolerance (exact against
+  float too) and hashes on its shape, so equal matrices hash equal.
 """
 
 from __future__ import annotations
@@ -53,15 +57,16 @@ def check_int(value, what: str, least: int = 1, most: int | None = None) -> int:
 
 
 class Record:
-    """Base of the package's records, the immutable value objects that carry
-    inputs and results.
+    """Base of the package's immutable value objects: the records that carry
+    inputs and results, and the matrices and subspaces below.
 
     A record lists its fields in ``__slots__``, in constructor order, and
     sets them in its own ``__init__`` through ``object.__setattr__``.
     Equality and the hash go field by field, leaving out the fields named
     by the class keyword ``uncompared``; the repr reads
-    ``Name(field=value, ...)``, leaving out those named by ``hidden``.
-    Assigning or deleting an attribute raises AttributeError.
+    ``Name(field=value, ...)``, leaving out those named by ``hidden``; a
+    subclass may write its own of each. Assigning or deleting an attribute
+    raises AttributeError.
     """
 
     __slots__ = ()
@@ -150,7 +155,7 @@ def _exact(value):
 # Dense matrices
 # ---------------------------------------------------------------------------
 
-class Matrix:
+class Matrix(Record):
     """Immutable dense matrix; entries all share one numeric context.
 
     Integers first: an exact matrix stores every integral entry as an int
@@ -177,9 +182,6 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -388,7 +390,7 @@ def stp_all(mats: Sequence[Matrix]) -> Matrix:
 # Logical matrices (every column a canonical basis vector)
 # ---------------------------------------------------------------------------
 
-class LogicalMatrix:
+class LogicalMatrix(Record):
     """Matrix in L_{m x n} stored as its column indices (1-based).
 
     Column j densifies to the basis vector with a single 1 in row
@@ -408,16 +410,13 @@ class LogicalMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "col_index", idx)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LogicalMatrix is immutable")
-
     @property
     def cols(self) -> int:
         return len(self.col_index)
 
     def target(self, j: int) -> int:
         """Row index (1-based) of the single 1 in column j (1-based)."""
-        return self.col_index[j - 1]
+        return self.col_index[check_int(j, "column", 1, self.cols) - 1]
 
     def dense(self, mode: Numeric | str = EXACT) -> Matrix:
         return Matrix(
@@ -465,14 +464,6 @@ class LogicalMatrix:
             ],
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogicalMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.col_index == other.col_index
-
-    def __hash__(self):
-        return hash((self.rows, self.col_index))
-
     def __repr__(self) -> str:
         return f"LogicalMatrix(delta_{self.rows}{list(self.col_index)})"
 
@@ -499,7 +490,7 @@ def power_reducing_matrix(n: int) -> LogicalMatrix:
 # Boolean matrices
 # ---------------------------------------------------------------------------
 
-class BooleanMatrix:
+class BooleanMatrix(Record, uncompared=("rows", "cols")):
     """Dense {0,1} matrix with saturating Boolean sum and product."""
 
     __slots__ = ("rows", "cols", "bits")
@@ -518,9 +509,6 @@ class BooleanMatrix:
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "bits", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BooleanMatrix is immutable")
 
     @staticmethod
     def identity(n: int) -> "BooleanMatrix":
@@ -549,14 +537,6 @@ class BooleanMatrix:
 
     def is_zero(self) -> bool:
         return all(b == 0 for row in self.bits for b in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BooleanMatrix):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
 
     def __repr__(self) -> str:
         body = "; ".join("".join(str(b) for b in row) for row in self.bits)
@@ -676,12 +656,12 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
-class Subspace:
+class Subspace(Record):
     """Linear subspace of R^ambient, stored as its basis alone, in reduced
     column echelon form; ambient and mode are read from the basis.
 
     The canonical basis makes equality checks deterministic: two subspaces
-    are equal iff their basis matrices are identical. It also decides
+    are equal iff their basis matrices are equal. It also decides
     containment without elimination: basis column j is 1 at its pivot row
     p_j and 0 at the other pivot rows, so a vector v lies in the subspace
     iff v equals the sum of v[p_j] times column j.
@@ -691,9 +671,6 @@ class Subspace:
 
     def __init__(self, basis: Matrix):
         object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def ambient(self) -> int:
@@ -726,14 +703,6 @@ class Subspace:
                 if residual if tol is None else abs(residual) > tol:
                     return False
         return True
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.rank))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.rank} in R^{self.ambient})"

@@ -86,7 +86,7 @@ class SystemDescription(Record):
         if sls is not None:
             if sls.q != net.q:
                 raise ValueError(f"{sls.q} modes but the logic signal range is {net.q}")
-            if any(mat.mode != context for triple in sls.modes for mat in triple):
+            if sls.mode_flag != context:
                 raise ValueError(f"every matrix must carry the context {context} that the options name")
             entries = (x for triple in sls.modes for mat in triple for row in mat.entries for x in row)
             if context.tol is not None and not all(map(math.isfinite, entries)):

@@ -87,7 +87,7 @@ class LogicalNetwork(Record, hidden=("N", "M"), uncompared=("N", "M")):
     def successors(self, theta: int) -> list[tuple[int, int]]:
         """All (gamma, theta_next) moves out of a state."""
         check_int(theta, "state index", 1, self.N)
-        return [(g, self.L.target(encode_pair(g, theta, self.N))) for g in range(1, self.M + 1)]
+        return list(enumerate(self.L.col_index[theta - 1::self.N], start=1))
 
     def state_values(self, theta: int) -> tuple[int, ...]:
         """Decode a state index into per-node values, most significant first."""
@@ -167,6 +167,7 @@ class InputStateSubset(Record):
     __slots__ = ("members", "mn")
 
     def __init__(self, members: Iterable[int], mn: int):
+        check_int(mn, "input-state subset size")
         mem = frozenset(check_int(i, "input-state index", 1, mn) for i in members)
         if not mem:
             raise DimensionError("input-state subset may not be empty")
@@ -464,7 +465,7 @@ def dot_graph(net: LogicalNetwork) -> str:
         values = ",".join(str(v) for v in net.state_values(theta))
         lines.append(f'  n{idx} [label="{gamma}×({values})"];')
     for idx in range(1, mn + 1):
-        theta_next = net.L.target(idx)
+        theta_next = net.L.col_index[idx - 1]
         for gamma_next in range(1, net.M + 1):
             lines.append(f"  n{idx} -> n{encode_pair(gamma_next, theta_next, net.N)};")
     lines.append("}")

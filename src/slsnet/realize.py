@@ -180,7 +180,7 @@ def _realizability(net: LogicalNetwork, requirements, needs) -> RealizabilityVer
             warnings.append(f"signal {sigma} unreachable: no input-state pair produces it")
             continue
         need_escape, need_stay = needs[sigma - 1]
-        ahead = [(x, next_signals[net.L.target(x) - 1]) for x in pre.members]
+        ahead = [(x, next_signals[net.L.col_index[x - 1] - 1]) for x in pre.members]
         escape = tuple(x for x, signals in ahead if need_escape and signals == {sigma})
         stay = tuple(x for x, signals in ahead if need_stay and sigma not in signals)
         diagnostics.append(SignalDiagnostic(sigma, requirements[sigma - 1], False, escape, stay))

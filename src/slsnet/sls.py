@@ -2,7 +2,9 @@
 
 A switched linear system (SLS) is a family of modes (A_i, B_i, C_i);
 at each step one mode, selected by the switching signal sigma, drives
-x(t+1) = A_sigma x(t) + B_sigma u(t). When sigma is emitted by a
+x(t+1) = A_sigma x(t) + B_sigma u(t). Every matrix of a system carries
+one numeric context (algebra.Numeric); modes that mix contexts are
+refused when the system is built. When sigma is emitted by a
 logical control network, the pair can be merged into a single hybrid
 system on z = theta_vec (x) x whose dynamics are carried by two large
 matrices G (nN x nMN) and H (nN x mMN).
@@ -26,7 +28,8 @@ from .lcn import LogicalNetwork, step
 
 
 class SwitchedLinearSystem(Record):
-    """Mode family (A_i, B_i, C_i), i in 1..q, on fixed dimensions n, m, p."""
+    """Mode family (A_i, B_i, C_i), i in 1..q, on fixed dimensions n, m, p
+    and one numeric context, mode_flag, carried by every matrix."""
 
     __slots__ = ("modes",)
 
@@ -35,8 +38,10 @@ class SwitchedLinearSystem(Record):
         if not mds:
             raise DimensionError("need at least one mode")
         a0, b0, c0 = mds[0]
-        n = a0.rows
+        n, context = a0.rows, a0.mode
         for i, (a, b, c) in enumerate(mds, start=1):
+            if not a.mode == b.mode == c.mode == context:
+                raise ValueError(f"mode {i}: every matrix must carry the context {context} of A_1")
             if a.shape != (n, n):
                 raise DimensionError(f"mode {i}: A is {a.shape}, expected {n}x{n}")
             if b.rows != n:
@@ -101,6 +106,8 @@ class _MergedBase:
 
     modes[sigma - 1] is the (G-block, H-block) pair of mode sigma; every
     block of G and H is placed from it through L and R (see _placed).
+    Assigning or deleting an attribute raises AttributeError. A merged
+    system holds its memos, so it is not a record: it compares by identity.
     """
 
     __slots__ = ("sls", "net", "modes", "_folds", "_cover")
@@ -122,6 +129,9 @@ class _MergedBase:
         object.__setattr__(self, "_cover", None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("merged systems are immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("merged systems are immutable")
 
     def _placed(self, gamma: int, beta: int) -> tuple[int, tuple[Matrix, Matrix]]:

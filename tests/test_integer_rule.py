@@ -70,6 +70,7 @@ def _network(k=2, n_nodes=0, m_nodes=0):
 SITES = {
     "LogicalMatrix index": (lambda v: LogicalMatrix(2, [v, 2]), 1, 2),
     "LogicalMatrix rows": (lambda v: LogicalMatrix(v, [1]), 1, None),
+    "LogicalMatrix target column": (lambda v: NET.L.target(v), 1, 8),
     "LogicalNetwork k": (lambda v: _network(k=v), 2, None),
     "LogicalNetwork n_nodes": (lambda v: _network(n_nodes=v), 0, None),
     "LogicalNetwork m_nodes": (lambda v: _network(m_nodes=v), 0, None),
@@ -96,6 +97,7 @@ SITES = {
     "sls c mode": (lambda v: SLS.c(v), 1, 2),
     "sls apply mode": (lambda v: SLS.apply(v, Matrix.zeros(3, 1), Matrix.zeros(1, 1)), 1, 2),
     "InputStateSubset member": (lambda v: InputStateSubset([v], 8), 1, 8),
+    "InputStateSubset size": (lambda v: InputStateSubset([1], v), 1, None),
     "set_reachability_matrix ell": (lambda v: set_reachability_matrix(NET, WHOLE, WHOLE, v), 1, None),
     "build_from_functions value": (lambda v: build_from_functions(2, 1, 0, [[v, 2]]), 1, 2),
     "initial state": (lambda v: check_observability(DMS, alphas=[v]), 1, 4),

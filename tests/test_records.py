@@ -1,7 +1,12 @@
 """Contract of slsnet's records: the immutable value objects that carry
 inputs and results. Each is built positionally and by keyword, equal by
 its compared fields, hashable unless a compared field is a dict, shown
-as ``Name(field=value, ...)`` and refuses assignment and deletion."""
+as ``Name(field=value, ...)`` and refuses assignment and deletion.
+
+Matrices, subspaces and merged systems refuse assignment and deletion
+too; they keep their own reprs and equality."""
+
+import re
 
 import pytest
 
@@ -27,7 +32,7 @@ from slsnet.realize import (
     TrackingProblem,
     TrackVerdict,
 )
-from slsnet.sls import SwitchedLinearSystem
+from slsnet.sls import SwitchedLinearSystem, merge, merge_dual
 
 NET_REPR = (
     "LogicalNetwork(k=2, n_nodes=2, m_nodes=1, L=LogicalMatrix(delta_4[1, 1, 2, 4, 4, 4, 3, 3]), "
@@ -220,3 +225,46 @@ def test_system_descriptions_compare_their_systems():
 def test_a_tolerance_shows_in_messages_as_its_record():
     with pytest.raises(ValueError, match=r"the context Numeric\(tol=1e-06\) that the options name"):
         SystemDescription(golden_net(), golden_sls("float"), "float", 1e-6)
+
+
+# (a builder, a builder of an equal instance or None where equality is
+# identity, the repr as a regular expression)
+CARRIERS = {
+    "Matrix-exact": (lambda: Matrix([[1], [0]]), lambda: Matrix([[1.0 + 1e-12], [0.0]], "float"),
+                     re.escape("Matrix(2x1 [1; 0])")),
+    "Matrix-float": (lambda: Matrix([[1.0], [0.0]], "float"), lambda: Matrix([[1], [0]]),
+                     re.escape("Matrix(2x1 [1.0; 0.0])")),
+    "LogicalMatrix": (lambda: LogicalMatrix(2, [2, 1]), lambda: LogicalMatrix(2, (2, 1)),
+                      re.escape("LogicalMatrix(delta_2[2, 1])")),
+    "BooleanMatrix": (lambda: BooleanMatrix([[1, 0]]), lambda: BooleanMatrix([(True, False)]),
+                      re.escape("BooleanMatrix(1x2 [10])")),
+    "Subspace": (lambda: column_space(Matrix([[2], [0]])),
+                 lambda: column_space(Matrix([[1.0], [1e-12]], "float")),
+                 re.escape("Subspace(dim 1 in R^2)")),
+    "MergedSystem": (lambda: merge(golden_sls(), golden_net()), None,
+                     r"<slsnet\.sls\.MergedSystem object at 0x[0-9a-f]+>"),
+    "DualMergedSystem": (lambda: merge_dual(golden_sls(), golden_net()), None,
+                         r"<slsnet\.sls\.DualMergedSystem object at 0x[0-9a-f]+>"),
+}
+
+
+@pytest.mark.parametrize("build, twin, text", CARRIERS.values(), ids=CARRIERS)
+def test_matrices_subspaces_and_merged_systems_are_frozen(build, twin, text):
+    obj = build()
+    for name in type(obj).__slots__:
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert re.fullmatch(text, repr(obj))
+    assert obj == obj and hash(obj) == hash(obj)
+    if twin is None:
+        assert obj != build()  # a merged system compares by identity
+    else:
+        other = twin()
+        assert obj == other and not obj != other and hash(obj) == hash(other)
+        assert len({obj, other}) == 1

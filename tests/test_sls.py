@@ -14,9 +14,12 @@ import pytest
 
 from conftest import golden_net, golden_sls, random_net_for, random_system
 from slsnet.algebra import (
+    EXACT,
+    FLOAT,
     DimensionError,
     LogicalMatrix,
     Matrix,
+    Numeric,
     boolean_product,
     hstack,
     kronecker,
@@ -297,6 +300,26 @@ def test_system_validation():
         SwitchedLinearSystem([(a, b, c), (Matrix([[1]]), b, c)])
     with pytest.raises(DimensionError):
         SwitchedLinearSystem([(a, Matrix([[1]]), c)])
+
+
+@pytest.mark.parametrize(
+    "first, second, bad",
+    [
+        # an exact mode beside a float one used to build, report exact and
+        # turn the float 0.5 of flat_g into Fraction(1, 2)
+        ((EXACT,) * 3, (FLOAT,) * 3, 2),
+        # two tolerances used to fail only mid-search
+        ((Numeric(1e-3),) * 3, (FLOAT,) * 3, 2),
+        ((EXACT, FLOAT, EXACT), (EXACT,) * 3, 1),
+        ((FLOAT,) * 3, (FLOAT, FLOAT, EXACT), 2),
+    ],
+)
+def test_system_refuses_mixed_contexts(first, second, bad):
+    grids = ([[0.5, 0], [0, 1]], [[1], [0]], [[1, 0]])
+    modes = [tuple(Matrix(g, context) for g, context in zip(grids, contexts)) for contexts in (first, second)]
+    with pytest.raises(ValueError) as raised:
+        SwitchedLinearSystem(modes)
+    assert str(raised.value) == f"mode {bad}: every matrix must carry the context {first[0]} of A_1"
 
 
 def test_float_mode_merge_agrees_with_exact():
