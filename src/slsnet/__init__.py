@@ -20,10 +20,8 @@ from .algebra import (
     SizingError,
     Subspace,
     basis_vector,
-    boolean_and,
     boolean_power,
     boolean_product,
-    boolean_sum,
     column_space,
     hstack,
     kronecker,
@@ -92,7 +90,6 @@ from .realize import (
     TrackingProblem,
     check_dwell_time_realizable,
     check_fot_realizable,
-    check_one_step_universal,
     check_trackable,
     signal_preimages,
 )

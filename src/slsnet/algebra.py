@@ -3,7 +3,7 @@
 Provides the semi-tensor product (STP) calculus used throughout the
 package: dense matrices over exact rationals (integers first) or floats,
 logical matrices stored by column indices, Boolean {0,1} matrices with
-the saturating sum/product, structural matrices (swap, power-reducing),
+their OR-AND product, structural matrices (swap, power-reducing),
 and Gaussian elimination (fraction-free on exact matrices) for ranks,
 column spaces and the subspace lattice operations (sum, containment,
 fullness).
@@ -257,9 +257,6 @@ class Matrix(Record):
             mode,
         )
 
-    def scale(self, factor) -> "Matrix":
-        return Matrix([[v * factor for v in row] for row in self.entries], self.mode)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionError(f"matmul: {self.shape} vs {other.shape}")
@@ -282,10 +279,6 @@ class Matrix(Record):
         if self.cols == 0:
             raise DimensionError("cannot transpose a zero-column matrix")
         return _of(tuple(zip(*self.entries)), self.mode)
-
-    @property
-    def T(self) -> "Matrix":
-        return self.transpose()
 
 
 def _check_size(rows: int, cols: int) -> None:
@@ -432,17 +425,6 @@ class LogicalMatrix(Record):
         )
 
     @staticmethod
-    def from_matrix(m: Matrix) -> "LogicalMatrix":
-        idx = []
-        for j in range(m.cols):
-            col = m.col(j)
-            hits = [i for i, v in enumerate(col) if not _is_zero(v, m.mode)]
-            if len(hits) != 1 or not _eq(col[hits[0]], 1, m.mode):
-                raise DimensionError(f"column {j + 1} is not a canonical basis vector")
-            idx.append(hits[0] + 1)
-        return LogicalMatrix(m.rows, idx)
-
-    @staticmethod
     def identity(n: int) -> "LogicalMatrix":
         return LogicalMatrix(n, range(1, n + 1))
 
@@ -491,7 +473,7 @@ def power_reducing_matrix(n: int) -> LogicalMatrix:
 # ---------------------------------------------------------------------------
 
 class BooleanMatrix(Record, uncompared=("rows", "cols")):
-    """Dense {0,1} matrix with saturating Boolean sum and product."""
+    """Dense {0,1} matrix, multiplied by boolean_product (OR of ANDs)."""
 
     __slots__ = ("rows", "cols", "bits")
 
@@ -527,16 +509,10 @@ class BooleanMatrix(Record, uncompared=("rows", "cols")):
         i, j = key
         return self.bits[i][j]
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.bits[i][j] for i in range(self.rows))
-
     def transpose(self) -> "BooleanMatrix":
         return BooleanMatrix(
             [[self.bits[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
-
-    def is_zero(self) -> bool:
-        return all(b == 0 for row in self.bits for b in row)
 
     def __repr__(self) -> str:
         body = "; ".join("".join(str(b) for b in row) for row in self.bits)
@@ -554,22 +530,6 @@ def boolean_product(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
             row.append(1 if any(a.bits[i][k] and b.bits[k][j] for k in range(a.cols)) else 0)
         out.append(row)
     return BooleanMatrix(out)
-
-
-def boolean_sum(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionError("boolean_sum: shapes differ")
-    return BooleanMatrix(
-        [[x | y for x, y in zip(ra, rb)] for ra, rb in zip(a.bits, b.bits)]
-    )
-
-
-def boolean_and(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionError("boolean_and: shapes differ")
-    return BooleanMatrix(
-        [[x & y for x, y in zip(ra, rb)] for ra, rb in zip(a.bits, b.bits)]
-    )
 
 
 def boolean_power(a: BooleanMatrix, k: int) -> BooleanMatrix:

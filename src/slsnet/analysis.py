@@ -6,7 +6,8 @@ each input-state pair emits. The primal side (merge) folds
 R' = G R + im H and D' = G D, so R is the set reachable from x = 0 and
 D the drift A_(s_{T-1}) ... A_(s_0); the dual side (merge_dual,
 transposed modes) folds R' = R + im(D H) and D' = D G, so R is the
-transposed observability row space. Reachability and
+transposed observability row space. Every query refuses (TypeError) a
+merged system of the other side before it folds. Reachability and
 observability hold along a sequence when R is full; controllability and
 reconstructibility when im D lies in R, read off the canonical basis of
 R without elimination (Subspace.contains_vector); kalman_oracle decides
@@ -171,6 +172,12 @@ def _check_walk(net: LogicalNetwork, alpha, gammas) -> None:
         check_int(gamma, "input index", 1, net.M)
 
 
+def _side(ms, query: str, dual: bool) -> None:
+    """Refuse a merged system of the other side, whose fold answers its own questions."""
+    if not isinstance(ms, DualMergedSystem if dual else MergedSystem):
+        raise TypeError(f"{query} needs {'merge_dual' if dual else 'merge'}(sls, net), not {type(ms).__name__}")
+
+
 def _fold(ms, alpha, gammas) -> ReachableSet:
     _check_walk(ms.net, alpha, gammas)
     memo, state = {(): _start(ms)}, (alpha, ())
@@ -182,12 +189,14 @@ def _fold(ms, alpha, gammas) -> ReachableSet:
 def reachable_set(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
     """Reachable set along one logical input sequence, folded forward
     through the merged mode pairs: R_(t+1) = A_(s_t) R_t + im B_(s_t)."""
+    _side(ms, "reachable_set", False)
     return _fold(ms, alpha, gammas)
 
 
 def dual_reachable_set(dms: DualMergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
     """Dual reachable set along one sequence: its span is the transposed row
     space of the induced switching sequence's observability matrix."""
+    _side(dms, "dual_reachable_set", True)
     return _fold(dms, alpha, gammas)
 
 
@@ -263,6 +272,7 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     must pass at every checked alpha. Each distinct mode sequence is judged
     once per query, however many (sequence, checked state) pairs induce it;
     without a witness, per_alpha is the first highest-scoring sequence's."""
+    _side(ms, f"check_{prop}", PROPERTIES.index(prop) > 1)
     checked = _checked(ms, strict, alphas)
     t_max = _horizon(t_max, ms.sls.n)
     kind, n, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms._folds
@@ -338,6 +348,7 @@ def feasible_input_sequences(
     state, at the first length where any sequence succeeds, in search
     order: levels 1..k_max are walked as the reachability search walks
     them, and the first level holding any such sequence is returned whole."""
+    _side(ms, "feasible_input_sequences", False)
     checked = _checked(ms, strict, alphas)
     k_max = _horizon(k_max, ms.sls.n, "k_max")
     n, folds = ms.sls.n, ms._folds

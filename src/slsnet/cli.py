@@ -139,8 +139,6 @@ def _scalarize(value) -> str:
             return "none"
         parts = [_scalarize(v) for v in value]
         return ", ".join(parts) if any(" " in p for p in parts) else " ".join(parts)
-    if value == INFINITY:
-        return "inf"
     return str(value)
 
 

@@ -29,6 +29,7 @@ from .algebra import (
     LogicalMatrix,
     Matrix,
     Record,
+    _check_size,
     check_int,
 )
 
@@ -197,8 +198,9 @@ def input_state_matrix(net: LogicalNetwork) -> BooleanMatrix:
     """Transition structure on input-state pairs: M stacked copies of L.
 
     Entry (i, j) is 1 iff pair j moves in one step to pair i, where the
-    next input (encoded in i) is free.
+    next input (encoded in i) is free. SizingError past SIZE_CAP entries.
     """
+    _check_size(net.M * net.N, net.L.cols)
     dense = net.L.boolean()
     return BooleanMatrix(list(dense.bits) * net.M)
 
@@ -312,9 +314,6 @@ class ControlAttractorReport(Record, uncompared=("basins",)):
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "basins", basins)
         object.__setattr__(self, "cover", cover)
-
-    def all_attractors(self) -> tuple[Attractor, ...]:
-        return self.fixed_points + self.cycles
 
     def checked_states(self) -> tuple[int, ...]:
         """Representative initial states of the disjoint cover."""

@@ -143,17 +143,6 @@ class TrackVerdict(Record):
         object.__setattr__(self, "frontier_sizes", frontier_sizes)
 
 
-def check_one_step_universal(net: LogicalNetwork) -> bool:
-    """True when every state can be driven to every state in one step: for
-    each pair of states, some input moves the first to the second. A
-    diagnostic of the logical layer alone; no property check calls it."""
-    counts = [[0] * net.N for _ in range(net.N)]
-    for j, target in enumerate(net.L.col_index):
-        theta = j % net.N
-        counts[target - 1][theta] += 1
-    return all(c > 0 for row in counts for c in row)
-
-
 def signal_preimages(net: LogicalNetwork) -> list[SignalPreimage]:
     """Partition of the input-state pairs by emitted signal value."""
     members: dict[int, list[int]] = {i: [] for i in range(1, net.q + 1)}

@@ -23,7 +23,7 @@ observability-side checks.
 
 from __future__ import annotations
 
-from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, Subspace, check_int
+from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, Subspace, _check_size, check_int
 from .lcn import LogicalNetwork, step
 
 
@@ -149,9 +149,10 @@ class _MergedBase:
         return Matrix.zeros(block.rows, block.cols, self.sls.mode_flag)
 
     def _view(self, part: int, gammas) -> Matrix:
-        """Dense view of the input slices `gammas`, side by side."""
+        """Dense view of the input slices `gammas`, side by side; SizingError past SIZE_CAP."""
         n, n_states = self.sls.n, self.net.N
         width = self.modes[0][part].cols
+        _check_size(n * n_states, width * n_states * len(gammas))
         grid = [[0] * (width * n_states * len(gammas)) for _ in range(n * n_states)]
         for k, gamma in enumerate(gammas):
             for beta in range(1, n_states + 1):
@@ -198,12 +199,16 @@ class _MergedBase:
 class MergedSystem(_MergedBase):
     """Hybrid dynamics on z = theta_vec (x) x: z' = G_gamma z + H_gamma (theta_vec (x) u)."""
 
+    __slots__ = ()
+
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
         super().__init__(sls, net, ((a, b) for a, b, _ in sls.modes))
 
 
 class DualMergedSystem(_MergedBase):
     """Mergence of the transposed modes (A_i^T, C_i^T) with the same network."""
+
+    __slots__ = ()
 
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
         super().__init__(sls, net, ((a.transpose(), c.transpose()) for a, _, c in sls.modes))

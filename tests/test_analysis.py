@@ -145,7 +145,7 @@ def test_zero_input_matrices_span_nothing():
     z = Matrix.zeros(2, 1)
     sls = SwitchedLinearSystem(
         ((Matrix.identity(2), z, Matrix([[1, 1]])),
-         (Matrix.identity(2).scale(2), z, Matrix([[1, 1]])))
+         (Matrix([[2, 0], [0, 2]]), z, Matrix([[1, 1]])))
     )
     ms = merge(sls, NET)
     for gammas in itertools.product((1, 2), repeat=2):
@@ -289,6 +289,31 @@ def test_repeated_alpha_rejected():
     ):
         with pytest.raises(ValueError, match="initial state 4 given twice"):
             call()
+
+
+# each query, the constructor of the other side, and the one of its own
+WRONG_SIDE = {
+    "check_reachability": (lambda ms: check_reachability(ms), merge_dual, "merge"),
+    "check_controllability": (lambda ms: check_controllability(ms), merge_dual, "merge"),
+    "check_observability": (lambda ms: check_observability(ms), merge, "merge_dual"),
+    "check_reconstructibility": (lambda ms: check_reconstructibility(ms), merge, "merge_dual"),
+    "feasible_input_sequences": (lambda ms: feasible_input_sequences(ms, 3), merge_dual, "merge"),
+    "reachable_set": (lambda ms: reachable_set(ms, 1, (1, 2)), merge_dual, "merge"),
+    "dual_reachable_set": (lambda ms: dual_reachable_set(ms, 1, (1, 2)), merge, "merge_dual"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_SIDE)
+def test_merged_system_of_the_other_side_is_refused(name):
+    # the other side's fold would answer the other side's question: on the
+    # worked system in strict mode, merge's fold names (1, 2, 2), the
+    # reachability witness, where the observability one is (1, 2, 1)
+    query, wrong, right = WRONG_SIDE[name]
+    ms = wrong(golden_sls(), NET)
+    with pytest.raises(TypeError, match=rf"^{name} needs {right}\(sls, net\), not {type(ms).__name__}$"):
+        query(ms)
+    # refused before any fold or cover is built
+    assert list(ms._folds) == [()] and ms._cover is None
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,7 @@ def test_golden_net_attractors():
     assert report.cycles == (Attractor((2, 4, 3), (2, 2, 1)),)
     assert [a.states for a in enumerated_attractors(NET)[1]] == [(2, 4, 3), (1, 4, 3, 2)]
     # every logical state is part of some attractor
-    assert {s for a in report.all_attractors() for s in a.states} == {1, 2, 3, 4}
+    assert {s for a in report.fixed_points + report.cycles for s in a.states} == {1, 2, 3, 4}
     # the basin of state 4 is the whole state space
     assert set(report.basins[(4,)]) == {1, 2, 3, 4}
     assert report.checked_states() == (4,)
@@ -439,7 +439,7 @@ def test_attractor_witnesses_replay():
     for _ in range(20):
         net = random_network(rng, k=2, n_nodes=rng.choice([2, 3]), m_nodes=rng.choice([1, 2]))
         report = control_attractors(net)
-        for attractor in report.all_attractors():
+        for attractor in report.fixed_points + report.cycles:
             states, inputs = attractor.states, attractor.inputs
             for i, state in enumerate(states):
                 nxt, _ = step(net, inputs[i], state)
@@ -470,7 +470,7 @@ def test_attractors_match_networkx_oracle(seed):
     assert {a.states for a in report.fixed_points} == loops
     assert [a.states for a in report.cycles] == sorted(canonical, key=lambda c: (len(c), c))
     reversed_graph = g.reverse()
-    for attractor in report.all_attractors():
+    for attractor in report.fixed_points + report.cycles:
         want = set(attractor.states)
         for s in attractor.states:
             want |= nx.descendants(reversed_graph, s)

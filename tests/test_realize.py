@@ -26,7 +26,6 @@ from slsnet.realize import (
     TrackVerdict,
     check_dwell_time_realizable,
     check_fot_realizable,
-    check_one_step_universal,
     check_trackable,
     signal_preimages,
 )
@@ -129,37 +128,16 @@ def pair_frontier_track(net, problem):
     return TrackVerdict(True, witness, None, tuple(sizes))
 
 
-# ---------------------------------------------------------------------------
-# One-step universality
-# ---------------------------------------------------------------------------
+def test_fot_reads_the_emitted_signals_not_the_free_states():
+    # input gamma moves every state to state gamma, so every state reaches
+    # every state in one step; but the signal is the state's own, and pair
+    # (1, 1) lands on state 1 again, so signal 1 cannot last just one step
+    free_states = tiny_net([1, 1, 2, 2], [1, 2, 1, 2])
+    assert not check_fot_realizable(free_states, FotSpec([1, 1])).realizable
 
-def test_universal_two_state_swap():
-    assert check_one_step_universal(tiny_net([1, 2, 2, 1], [1, 2, 1, 2]))
-
-
-def test_golden_net_not_universal():
-    # state 1 only ever moves to 1 or 4
-    assert not check_one_step_universal(NET)
-
-
-def test_single_input_identity_not_universal():
-    net = LogicalNetwork(
-        k=2, n_nodes=1, m_nodes=0,
-        L=LogicalMatrix(2, [1, 2]), R=LogicalMatrix(1, [1, 1]),
-    )
-    assert not check_one_step_universal(net)
-
-
-def test_universality_and_fot_are_independent():
-    # Universality frees the next state, but the emitted signal still
-    # depends on the pair, so neither condition implies the other.
-    universal = tiny_net([1, 1, 2, 2], [1, 2, 1, 2])
-    assert check_one_step_universal(universal)
-    v = check_fot_realizable(universal, FotSpec([1, 1]))
-    assert not v.realizable
-
+    # every pair moves to state 1, where input sigma emits signal sigma, so
+    # each signal can be held or left at will
     constant_state = tiny_net([1, 1, 1, 1], [1, 1, 2, 2])
-    assert not check_one_step_universal(constant_state)
     for durations in itertools.product((1, 2, INFINITY), repeat=2):
         assert check_fot_realizable(constant_state, FotSpec(durations)).realizable
 

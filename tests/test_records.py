@@ -251,7 +251,8 @@ CARRIERS = {
 @pytest.mark.parametrize("build, twin, text", CARRIERS.values(), ids=CARRIERS)
 def test_matrices_subspaces_and_merged_systems_are_frozen(build, twin, text):
     obj = build()
-    for name in type(obj).__slots__:
+    assert not hasattr(obj, "__dict__")
+    for name in (name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())):
         value = getattr(obj, name)
         with pytest.raises(AttributeError):
             setattr(obj, name, value)

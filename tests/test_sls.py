@@ -13,6 +13,7 @@ import random
 import pytest
 
 from conftest import golden_net, golden_sls, random_net_for, random_system
+from slsnet import algebra
 from slsnet.algebra import (
     EXACT,
     FLOAT,
@@ -20,13 +21,14 @@ from slsnet.algebra import (
     LogicalMatrix,
     Matrix,
     Numeric,
+    SizingError,
     boolean_product,
     hstack,
     kronecker,
     power_reducing_matrix,
     stp,
 )
-from slsnet.lcn import LogicalNetwork, encode_pair, step
+from slsnet.lcn import LogicalNetwork, encode_pair, input_state_matrix, step
 from slsnet.sls import (
     DualMergedSystem,
     MergedSystem,
@@ -119,6 +121,18 @@ def test_flat_shapes():
     assert dual.flat_g.shape == (12, 24)
     assert dual.flat_h.shape == (12, 8)
     assert_matches_closed_form(golden_sls(), golden_net())
+
+
+def test_dense_views_are_refused_past_the_size_cap(monkeypatch):
+    # the smallest view, h_slice, has 12 x 4 = 48 entries
+    monkeypatch.setattr(algebra, "SIZE_CAP", 47)
+    for ms in (merge(golden_sls(), golden_net()), merge_dual(golden_sls(), golden_net())):
+        for view in (lambda: ms.flat_g, lambda: ms.flat_h, lambda: ms.g_slice(1), lambda: ms.h_slice(2)):
+            with pytest.raises(SizingError):
+                view()
+        assert ms.g_block(1, 1, 1) == ms.modes[1][0]  # pair 1 moves to state 1 under mode 2
+    with pytest.raises(SizingError, match="8x8"):
+        input_state_matrix(golden_net())
 
 
 def test_compressed_pattern_equals_l_blocks():
