@@ -187,10 +187,12 @@ class Matrix(Record):
 
     @staticmethod
     def zeros(rows: int, cols: int, mode: Numeric | str = EXACT) -> "Matrix":
+        _check_size(rows, cols)
         return Matrix([[0] * cols for _ in range(rows)], mode)
 
     @staticmethod
     def identity(n: int, mode: Numeric | str = EXACT) -> "Matrix":
+        _check_size(n, n)
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], mode)
 
     @staticmethod
@@ -218,6 +220,8 @@ class Matrix(Record):
             return NotImplemented
         if self.shape != other.shape:
             return False
+        if self.mode != other.mode and None not in (self.mode.tol, other.mode.tol):
+            return False  # two float tolerances never compare equal
         # a Fraction meets a float as float(Fraction), exactly as if coerced
         mode = _join((self.mode, other.mode))
         return all(
@@ -358,14 +362,19 @@ def khatri_rao(a: Matrix, b: Matrix) -> Matrix:
 def stp(a: Matrix, b: Matrix) -> Matrix:
     """Semi-tensor product: (A (x) I_{t/n}) (B (x) I_{t/p}), t = lcm(n, p).
 
-    Total on all shapes; degenerates to the ordinary matrix product when
-    cols(a) == rows(b).
+    Total on all shapes where a has a column; degenerates to the ordinary
+    matrix product when cols(a) == rows(b).
     """
-    t = math.lcm(a.cols, b.rows) if a.cols and b.rows else max(a.cols, b.rows)
-    if t == 0:
+    if a.cols == 0:
         raise DimensionError("stp with an empty inner dimension")
-    left = a if t == a.cols else kronecker(a, Matrix.identity(t // a.cols, a.mode))
-    right = b if t == b.rows else kronecker(b, Matrix.identity(t // b.rows, b.mode))
+    t = math.lcm(a.cols, b.rows)
+    pad_a, pad_b = t // a.cols, t // b.rows
+    # refuse an oversized padding or product before any identity is built
+    _check_size(a.rows * pad_a, t)
+    _check_size(t, b.cols * pad_b)
+    _check_size(a.rows * pad_a, b.cols * pad_b)
+    left = a if pad_a == 1 else kronecker(a, Matrix.identity(pad_a, a.mode))
+    right = b if pad_b == 1 else kronecker(b, Matrix.identity(pad_b, b.mode))
     return left @ right
 
 
@@ -412,6 +421,7 @@ class LogicalMatrix(Record):
         return self.col_index[check_int(j, "column", 1, self.cols) - 1]
 
     def dense(self, mode: Numeric | str = EXACT) -> Matrix:
+        _check_size(self.rows, self.cols)
         return Matrix(
             [[1 if self.col_index[j] == i + 1 else 0 for j in range(self.cols)]
              for i in range(self.rows)],
@@ -419,6 +429,7 @@ class LogicalMatrix(Record):
         )
 
     def boolean(self) -> "BooleanMatrix":
+        _check_size(self.rows, self.cols)
         return BooleanMatrix(
             [[1 if self.col_index[j] == i + 1 else 0 for j in range(self.cols)]
              for i in range(self.rows)]
@@ -494,6 +505,7 @@ class BooleanMatrix(Record, uncompared=("rows", "cols")):
 
     @staticmethod
     def identity(n: int) -> "BooleanMatrix":
+        _check_size(n, n)
         return BooleanMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
@@ -523,6 +535,7 @@ def boolean_product(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
     """Matrix product with + as OR and * as AND (1 iff ordinary entry > 0)."""
     if a.cols != b.rows:
         raise DimensionError(f"boolean_product: {a.cols} vs {b.rows}")
+    _check_size(a.rows, b.cols)
     out = []
     for i in range(a.rows):
         row = []

@@ -12,11 +12,12 @@ free next input, so the analyses here read successor indices off L
 instead of multiplying matrices: simulation, l-step set reachability
 between input-state subset classes (path counts propagated along the
 successors, with Boolean verdicts as their signs), control attractors
-(fixed points, one cycle per strongly connected component, attract
-basins, and a disjoint cover used to cut analysis work), and DOT export
-of the input-state dynamic graph. The input-state transition matrix is
-the same graph in the matrix form of the semi-tensor calculus; it is
-library API and the reference the tests check set reachability against.
+(fixed points, one cycle per strongly connected component, and a
+disjoint cover of one attractor per sink component with its basin, used
+to cut analysis work), and DOT export of the input-state dynamic graph.
+The input-state transition matrix is the same graph in the matrix form
+of the semi-tensor calculus; it is library API and the reference the
+tests check set reachability against.
 """
 
 from __future__ import annotations
@@ -298,7 +299,8 @@ class Attractor(Record):
 
 
 class ControlAttractorReport(Record, uncompared=("basins",)):
-    """`cycles` holds the canonical cycle of each SCC of two or more states."""
+    """`cycles` holds the canonical cycle of each SCC of two or more states;
+    `basins` holds the basin of each attractor in `cover`, and no other."""
 
     __slots__ = ("fixed_points", "cycles", "basins", "cover")
 
@@ -379,38 +381,46 @@ def _canonical_cycle(component: set[int], nexts: dict[int, list[int]]) -> tuple[
 
 def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
     """Fixed points, the canonical cycle of each strongly connected
-    component (SCC) of two or more states, basins, and a disjoint cover.
+    component (SCC) of two or more states, and a disjoint cover with the
+    basins of its attractors.
 
-    The cover greedily keeps attractors whose basins add uncovered
-    states, preferring larger basins, then fixed points over cycles,
-    then the larger representative state, then shorter, then
-    lexicographically first cycles. The attractors of one SCC share one
-    basin (the states that can reach it), so the greedy takes at most
-    the first per SCC: its largest fixed point, else its canonical cycle.
-    The cover is thus the one all simple cycles give; its attractors lie
-    in distinct SCCs, so they are disjoint. A cycle's inputs are the
-    largest on each inner edge and the smallest on the closing one.
+    The cover holds one attractor per sink SCC (one that no move leaves):
+    its largest fixed point, else its canonical cycle. It lists them by
+    larger basin first, then fixed points before cycles, then the larger
+    representative state. This is the cover a greedy pass over every
+    attractor would keep: a sink SCC always holds an attractor, the basin
+    of a non-sink SCC lies strictly inside the basin of a sink it reaches,
+    and the attractors of one SCC share one basin (the states that can
+    reach it). Attractors of distinct SCCs are disjoint, and every state
+    reaches a sink. A cycle's inputs are the largest on each inner edge
+    and the smallest on the closing one.
     """
     n_states = net.N
     succ = {theta: net.successors(theta) for theta in range(1, n_states + 1)}
 
-    fixed_points = []
+    holding: dict[int, Attractor] = {}
     for theta in range(1, n_states + 1):
         holds = [g for g, nxt in succ[theta] if nxt == theta]
         if holds:
-            fixed_points.append(Attractor((theta,), (holds[0],)))
+            holding[theta] = Attractor((theta,), (holds[0],))
 
     nexts = {theta: sorted({nxt for _, nxt in moves}) for theta, moves in succ.items()}
     cycles = []
+    sinks = []
     for component in _strong_components(nexts):
+        members = set(component)
         if len(component) > 1:
-            states = _canonical_cycle(set(component), nexts)
+            states = _canonical_cycle(members, nexts)
             inputs = [max(g for g, nxt in succ[a] if nxt == b) for a, b in zip(states, states[1:])]
             inputs.append(min(g for g, nxt in succ[states[-1]] if nxt == states[0]))
             cycles.append(Attractor(states, tuple(inputs)))
+        if all(w in members for v in component for w in nexts[v]):
+            # a one-state sink holds itself, so a sink with no fixed point
+            # is the component whose cycle was just appended
+            held = max((s for s in component if s in holding), default=None)
+            sinks.append(cycles[-1] if held is None else holding[held])
     cycles.sort(key=lambda a: (len(a.states), a.states))
 
-    attractors = fixed_points + cycles
     # in (state, input) order, the order the basin search steers in
     predecessors: dict[int, list[tuple[int, int]]] = {t: [] for t in range(1, n_states + 1)}
     for theta, moves in succ.items():
@@ -418,10 +428,9 @@ def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
             predecessors[nxt].append((theta, g))
 
     basins: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-    for attractor in attractors:
-        inside = set(attractor.states)
+    for attractor in sinks:
         steering: dict[int, tuple[int, ...]] = {s: () for s in attractor.states}
-        frontier = sorted(inside)
+        frontier = sorted(attractor.states)
         while frontier:
             nxt_frontier = []
             for state in frontier:
@@ -432,22 +441,9 @@ def control_attractors(net: LogicalNetwork) -> ControlAttractorReport:
             frontier = sorted(nxt_frontier)
         basins[attractor.states] = steering
 
-    ordered = sorted(
-        attractors,
-        key=lambda a: (-len(basins[a.states]), a.is_cycle, -a.representative),
-    )
-    cover: list[Attractor] = []
-    covered: set[int] = set()
-    for attractor in ordered:
-        if covered >= basins[attractor.states].keys():
-            continue
-        cover.append(attractor)
-        covered |= basins[attractor.states].keys()
-        if len(covered) == n_states:
-            break
-
+    cover = sorted(sinks, key=lambda a: (-len(basins[a.states]), a.is_cycle, -a.representative))
     return ControlAttractorReport(
-        tuple(fixed_points), tuple(cycles), basins, tuple(cover)
+        tuple(holding.values()), tuple(cycles), basins, tuple(cover)
     )
 
 

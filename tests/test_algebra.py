@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slsnet import algebra
 from slsnet.algebra import (
     BooleanMatrix,
     DimensionError,
@@ -242,6 +243,31 @@ def test_sizing_cap():
         kronecker(wide, wide.transpose())
 
 
+def test_sizing_cap_before_allocation(monkeypatch):
+    monkeypatch.setattr(algebra, "SIZE_CAP", 10)
+    built = []
+    identity = Matrix.identity
+    monkeypatch.setattr(
+        Matrix, "identity", staticmethod(lambda *args: built.append(args) or identity(*args))
+    )
+    # the padded left factor would be 4x4: refused before I_4 is built
+    with pytest.raises(SizingError):
+        stp(Matrix([[1]]), Matrix.zeros(4, 1))
+    assert built == []
+    for oversized in (lambda: identity(4), lambda: Matrix.zeros(2, 6),
+                      lambda: LogicalMatrix(4, [1, 2, 3, 4]).dense(),
+                      lambda: LogicalMatrix(4, [1, 2, 3, 4]).boolean(),
+                      lambda: BooleanMatrix.identity(4),
+                      lambda: boolean_product(BooleanMatrix([[1]] * 4), BooleanMatrix([[1] * 4]))):
+        with pytest.raises(SizingError):
+            oversized()
+
+
+def test_stp_refuses_empty_inner_dimension():
+    with pytest.raises(DimensionError, match="empty inner dimension"):
+        stp(Matrix([[]]), Matrix([[1], [2]]))
+
+
 # ---------------------------------------------------------------------------
 # Swap and power-reducing matrices
 # ---------------------------------------------------------------------------
@@ -460,10 +486,18 @@ def test_numeric_join_rule():
         assert mixed.mode == loose
     assert exact == a and (exact @ exact).mode == Numeric()
     # two different float tolerances are refused, not silently resolved
-    for mix in (lambda: a @ b, lambda: a - b, lambda: hstack([exact, a, b]),
-                lambda: vstack([b, a]), lambda: kronecker(a, b), lambda: a == b):
-        with pytest.raises(ValueError, match="tolerances"):
+    for mix in (lambda: a @ b, lambda: a + b, lambda: a - b, lambda: hstack([exact, a, b]),
+                lambda: vstack([b, a]), lambda: kronecker(a, b)):
+        with pytest.raises(ValueError, match="cannot mix float tolerances"):
             mix()
+
+
+def test_different_float_tolerances_compare_unequal():
+    a, b = Matrix([[1.0]], Numeric(1e-3)), Matrix([[1.0]], "float")
+    assert not a == b and a != b
+    assert len({a, b}) == 2
+    assert column_space(a) != column_space(b) and len({column_space(a), column_space(b)}) == 2
+    assert a == Matrix([[1]]) == b
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

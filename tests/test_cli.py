@@ -16,6 +16,7 @@ from conftest import unreachable_single_input_text
 FIXTURES = Path(__file__).parent / "fixtures"
 SLS = str(FIXTURES / "sls_3x2.txt")
 LCN = str(FIXTURES / "lcn_double.txt")
+SINKS = str(FIXTURES / "lcn_sinks.txt")
 
 
 def run(capsys, *argv):
@@ -85,6 +86,43 @@ def test_attractors_golden(capsys):
     assert cover["states"] == [4]
     assert cover["basin"] == [1, 2, 3, 4]
     assert cover["steering"]["4"] == []
+
+
+def test_attractors_report_pinned_with_two_sinks(capsys):
+    # {1, 2} holds fixed point 1 but leaks into the sink {3, 4, 5}; {6, 7}
+    # is a sink cycle and 8 is transient, so the cover holds one attractor
+    # per sink and steers into nothing else
+    code, rep = run_json(capsys, "attractors", SINKS)
+    assert code == 0
+    assert rep == {
+        "tool": "slsnet 0.1.0",
+        "command": "attractors",
+        "input": "cafff3accba9c428",
+        "fixed_points": [1, 4, 5],
+        "cycles": [[1, 2], [6, 7], [3, 4, 5]],
+        "cover": [
+            {
+                "states": [5],
+                "kind": "fixed point",
+                "basin": [1, 2, 3, 4, 5, 8],
+                "steering": {
+                    "1": [2, 2, 1, 2],
+                    "2": [2, 1, 2],
+                    "3": [1, 2],
+                    "4": [2],
+                    "5": [],
+                    "8": [2, 2, 2, 1, 2],
+                },
+            },
+            {
+                "states": [6, 7],
+                "kind": "cycle",
+                "basin": [6, 7, 8],
+                "steering": {"6": [], "7": [], "8": [1]},
+            },
+        ],
+        "checked_states": [5, 6],
+    }
 
 
 def test_setreach_one_step(capsys):

@@ -2,8 +2,8 @@
 
 Brute-force oracles: direct truth-table evaluation for built networks,
 STP evaluation for step(), exhaustive DFS for path counts, and for
-attractors both networkx cycle/reachability search and the greedy cover
-over every simple cycle, enumerated depth-first.
+attractors both networkx cycle, sink-component and reachability search
+and the greedy cover over every simple cycle, enumerated depth-first.
 """
 
 import itertools
@@ -446,6 +446,22 @@ def test_attractor_witnesses_replay():
                 assert nxt == states[(i + 1) % len(states)]
 
 
+def canonical_cycle(g, component):
+    """Of the simple cycles in a component (each rotated to start at its
+    smallest state), the one with the largest smallest state, then the
+    shortest, then the lexicographically first."""
+    rotated = []
+    for cyc in nx.simple_cycles(g.subgraph(component)):
+        if len(cyc) > 1:
+            smallest = cyc.index(min(cyc))
+            rotated.append(tuple(cyc[smallest:] + cyc[:smallest]))
+    return min(rotated, key=lambda c: (-c[0], len(c), c))
+
+
+def basin_of(g, states):
+    return set(states).union(*(nx.ancestors(g, s) for s in states))
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_attractors_match_networkx_oracle(seed):
@@ -454,27 +470,30 @@ def test_attractors_match_networkx_oracle(seed):
     report = control_attractors(net)
     g = graph_of(net)
     loops = {(theta,) for theta in g if g.has_edge(theta, theta)}
-    # per component of two or more states, the simple cycle (rotated to
-    # start at its smallest state) with the largest smallest state, then
-    # the shortest, then the lexicographically first
-    canonical = []
-    for component in nx.strongly_connected_components(g):
-        if len(component) < 2:
-            continue
-        rotated = []
-        for cyc in nx.simple_cycles(g.subgraph(component)):
-            if len(cyc) > 1:
-                smallest = cyc.index(min(cyc))
-                rotated.append(tuple(cyc[smallest:] + cyc[:smallest]))
-        canonical.append(min(rotated, key=lambda c: (-c[0], len(c), c)))
+    canonical = [canonical_cycle(g, c) for c in nx.strongly_connected_components(g) if len(c) > 1]
     assert {a.states for a in report.fixed_points} == loops
     assert [a.states for a in report.cycles] == sorted(canonical, key=lambda c: (len(c), c))
-    reversed_graph = g.reverse()
-    for attractor in report.fixed_points + report.cycles:
-        want = set(attractor.states)
-        for s in attractor.states:
-            want |= nx.descendants(reversed_graph, s)
-        assert set(report.basins[attractor.states]) == want
+    for attractor in report.cover:
+        assert set(report.basins[attractor.states]) == basin_of(g, attractor.states)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_cover_is_one_attractor_per_sink_component(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, k=rng.choice([2, 3]), n_nodes=rng.choice([1, 2]), m_nodes=rng.choice([0, 1, 2]))
+    report = control_attractors(net)
+    g = graph_of(net)
+    dag = nx.condensation(g)
+    want = []
+    for node in dag:
+        if dag.out_degree(node) == 0:
+            members = dag.nodes[node]["members"]
+            held = [s for s in members if g.has_edge(s, s)]
+            want.append((max(held),) if held else canonical_cycle(g, members))
+    want.sort(key=lambda c: (-len(basin_of(g, c)), len(c) > 1, -c[0]))
+    assert [a.states for a in report.cover] == want
+    assert report.basins.keys() == {a.states for a in report.cover}
 
 
 @given(st.integers(0, 10**6))
