@@ -4,9 +4,9 @@ Provides the semi-tensor product (STP) calculus used throughout the
 package: dense matrices over exact rationals (integers first) or floats,
 logical matrices stored by column indices, Boolean {0,1} matrices with
 their OR-AND product, structural matrices (swap, power-reducing),
-and Gaussian elimination (fraction-free on exact matrices) for ranks,
-column spaces and the subspace lattice operations (sum, containment,
-fullness).
+and one Gaussian elimination over plain rows (_echelon, fraction-free on
+exact rows) for ranks, column spaces and the subspace lattice operations
+(sum, containment, fullness).
 
 Conventions:
 - all basis/column indices are 1-based, matching the usual delta_n^i
@@ -559,52 +559,53 @@ def boolean_power(a: BooleanMatrix, k: int) -> BooleanMatrix:
 # Gaussian elimination: rank, column spaces, subspace lattice
 # ---------------------------------------------------------------------------
 
-def _primitive(row) -> list:
+def _primitive(row):
     """Exact row scaled to coprime ints: times the lcm of its denominators,
     then divided by the gcd of its entries (its content)."""
-    d = math.lcm(*(v.denominator for v in row if type(v) is not int))
-    row = [int(v * d) for v in row] if d > 1 else row
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else list(row)
+    try:
+        g = math.gcd(*row)
+    except TypeError:  # a Fraction; products of rational entries give integral ones too
+        d = math.lcm(*(v.denominator for v in row))
+        row = [v.numerator * (d // v.denominator) for v in row]
+        g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
-def _rref(m: Matrix) -> tuple[list, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list).
-
-    An exact matrix is eliminated fraction-free: each row is cleared of
-    its denominators, rows are combined by integer cross-multiplication
-    and kept primitive, and each pivot row is divided by its pivot only
-    at the end. The reduced form is unique, so this gives the rational
-    RREF exactly. A float matrix partial-pivots on magnitude and treats
-    |v| <= its context's tolerance as zero.
+def _echelon(rows, tol) -> tuple:
+    """Gauss-Jordan rows spanning a sequence of rows, sorted by pivot
+    column; their count is the rank. Exact (tol None), fraction-free: each
+    row, cleared of denominators, is reduced against the kept rows by
+    integer cross-multiplication, dropped if it vanishes, made primitive,
+    and its pivot column is cleared from the kept rows; divided by their
+    pivots, the rows give the unique reduced row echelon form. Float:
+    partial pivoting on magnitude, each pivot row divided by its pivot
+    (so every pivot is 1.0), |v| <= tol counting as zero.
     """
-    tol = m.mode.tol
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
+    ncols = len(rows[0]) if rows else 0
     if tol is None:
-        grid = [_primitive(row) for row in m.entries]
-        for c in range(ncols):
-            pivot_row = next((i for i in range(r, nrows) if grid[i][c]), None)
-            if pivot_row is None:
+        kept = []  # (pivot column, row)
+        for row in rows:
+            row = _primitive(row)
+            for c, k in kept:
+                f = row[c]
+                if f:
+                    p = k[c]
+                    row = [p * x - f * y for x, y in zip(row, k)]
+            c = next((j for j, x in enumerate(row) if x), None)
+            if c is None:
                 continue
-            grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-            prow = grid[r]
-            p = prow[c]
-            for i in range(nrows):
-                f = grid[i][c]
-                if f and i != r:
-                    grid[i] = _primitive([p * x - f * y for x, y in zip(grid[i], prow)])
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        reduced = [
-            tuple(v // row[c] if v % row[c] == 0 else Fraction(v, row[c]) for v in row)
-            for row, c in zip(grid, pivots)
-        ]
-        return reduced + [(0,) * ncols] * (nrows - r), pivots
-    grid = [list(row) for row in m.entries]
+            row = _primitive(row)
+            p = row[c]
+            for i, (ck, k) in enumerate(kept):
+                f = k[c]
+                if f:
+                    kept[i] = ck, _primitive([p * x - f * y for x, y in zip(k, row)])
+            kept.append((c, row))
+            if len(kept) == ncols:
+                break  # full: every further row vanishes
+        return tuple(tuple(row) for _, row in sorted(kept))
+    grid = [list(row) for row in rows]
+    nrows, r = len(grid), 0
     for c in range(ncols):
         if r >= nrows:
             break
@@ -615,18 +616,39 @@ def _rref(m: Matrix) -> tuple[list, list[int]]:
         pv = grid[r][c]
         grid[r] = [v / pv for v in grid[r]]
         for i in range(nrows):
-            if i != r and not _is_zero(grid[i][c], m.mode):
+            if i != r and abs(grid[i][c]) > tol:
                 f = grid[i][c]
                 grid[i] = [x - f * y for x, y in zip(grid[i], grid[r])]
         grid = [[0.0 if abs(v) <= tol else v for v in row] for row in grid]
-        pivots.append(c)
         r += 1
-    return grid, pivots
+    return tuple(tuple(row) for row in grid[:r])
+
+
+def _contains(rows, tol, vectors) -> bool:
+    """Whether every vector lies in the span of Gauss-Jordan rows (see
+    _echelon), read off the rows in one pass down each vector v: row j has
+    pivot e_j at column p_j, so v lies in the span iff s v = sum_j v[p_j]
+    (s / e_j) row_j, s the lcm of the pivots. In float mode every pivot is
+    1.0, s is 1, and a residual of magnitude <= tol counts as zero.
+    """
+    exact = tol is None
+    scale = math.lcm(*(next(filter(None, row)) for row in rows)) if exact else 1
+    for v in vectors:
+        weights = []
+        for c, x in enumerate(v):
+            if len(weights) < len(rows):
+                e = rows[len(weights)][c]
+                if e if exact else e == 1:
+                    weights.append(x * (scale // e) if exact else x)
+                    continue
+            residual = x * scale - sum(row[c] * w for row, w in zip(rows, weights))
+            if residual if exact else abs(residual) > tol:
+                return False
+    return True
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref(m)
-    return len(pivots)
+    return len(_echelon(m.entries, m.mode.tol))
 
 
 class Subspace(Record):
@@ -634,10 +656,8 @@ class Subspace(Record):
     column echelon form; ambient and mode are read from the basis.
 
     The canonical basis makes equality checks deterministic: two subspaces
-    are equal iff their basis matrices are equal. It also decides
-    containment without elimination: basis column j is 1 at its pivot row
-    p_j and 0 at the other pivot rows, so a vector v lies in the subspace
-    iff v equals the sum of v[p_j] times column j.
+    are equal iff their basis matrices are equal. Containment is read off
+    it without elimination (see _contains).
     """
 
     __slots__ = ("basis",)
@@ -661,35 +681,25 @@ class Subspace(Record):
         """Whether every column of v (a vector, or any matrix) lies in the subspace."""
         if v.rows != self.ambient:
             raise DimensionError(f"contains: ambient {self.ambient} vs {v.rows} rows")
-        tol = _join((self.mode, v.mode)).tol
-        # one pass down the rows: the row holding the next basis column's
-        # pivot 1 gives the entries of v that weight that column; any other
-        # row of v must equal the weighted basis, whose later columns are
-        # still 0 there
-        weights = []
-        for k, brow in enumerate(self.basis.entries):
-            if len(weights) < self.rank and brow[len(weights)] == 1:
-                weights.append(v.entries[k])
-                continue
-            for c, x in enumerate(v.entries[k]):
-                residual = x - sum(b * w[c] for b, w in zip(brow, weights))
-                if residual if tol is None else abs(residual) > tol:
-                    return False
-        return True
+        return _contains(tuple(zip(*self.basis.entries)), _join((self.mode, v.mode)).tol, zip(*v.entries))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.rank} in R^{self.ambient})"
 
 
+def _span(rows, ambient: int, mode: Numeric) -> Subspace:
+    """The Subspace that Gauss-Jordan rows (see _echelon) span in R^ambient;
+    each exact row divided by its pivot gives the canonical basis."""
+    if not rows:
+        return Subspace(Matrix.zeros(ambient, 0, mode))
+    if mode.tol is None:
+        rows = [[Fraction(v, next(filter(None, row))) for v in row] for row in rows]
+    return Subspace(Matrix(tuple(zip(*rows)), mode))
+
+
 def column_space(m: Matrix) -> Subspace:
     """Column space as a Subspace with canonical echelon basis."""
-    pivots = []
-    if m.cols:
-        grid, pivots = _rref(m.transpose())
-    if not pivots:
-        return Subspace(Matrix.zeros(m.rows, 0, m.mode))
-    # the RREF rows are already in the context's entry form
-    return Subspace(_of(tuple(zip(*grid[: len(pivots)])), m.mode))
+    return _span(_echelon(tuple(zip(*m.entries)), m.mode.tol), m.rows, m.mode)
 
 
 def subspace_sum(*spaces: Subspace) -> Subspace:

@@ -9,9 +9,10 @@ transposed modes) folds R' = R + im(D H) and D' = D G, so R is the
 transposed observability row space. Every query refuses (TypeError) a
 merged system of the other side before it folds. Reachability and
 observability hold along a sequence when R is full; controllability and
-reconstructibility when im D lies in R, read off the canonical basis of
-R without elimination (Subspace.contains_vector); kalman_oracle decides
-the same by a rank test on the stacked matrices.
+reconstructibility when im D lies in R; kalman_oracle decides the same
+by a rank test on the stacked matrices. A fold holds plain tuples, R's
+Gauss-Jordan rows (algebra._echelon) and D's columns, and each step runs
+one elimination at the system's tolerance.
 
 Quantifier convention: a property holds iff ONE logical input sequence
 works for EVERY checked initial logical state. The checked set defaults
@@ -37,14 +38,16 @@ Queries share only the memo, so the two checks of a side, the feasible
 list and any later query on the same merged system fold each mode
 sequence at most once, whatever the checked states and in any order, and
 no verdict depends on what was asked before. Neither judgment runs an
-elimination: the span's rank and canonical basis settle both.
+elimination: the rank is the number of rows, and containment is read
+off them with weights scaled by the lcm of the pivots (algebra._contains).
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
-from .algebra import Record, Subspace, check_int, column_space, hstack, rank as matrix_rank, vstack
+from .algebra import Record, Subspace, _contains, _echelon, _span, check_int, hstack, rank as matrix_rank, vstack
 from .lcn import LogicalNetwork, control_attractors, unchecked_step
 from .oracle import (
     EnumerationBudget,
@@ -138,15 +141,22 @@ def switching_trajectory(
     return tuple(sigmas), tuple(thetas)
 
 
+def _times(rows, vectors) -> tuple:
+    """Each vector multiplied by the matrix whose rows are given."""
+    return tuple(tuple(sum(map(mul, row, v)) for row in rows) for v in vectors)
+
+
 def _step(ms, fold, sigma):
-    """Advance a fold (span, chain) through the merged system's pair for
-    mode sigma; the merged system's type picks the primal or the dual
-    recurrence."""
+    """Advance a fold (span rows, chain columns) through mode sigma's pair;
+    the merged system's type picks the primal or the dual recurrence."""
     span, chain = fold
     g, h = ms.modes[sigma - 1]
     if isinstance(ms, DualMergedSystem):
-        return column_space(hstack([span.basis, chain @ h])), chain @ g
-    return column_space(hstack([g @ span.basis, h])), g @ chain
+        d = tuple(zip(*chain))
+        span, chain = span + _times(d, zip(*h.entries)), _times(d, zip(*g.entries))
+    else:
+        span, chain = _times(g.entries, span) + tuple(zip(*h.entries)), _times(g.entries, chain)
+    return _echelon(span, ms.sls.mode_flag.tol), chain
 
 
 def _advance(ms, memo, state, gamma):
@@ -183,7 +193,7 @@ def _fold(ms, alpha, gammas) -> ReachableSet:
     memo, state = {(): _start(ms)}, (alpha, ())
     for gamma in gammas:
         state = _advance(ms, memo, state, gamma)
-    return ReachableSet(alpha, tuple(gammas), memo[state[1]][0], state[0])
+    return ReachableSet(alpha, tuple(gammas), _span(memo[state[1]][0], ms.sls.n, ms.sls.mode_flag), state[0])
 
 
 def reachable_set(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
@@ -259,12 +269,12 @@ def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
     return check_int(n if bound is None else bound, name)
 
 
-def _detail(kind: int, n: int, fold) -> AlphaDetail:
+def _detail(kind: int, n: int, tol, fold) -> AlphaDetail:
     """Span rank, and whether the property holds: full span (kind 0), or
     im chain in the span (kind 1), which a full span settles at once."""
     span, chain = fold
-    full = span.rank == n
-    return AlphaDetail(span.rank, full if kind == 0 else full or span.contains_vector(chain))
+    full = len(span) == n
+    return AlphaDetail(len(span), full if kind == 0 else full or _contains(span, tol, chain))
 
 
 def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
@@ -275,7 +285,7 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     _side(ms, f"check_{prop}", PROPERTIES.index(prop) > 1)
     checked = _checked(ms, strict, alphas)
     t_max = _horizon(t_max, ms.sls.n)
-    kind, n, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms._folds
+    kind, n, tol, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms.sls.mode_flag.tol, ms._folds
     judged, best, best_score = {}, None, -1
     for horizon in range(1, t_max + 1):
         enforce_budget(ms.net, horizon)
@@ -284,7 +294,7 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
             for _, sigmas in states:
                 detail = judged.get(sigmas)
                 if detail is None:
-                    detail = judged[sigmas] = _detail(kind, n, folds[sigmas])
+                    detail = judged[sigmas] = _detail(kind, n, tol, folds[sigmas])
                 details.append(detail)
             score = sum(d.holds for d in details)
             if score == len(checked):
@@ -357,7 +367,7 @@ def feasible_input_sequences(
         found = [
             FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in checked})
             for gammas, states in _candidates(ms, checked, horizon)
-            if all(folds[sigmas][0].rank == n for _, sigmas in states)
+            if all(len(folds[sigmas][0]) == n for _, sigmas in states)
         ]
         if found:
             return found

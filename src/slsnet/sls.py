@@ -23,7 +23,7 @@ observability-side checks.
 
 from __future__ import annotations
 
-from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, Subspace, _check_size, check_int
+from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, _check_size, check_int
 from .lcn import LogicalNetwork, step
 
 
@@ -96,9 +96,8 @@ class SwitchedLinearSystem(Record):
 # ---------------------------------------------------------------------------
 
 def _start(ms):
-    """Fold of the empty mode sequence: (empty span, identity chain)."""
-    n, mode = ms.sls.n, ms.sls.mode_flag
-    return Subspace(Matrix.zeros(n, 0, mode)), Matrix.identity(n, mode)
+    """Fold of the empty mode sequence: (no span rows, the identity's columns)."""
+    return (), Matrix.identity(ms.sls.n, ms.sls.mode_flag).entries
 
 
 class _MergedBase:
@@ -120,10 +119,11 @@ class _MergedBase:
         object.__setattr__(self, "sls", sls)
         object.__setattr__(self, "net", net)
         object.__setattr__(self, "modes", tuple(modes))
-        # the property searches' one fold memo, mode sequence -> (span, chain),
-        # seeded with the empty sequence; every query on this merged system
-        # folds into it and reads from it. A fold depends on its mode sequence
-        # alone, so threads that fold one sequence at once store equal values.
+        # the property searches' one fold memo, mode sequence -> (span rows,
+        # drift columns) (see analysis._step), seeded with the empty sequence;
+        # every query on this merged system folds into it and reads from it.
+        # A fold depends on its mode sequence alone, so threads that fold one
+        # sequence at once store equal values.
         object.__setattr__(self, "_folds", {(): _start(self)})
         # the attractor cover's checked states, built on the first cover request
         object.__setattr__(self, "_cover", None)

@@ -22,7 +22,7 @@ from slsnet.algebra import (
     Numeric,
     SizingError,
     Subspace,
-    _rref,
+    _echelon,
     basis_vector,
     boolean_power,
     boolean_product,
@@ -538,11 +538,17 @@ def rational_matrices(draw, rows=None):
 @given(rational_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_elimination_matches_fraction_reference(rows, data):
+    # the raw rows hold integral Fractions too, as products of rational
+    # entries do: each echelon row is a primitive int row, pivots strictly
+    # increase, and each row is a multiple of the reference's reduced row
     a = Matrix(rows)
-    grid, pivots = _rref(a)
+    echelon = _echelon(rows, None)
     ref_grid, ref_pivots = fraction_rref(rows)
-    assert pivots == ref_pivots
-    assert [list(row) for row in grid] == ref_grid
+    pivots = [next(j for j, v in enumerate(row) if v) for row in echelon]
+    assert pivots == ref_pivots and pivots == sorted(set(pivots))
+    for row, c, ref in zip(echelon, pivots, ref_grid):
+        assert all(type(v) is int for v in row) and math.gcd(*row) == 1
+        assert [Fraction(v, row[c]) for v in row] == ref
     assert rank(a) == len(ref_pivots)
     space = column_space(a)
     if ref_pivots:
@@ -622,6 +628,15 @@ def test_float_column_spaces_near_tolerance():
     # exact copies of the same doubles span two different planes
     exact_a, exact_b = column_space(Matrix(a.entries)), column_space(Matrix(b.entries))
     assert exact_a.rank == exact_b.rank == 2 and exact_a != exact_b
+
+
+def test_float_membership_reads_pivots_not_sub_tolerance_leads():
+    # the first coordinate is below tolerance, so the one pivot is the
+    # second; divided by that small pivot, the first becomes 1/3, which is
+    # no pivot: e2 lies in the line
+    line = column_space(Matrix([[5e-10], [1.5e-9], [0.0]], "float"))
+    assert line.rank == 1 and line.basis[1, 0] == 1.0 and line.basis[0, 0] > 0.3
+    assert line.contains_vector(Matrix([[0.0], [1.0], [0.0]], "float"))
 
 
 def test_stack_helpers():

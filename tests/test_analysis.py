@@ -11,12 +11,24 @@ import itertools
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slsnet.algebra import Matrix, Numeric, column_space, hstack, rank, subspace_is_full
+from slsnet.algebra import (
+    LogicalMatrix,
+    Matrix,
+    Numeric,
+    Subspace,
+    _contains,
+    _span,
+    column_space,
+    hstack,
+    rank,
+    subspace_is_full,
+)
 from slsnet import analysis
 from slsnet.analysis import (
     _resolve_alphas,
@@ -42,7 +54,7 @@ from slsnet.oracle import (
     mode_chain,
     observability_matrix,
 )
-from slsnet.sls import SwitchedLinearSystem, merge, merge_dual
+from slsnet.sls import DualMergedSystem, SwitchedLinearSystem, merge, merge_dual
 
 from conftest import (
     golden_net,
@@ -331,13 +343,19 @@ def _float_copy(sls):
 
 
 def _assert_context(merged, mode):
-    """Mode pairs, and the spans and chains of one step from every state, carry mode."""
+    """Mode pairs carry mode; the span and chain rows of one step from every
+    state hold entries of mode's kind, and the span built from them for a
+    one-input sequence carries mode."""
     assert {block.mode for pair in merged.modes for block in pair} == {mode}
+    kinds = {float} if mode.tol is not None else {int, Fraction}
+    query = dual_reachable_set if isinstance(merged, DualMergedSystem) else reachable_set
     for alpha in range(1, merged.net.N + 1):
         for gamma in range(1, merged.net.M + 1):
             _, sigma = step(merged.net, gamma, alpha)
             span, chain = _step(merged, _start(merged), sigma)
-            assert (span.mode, span.basis.mode, chain.mode) == (mode, mode, mode)
+            assert {type(v) for row in span + chain for v in row} <= kinds
+            built = query(merged, alpha, (gamma,)).span
+            assert (built.mode, built.basis.mode) == (mode, mode)
 
 
 def _full_rank_sequences(sls, net, alphas, k_max=None):
@@ -528,27 +546,82 @@ def test_memoised_folds_match_unshared_folds(seed, rational):
                             if (alpha, gammas) not in unshared:
                                 unshared[alpha, gammas] = alone(alpha, gammas)
                             ref, ref_sigmas, contained = unshared[alpha, gammas]
-                            span, chain = merged._folds[sigmas]
+                            rows, chain = merged._folds[sigmas]
                             tag = (gammas, alpha, transpose, strict, alphas, system.mode_flag, seed)
                             assert (theta, sigmas) == (ref.terminal_theta, ref_sigmas), tag
-                            assert span == ref.span, tag
-                            assert (span.rank, span.contains_vector(chain)) == (ref.span.rank, contained), tag
+                            assert _span(rows, system.n, system.mode_flag) == ref.span, tag
+                            within = _contains(rows, system.mode_flag.tol, chain)
+                            assert (len(rows), within) == (ref.span.rank, contained), tag
 
 
-def test_column_space_runs_once_per_mode_sequence(monkeypatch):
+def _matrix_fold(system, dual, sigmas):
+    """Reference fold by dense products and one column space per step:
+    R' = column_space([A R, B]) and D' = A D, or on the dual side
+    R' = column_space([R, D C^T]) and D' = D A^T."""
+    span = Subspace(Matrix.zeros(system.n, 0, system.mode_flag))
+    chain = Matrix.identity(system.n, system.mode_flag)
+    for sigma in sigmas:
+        a, b, c = system.modes[sigma - 1]
+        if dual:
+            span, chain = column_space(hstack([span.basis, chain @ c.transpose()])), chain @ a.transpose()
+        else:
+            span, chain = column_space(hstack([a @ span.basis, b])), a @ chain
+    return span, chain
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["exact", "rational", "float"]))
+@settings(max_examples=30, deadline=None)
+def test_folds_match_the_matrix_recurrence(seed, kind):
+    # Every fold the memo holds after horizons 1..n from every state gives
+    # the reference's canonical span (entry for entry, in float mode too,
+    # where both sum the same products in the same order), rank, drift and
+    # containment of the drift's image, on both sides.
+    rng = random.Random(seed)
+    sls = random_system(rng, denominators=None if kind == "exact" else (1, 4))
+    system = _float_copy(sls) if kind == "float" else sls
+    net = random_net_for(rng, sls.q, n_nodes=rng.choice((1, 2)), m_nodes=1)
+    mode = system.mode_flag
+    for merged, dual in ((merge(system, net), False), (merge_dual(system, net), True)):
+        alphas = tuple(range(1, net.N + 1))
+        for horizon in range(1, system.n + 1):
+            for _ in analysis._candidates(merged, alphas, horizon):
+                pass
+        assert len(merged._folds) > 1
+        for sigmas, (rows, chain) in merged._folds.items():
+            span, drift = _matrix_fold(system, dual, sigmas)
+            tag = (sigmas, dual, kind, seed)
+            assert _span(rows, system.n, mode).basis.entries == span.basis.entries, tag
+            assert len(rows) == span.rank, tag
+            assert tuple(zip(*chain)) == drift.entries, tag
+            assert _contains(rows, mode.tol, chain) == span.contains_vector(drift), tag
+
+
+def test_fold_reads_the_system_tolerance():
+    # B's and C's one entry, 5e-7, is zero at tolerance 1e-6 and not at
+    # 1e-9: a fold that fell back to a default tolerance, or to exact
+    # arithmetic, would find the span full at both.
+    net = LogicalNetwork(2, 1, 0, LogicalMatrix(2, [1, 2]), LogicalMatrix(1, [1, 1]))
+    for tol, holds in ((1e-6, False), (1e-9, True)):
+        mode = Numeric(tol)
+        sls = SwitchedLinearSystem([(Matrix([[1.0]], mode), Matrix([[5e-7]], mode), Matrix([[5e-7]], mode))])
+        assert check_reachability(merge(sls, net), strict=True).holds is holds, tol
+        assert check_observability(merge_dual(sls, net), strict=True).holds is holds, tol
+
+
+def test_elimination_runs_once_per_mode_sequence(monkeypatch):
     # Worked system, strict: the 4 states and the prefixes of lengths 1..3
     # make 56 (state, prefix) pairs, and many induce the same modes. The
     # feasible list walks all of them, in horizons 1..3, running one
     # elimination per distinct mode sequence, counted here from the network
     # alone.
     calls = [0]
-    original = analysis.column_space
+    original = analysis._echelon
 
-    def counted(m):
+    def counted(*args):
         calls[0] += 1
-        return original(m)
+        return original(*args)
 
-    monkeypatch.setattr(analysis, "column_space", counted)
+    monkeypatch.setattr(analysis, "_echelon", counted)
     pairs = [
         (alpha, gammas)
         for alpha in range(1, NET.N + 1)
