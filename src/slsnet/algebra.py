@@ -579,7 +579,9 @@ def _echelon(rows, tol) -> tuple:
     and its pivot column is cleared from the kept rows; divided by their
     pivots, the rows give the unique reduced row echelon form. Float:
     partial pivoting on magnitude, each pivot row divided by its pivot
-    (so every pivot is 1.0), |v| <= tol counting as zero.
+    (so every pivot is 1.0), |v| <= tol counting as zero; a column with
+    no pivot is zeroed in the rows not yet pivoted, so every row is 0.0
+    before its pivot.
     """
     ncols = len(rows[0]) if rows else 0
     if tol is None:
@@ -611,6 +613,10 @@ def _echelon(rows, tol) -> tuple:
             break
         pivot_row = max(range(r, nrows), key=lambda i: abs(grid[i][c]))
         if abs(grid[pivot_row][c]) <= tol:
+            # zeroed now: a later division by a small pivot could lift
+            # these entries above the tolerance
+            for i in range(r, nrows):
+                grid[i][c] = 0.0
             continue
         grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
         pv = grid[r][c]

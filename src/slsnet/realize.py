@@ -9,8 +9,9 @@ emitting sigma can stay on sigma or escape from it is decided by the M
 signals emitted after its L-target. These checks run per pair, so the
 diagnostics name exactly which input-state pair breaks the requirement.
 Tracking instead follows the set of states the reference allows, as a
-bitmask stepped through per-byte successor tables when it is dense, and
-names pairs only in its witness.
+bitmask stepped through per-byte successor tables when it is dense; its
+frontier is one mask over all pairs, and its witness is read off that
+mask one bit scan per step.
 """
 
 from __future__ import annotations
@@ -221,14 +222,17 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
 
     Forward pass: S_t, the set of states consistent with the reference so
     far, is one N-bit int per step (bit theta-1 for state theta). Its
-    frontier is the pairs (gamma, theta) with theta in S_t that emit the
-    reference signal sigma_t, and tracking fails at the first step whose
-    frontier is empty. An O((M+q)*N) precomputation gives, per signal value
-    sigma, the successor mask of each state (the L-targets of its inputs
-    that emit sigma) and, per input gamma, the mask of the states at which
-    gamma emits sigma. S_{t+1} is the OR of the successor masks of the
-    members of S_t, and the frontier size is the popcount of S_t under
-    each emit mask. Below N/_SPARSE members, S_t is walked bit by bit, one
+    frontier F_t, the pairs (gamma, theta) with theta in S_t that emit the
+    reference signal sigma_t, is one M*N-bit int with bit j = gamma*N +
+    theta-1 for pair (gamma+1, theta): F_t = S_t * spread & emits[sigma_t],
+    where spread sets bit gamma*N for every input, so the product copies
+    S_t into each input's N-bit block without carries, and emits[sigma]
+    marks the pairs emitting sigma. frontier_sizes[t] is the popcount of
+    F_t, and tracking fails at the first empty frontier. An O(q*N + M*N)
+    precomputation gives these masks and, per signal value sigma, the
+    successor mask of each state (the L-targets of its inputs that emit
+    sigma); S_{t+1} is the OR of the successor masks of the members of
+    S_t. Below N/_SPARSE members, S_t is walked bit by bit, one
     OR per member. Otherwise it is read as ceil(N/8) bytes, and each byte
     indexes its 8-state block's table, which holds the OR of the masks
     selected by every byte value: ceil(N/8) lookups in C. A signal's tables
@@ -238,10 +242,12 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     turns dense only now and then does not earn the tables back, so _SPARSE
     is 8 (16 made 800-step benchmark references up to 1.6x slower).
 
-    Backward pass, on success only: the witness ends at the smallest pair
-    of the last frontier. Each earlier pair is the first entry of the
-    ascending L-preimage list of the next pair's state that emits sigma_t
-    from a state in S_t, i.e. the smallest frontier pair leading there.
+    Backward pass, on success only: the witness ends at the lowest set bit
+    of F_T. With preimage[theta] the mask of the pairs whose L-target is
+    theta, each earlier pair is the lowest set bit of F_t &
+    preimage[theta_{t+1}], the smallest frontier pair leading to the next
+    pair's state. Only the S_t are kept, and each F_t is formed again on
+    the way back, so the history takes N bits per step, not M*N.
     """
     check_int(problem.theta0, "initial state", 1, net.N)
     reference = problem.reference
@@ -250,14 +256,14 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
         for sigma in reference:
             check_int(sigma, "reference signal", 1, net.q)
 
-    N, M = net.N, net.M
+    N = net.N
     l_target, signal = net.L.col_index, net.R.col_index
     succ = [[0] * N for _ in range(net.q)]
-    emits = [[0] * M for _ in range(net.q)]
+    emits = [0] * net.q
     for pair, (target, sigma) in enumerate(zip(l_target, signal)):
-        gamma, theta = divmod(pair, N)
-        succ[sigma - 1][theta] |= 1 << (target - 1)
-        emits[sigma - 1][gamma] |= 1 << theta
+        succ[sigma - 1][pair % N] |= 1 << (target - 1)
+        emits[sigma - 1] |= 1 << pair
+    spread = sum(1 << gamma * N for gamma in range(net.M))
 
     tables: dict[int, list[list[int]]] = {}  # per signal value, per block
     width = (N + 7) // 8
@@ -277,25 +283,21 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
                 if prev not in tables:
                     tables[prev] = [_or_table(step_succ[c : c + 8]) for c in range(0, N, 8)]
                 states = reduce(or_, map(getitem, tables[prev], states.to_bytes(width, "little")))
-        sizes.append(sum((states & mask).bit_count() for mask in emits[sigma - 1]))
+        sizes.append((states * spread & emits[sigma - 1]).bit_count())
         if not sizes[-1]:
             return TrackVerdict(False, None, t, tuple(sizes))
         history.append(states)
 
-    # 0-based pair j = gamma*N + theta; the first gamma emitting the last
-    # signal from S_T, at its lowest state, is the smallest pair
-    j = next(
-        gamma * N + (hit & -hit).bit_length() - 1
-        for gamma, mask in enumerate(emits[reference[-1] - 1])
-        if (hit := history[-1] & mask)
-    )
-    preimage: list[list[int]] = [[] for _ in range(N)]
+    preimage = [0] * N
     for pair, target in enumerate(l_target):
-        preimage[target - 1].append(pair)
-    chain = [j]
-    for t in range(len(reference) - 2, -1, -1):
-        sigma, states = reference[t], history[t]
-        j = next(p for p in preimage[j % N] if signal[p] == sigma and states >> (p % N) & 1)
+        preimage[target - 1] |= 1 << pair
+    # j is the bit of the pair taken at step t; lead is every pair (-1) at
+    # the last step, then the preimage of the later pair's state
+    chain, lead = [], -1
+    for t in range(len(reference) - 1, -1, -1):
+        hit = history[t] * spread & emits[reference[t] - 1] & lead
+        j = (hit & -hit).bit_length() - 1
         chain.append(j)
+        lead = preimage[j % N]
     witness = tuple(j // N + 1 for j in reversed(chain))
     return TrackVerdict(True, witness, None, tuple(sizes))

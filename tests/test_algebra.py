@@ -139,12 +139,12 @@ def as_lists(m):
 small_entry = st.integers(min_value=-4, max_value=4)
 
 
-def matrix_strategy(max_dim=4):
+def matrix_strategy(max_dim=4, entry=small_entry, mode="exact"):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(
-                st.lists(small_entry, min_size=c, max_size=c), min_size=r, max_size=r
-            ).map(Matrix)
+                st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r
+            ).map(lambda entries: Matrix(entries, mode))
         )
     )
 
@@ -632,11 +632,37 @@ def test_float_column_spaces_near_tolerance():
 
 def test_float_membership_reads_pivots_not_sub_tolerance_leads():
     # the first coordinate is below tolerance, so the one pivot is the
-    # second; divided by that small pivot, the first becomes 1/3, which is
-    # no pivot: e2 lies in the line
+    # second: e2 lies in the line
     line = column_space(Matrix([[5e-10], [1.5e-9], [0.0]], "float"))
-    assert line.rank == 1 and line.basis[1, 0] == 1.0 and line.basis[0, 0] > 0.3
+    assert line.rank == 1 and line.basis[1, 0] == 1.0
     assert line.contains_vector(Matrix([[0.0], [1.0], [0.0]], "float"))
+
+
+def test_float_skipped_column_stays_zero():
+    # the skipped first column is zeroed before the division by the small
+    # second pivot, which would lift 5e-10 to 1/3; the line then contains
+    # its own basis
+    line = column_space(Matrix([[5e-10], [1.5e-9], [0.0]], "float"))
+    assert line.basis.entries == ((0.0,), (1.0,), (0.0,))
+    assert subspace_contains(line, line)
+    assert line.contains_vector(line.basis)
+    # a skipped column between two pivots, below tolerance only in the
+    # rows left after the first pivot
+    plane = column_space(Matrix([[1.0, 0.0], [2.0, 4e-10], [0.0, 1.2e-9]], "float"))
+    assert plane.rank == 2 and subspace_contains(plane, plane)
+
+
+# entries near the tolerance (1e-9) make columns with no pivot
+near_tolerance_entry = st.one_of(
+    st.floats(-4, 4), st.sampled_from([0.0, 1e-10, -5e-10, 9e-10, 1.1e-9, 3e-9, -2e-9])
+)
+
+
+@given(matrix_strategy(4, near_tolerance_entry, "float"))
+@settings(max_examples=200, deadline=None)
+def test_float_column_space_contains_its_basis(m):
+    space = column_space(m)
+    assert subspace_contains(space, space)
 
 
 def test_stack_helpers():

@@ -320,6 +320,27 @@ def test_tracking_single_step():
     assert not w.trackable and w.failed_at == 0 and w.witness is None
 
 
+def test_tracking_witness_takes_the_smallest_tied_pair():
+    # N = 4, M = 2. From state 1, inputs 1 and 2 emit 1 and reach states 2
+    # and 3. Two frontier pairs then emit 2 and both reach state 4: (1, 3),
+    # pair 3, and (2, 2), pair 6. The smaller pair has the smaller input but
+    # the larger state, so the witness runs through state 3, not state 2.
+    l_cols = [2, 1, 4, 4, 3, 4, 1, 1]
+    r_cols = [1, 1, 2, 1, 1, 2, 1, 2]
+    net = LogicalNetwork(2, 2, 1, LogicalMatrix(4, l_cols), LogicalMatrix(2, r_cols))
+    problem = TrackingProblem(1, [1, 2, 1])
+    assert track_oracle(net, 1, [1, 2, 1])
+    verdict = check_trackable(net, problem)
+    assert verdict == TrackVerdict(True, (2, 1, 1), None, (2, 2, 1))
+    assert verdict == pair_frontier_track(net, problem)
+    # the other tied pair also gives a witness, (1, 2, 1)
+    theta, emitted = 1, []
+    for gamma in (1, 2, 1):
+        theta, sigma = step(net, gamma, theta)
+        emitted.append(sigma)
+    assert emitted == [1, 2, 1]
+
+
 def test_tracking_unproducible_signal():
     net = tiny_net([1, 2, 2, 1], [1, 1, 1, 1], q=2)
     v = check_trackable(net, TrackingProblem(1, [1, 2]))
