@@ -40,6 +40,25 @@ sequence at most once, whatever the checked states and in any order, and
 no verdict depends on what was asked before. Neither judgment runs an
 elimination: the rank is the number of rows, and containment is read
 off them with weights scaled by the lcm of the pivots (algebra._contains).
+
+A negative verdict walks every horizon up to t_max, so an exact search
+may refute first with the logic-constrained invariant subspaces of Sun,
+Ge & Lee (2002, Automatica 38(5)), kept per logical state: V[theta] holds
+the span of every sequence ending at theta (dual: starting there). A state
+from which no state reachable in one or more steps has a full V (dual:
+whose own V is not full) holds reachability (observability) at no
+horizon; with every emitted A nonsingular the drift's image is full, and
+the same test refutes controllability (reconstructibility), never
+otherwise. A merged system builds the bound once, lazily: a search tries
+it before walking a horizon h >= 2 only while its best score is 0 and
+min(M^h |checked|, q^h) > N n, when the horizon could fold more mode
+sequences than the bound's at most N n eliminations. If it refutes every
+checked state, every score would stay 0: the search checks the budget of
+each horizon left, so a refusal names the same horizon, and returns the
+walk's verdict (T = t_max, per_alpha of the first horizon-1 sequence);
+the feasible list returns []. Float searches never try it: the bound
+eliminates in another order than the fold, so a tolerance could decide
+the two apart.
 """
 
 from __future__ import annotations
@@ -277,6 +296,76 @@ def _detail(kind: int, n: int, tol, fold) -> AlphaDetail:
     return AlphaDetail(len(span), full if kind == 0 else full or _contains(span, tol, chain))
 
 
+def _invariant_bound(ms) -> tuple[tuple[bool, ...], bool]:
+    """Per logical state, whether its logic-constrained invariant subspace
+    is full; and whether every A that R emits is nonsingular.
+
+    The least fixed point of V[dst] >= G_sigma V[src] + im H_sigma over
+    every input-state pair: src theta, dst theta' = L(gamma, theta) on the
+    primal side, the reverse on the dual side, sigma = R(gamma, theta). So
+    V[theta'] holds the span of every sequence ending at theta', and on the
+    dual side V[theta] the span of every sequence starting at theta.
+    Round-robin passes in the fold's row form, eliminating only when a pair
+    adds a vector: at most N n eliminations. Exact mode only.
+    """
+    net, n = ms.net, ms.sls.n
+    dual = isinstance(ms, DualMergedSystem)
+    pairs = []
+    for gamma in range(1, net.M + 1):
+        for theta in range(1, net.N + 1):
+            theta_next, sigma = unchecked_step(net, gamma, theta)
+            pairs.append((theta_next, theta, sigma) if dual else (theta, theta_next, sigma))
+    spans, changed = [()] * net.N, True
+    while changed:
+        changed = False
+        for src, dst, sigma in pairs:
+            g, h = ms.modes[sigma - 1]
+            vectors = _times(g.entries, spans[src - 1]) + tuple(zip(*h.entries))
+            if not _contains(spans[dst - 1], None, vectors):
+                spans[dst - 1], changed = _echelon(spans[dst - 1] + vectors, None), True
+    emitted = {sigma for *_, sigma in pairs}
+    nonsingular = all(len(_echelon(ms.modes[s - 1][0].entries, None)) == n for s in emitted)
+    return tuple(len(span) == n for span in spans), nonsingular
+
+
+def _bound_refutes(ms, kind: int, checked) -> bool:
+    """Whether the bound, built on the first call, shows that no sequence
+    of one or more inputs holds at any checked state (see the module
+    docstring); kind 1 only when every emitted A is nonsingular."""
+    if ms._bound is None:
+        object.__setattr__(ms, "_bound", _invariant_bound(ms))
+    full, nonsingular = ms._bound
+    if kind and not nonsingular:
+        return False
+    if isinstance(ms, DualMergedSystem):
+        ends = set(checked)
+    else:  # the states reachable from a checked one in one or more steps
+        ends, todo = set(), list(checked)
+        while todo:
+            theta = todo.pop()
+            for gamma in range(1, ms.net.M + 1):
+                theta_next = unchecked_step(ms.net, gamma, theta)[0]
+                if theta_next not in ends:
+                    ends.add(theta_next)
+                    todo.append(theta_next)
+    return not any(full[theta - 1] for theta in ends)
+
+
+def _refuted(ms, kind: int, checked, horizon: int, t_max: int) -> bool:
+    """Whether an exact search stops before walking horizon, which could
+    fold more than the bound eliminates, the bound refuting every checked
+    state; if so, the budget of every horizon left is checked, so a
+    refusal names the horizon the walk would have."""
+    net, sls = ms.net, ms.sls
+    if sls.mode_flag.tol is not None or min(net.M**horizon * len(checked), sls.q**horizon) <= net.N * sls.n:
+        return False
+    if not _bound_refutes(ms, kind, checked):
+        return False
+    for rest in range(horizon, t_max + 1):
+        enforce_budget(net, rest)
+    return True
+
+
 def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     """Breadth-first in T, lexicographic in the input tuple; one sequence
     must pass at every checked alpha. Each distinct mode sequence is judged
@@ -288,6 +377,8 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     kind, n, tol, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms.sls.mode_flag.tol, ms._folds
     judged, best, best_score = {}, None, -1
     for horizon in range(1, t_max + 1):
+        if best_score == 0 and _refuted(ms, kind, checked, horizon, t_max):
+            break  # every score stays 0: best is the first sequence's
         enforce_budget(ms.net, horizon)
         for gammas, states in _candidates(ms, checked, horizon):
             details = []
@@ -363,6 +454,8 @@ def feasible_input_sequences(
     k_max = _horizon(k_max, ms.sls.n, "k_max")
     n, folds = ms.sls.n, ms._folds
     for horizon in range(1, k_max + 1):
+        if _refuted(ms, 0, checked, horizon, k_max):
+            break
         enforce_budget(ms.net, horizon)
         found = [
             FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in checked})

@@ -109,7 +109,7 @@ class _MergedBase:
     system holds its memos, so it is not a record: it compares by identity.
     """
 
-    __slots__ = ("sls", "net", "modes", "_folds", "_cover")
+    __slots__ = ("sls", "net", "modes", "_folds", "_cover", "_bound")
 
     def __init__(self, sls, net, modes):
         if net.q != sls.q:
@@ -127,6 +127,10 @@ class _MergedBase:
         object.__setattr__(self, "_folds", {(): _start(self)})
         # the attractor cover's checked states, built on the first cover request
         object.__setattr__(self, "_cover", None)
+        # the searches' refutation bound (see analysis._invariant_bound): per
+        # logical state, whether its invariant subspace is full, and whether
+        # every emitted A is nonsingular; built on the first request
+        object.__setattr__(self, "_bound", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("merged systems are immutable")

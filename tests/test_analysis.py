@@ -12,6 +12,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +58,7 @@ from slsnet.oracle import (
 from slsnet.sls import DualMergedSystem, SwitchedLinearSystem, merge, merge_dual
 
 from conftest import (
+    FIXTURES,
     golden_net,
     golden_sls,
     random_net_for,
@@ -792,6 +794,191 @@ def test_golden_matches_oracle_at_attractor_state():
         mine = check(system)
         ref = kalman_oracle(golden_sls(), NET, prop=prop, alphas=(4,))
         assert (mine.holds, mine.witness, mine.T) == (ref.holds, ref.witness, ref.T)
+
+
+# ---------------------------------------------------------------------------
+# Invariant-subspace refutation
+# ---------------------------------------------------------------------------
+
+SIDES = (
+    ("reachability", check_reachability, merge),
+    ("controllability", check_controllability, merge),
+    ("observability", check_observability, merge_dual),
+    ("reconstructibility", check_reconstructibility, merge_dual),
+)
+
+
+def _sparse_system(rng, n, q):
+    """Exact modes, mostly zero entries, so that many logic-constrained
+    invariant subspaces are not full."""
+    m, p = rng.randint(1, 2), rng.randint(1, 2)
+
+    def rand(rows, cols):
+        return Matrix([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)] for _ in range(rows)])
+
+    return SwitchedLinearSystem([(rand(n, n), rand(n, m), rand(p, n)) for _ in range(q)])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_bound_refutes_only_failing_states(seed):
+    # The bound is sound: every state it refutes, one at a time, has no
+    # holding sequence at any horizon up to n + 3 by enumeration, on both
+    # sides and for both kinds. Exact sparse systems with n <= 4, N <= 8,
+    # M 1-4 and q <= 4; M^(n+3) stays at most 1024, so the oracle is cheap.
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    m_nodes = rng.choice([mm for mm in (0, 1, 2) if 2 ** (mm * (n + 3)) <= 1024])
+    n_nodes = rng.randint(1, 3)
+    q = rng.randint(1, min(4, 2 ** (n_nodes + m_nodes)))
+    sls = _sparse_system(rng, n, q)
+    net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
+    for kind, (prop, _, merger) in enumerate(SIDES):
+        merged = merger(sls, net)
+        refuted = tuple(a for a in range(1, net.N + 1) if analysis._bound_refutes(merged, kind % 2, (a,)))
+        if refuted:
+            # the best sequence holds nowhere, so no sequence holds anywhere
+            ref = kalman_oracle(sls, net, n + 3, prop, alphas=refuted)
+            assert not any(d.holds for d in ref.per_alpha.values()), (prop, refuted, seed)
+
+
+def _structural_negative(rng, n, q, reach_ok, obs_ok):
+    """Modes shaped like the benchmark's structural negatives (m = p = 1):
+    without reach_ok, no mode drives the last coordinate; without obs_ok,
+    no mode observes the first or feeds it elsewhere. Every A is
+    nonsingular."""
+    zeros = set()
+    if not reach_ok:
+        zeros |= {("A", n - 1, j) for j in range(n - 1)} | {("B", n - 1, 0)}
+    if not obs_ok:
+        zeros |= {("A", i, 0) for i in range(1, n)} | {("C", 0, 0)}
+
+    def rand(name, rows, cols):
+        return Matrix([
+            [0 if (name, i, j) in zeros else rng.randint(-2, 2) for j in range(cols)]
+            for i in range(rows)
+        ])
+
+    while True:
+        modes = [(rand("A", n, n), rand("B", n, 1), rand("C", 1, n)) for _ in range(q)]
+        if all(rank(a) == n for a, _, _ in modes):
+            return SwitchedLinearSystem(modes)
+
+
+def _first_trigger(n_states, n_inputs, n, q, checked):
+    """The first horizon at which a search tries the bound, M, q >= 2:
+    min(M^h |checked|, q^h) > N n, from h = 2 on."""
+    return next(h for h in itertools.count(2) if min(n_inputs**h * checked, q**h) > n_states * n)
+
+
+# (n, state nodes, input nodes, q) with M, q >= 2 whose strict search tries
+# the bound at a horizon the oracle enumerates cheaply: at most 600
+# (state, input sequence) pairs there
+STRUCTURAL_SHAPES = [
+    (n, nn, mm, q)
+    for n in (2, 3)
+    for nn in (1, 2)
+    for mm in (1, 2)
+    for q in range(2, min(4, 2 ** (nn + mm)) + 1)
+    if 2**nn * 2 ** (mm * _first_trigger(2**nn, 2**mm, n, q, 2**nn)) <= 600
+]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_refuted_verdicts_match_oracle(seed):
+    # Structural negatives on one side or both, exact, searched up to the
+    # first horizon at which strict mode tries the bound: whole verdicts
+    # and the feasible list equal the enumeration's in strict, cover and
+    # explicit-state mode. In strict mode the bound must fire on every
+    # property that fails structurally (every A is nonsingular, so on
+    # both kinds), so no draw leaves it untried.
+    rng = random.Random(seed)
+    n, n_nodes, m_nodes, q = rng.choice(STRUCTURAL_SHAPES)
+    reach_ok, obs_ok = rng.choice([(False, True), (True, False), (False, False)])
+    sls = _structural_negative(rng, n, q, reach_ok, obs_ok)
+    net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
+    t_max = _first_trigger(net.N, net.M, n, q, net.N)
+    tried, refuted = [], analysis._refuted
+
+    def spy(*args):
+        tried.append(refuted(*args))
+        return tried[-1]
+
+    explicit = tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))
+    with mock.patch.object(analysis, "_refuted", spy):
+        for checked in ({"strict": True}, {}, {"alphas": explicit}):
+            merged = {merger: merger(sls, net) for merger in (merge, merge_dual)}
+            for prop, check, merger in SIDES:
+                tried.clear()
+                mine = check(merged[merger], t_max, **checked)
+                ref = kalman_oracle(sls, net, t_max, prop, alphas=mine.checked_alphas)
+                tag = (prop, checked, seed)
+                assert (mine.holds, mine.witness, mine.T) == (ref.holds, ref.witness, ref.T), tag
+                assert mine.per_alpha == ref.per_alpha, tag
+                fails = not (reach_ok if merger is merge else obs_ok)
+                if checked.get("strict") and fails:
+                    assert tried[-1] is True, tag
+            feasible = feasible_input_sequences(merged[merge], t_max, **checked)
+            alphas = _resolve_alphas(net, checked.get("strict", False), checked.get("alphas"))
+            assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas, t_max), seed
+
+
+def test_bound_leaves_singular_kinds_alone():
+    # Every A is the same nilpotent matrix and B = C = 0: reachability and
+    # observability fail at every horizon, while the drift and its
+    # transpose vanish from T = 2 on, so controllability and
+    # reconstructibility hold there, though at no state at T = 1. With
+    # q = 4 > N n = 4 the searches try the bound before horizon 2, and it
+    # may refute only the former two.
+    zero = [[0], [0]]
+    mode = (Matrix([[0, 1], [0, 0]]), Matrix(zero), Matrix([[0, 0]]))
+    sls = SwitchedLinearSystem([mode] * 4)
+    net = LogicalNetwork(2, 1, 1, LogicalMatrix(2, [2, 1, 1, 2]), LogicalMatrix(4, [1, 2, 3, 4]))
+    for kind, (prop, check, merger) in enumerate(SIDES):
+        merged = merger(sls, net)
+        verdict = check(merged, 4, strict=True)
+        ref = kalman_oracle(sls, net, 4, prop)
+        assert verdict == ref, prop
+        assert (verdict.holds, verdict.T) == ((False, 4) if kind % 2 == 0 else (True, 2)), prop
+        assert merged._bound == ((False, False), False), prop
+        assert analysis._bound_refutes(merged, kind % 2, (1, 2)) is (kind % 2 == 0), prop
+
+
+def test_fold_count_on_a_structural_negative(monkeypatch):
+    # The fixture leaves one coordinate unobserved, so observability fails
+    # from every state. Strict, N n = 12: horizons 2 and 3 stay walked
+    # (min(4 * 2^h, 2^h) <= 12), and before horizon 4 the bound refutes
+    # every state, so t_max = 6 folds exactly the mode sequences that
+    # horizons 1..3 induce from the four states, and no more.
+    desc = loads((FIXTURES / "sls_unobservable.txt").read_text())
+    folds = _count_folds(monkeypatch)
+    verdict = check_observability(merge_dual(desc.sls, desc.net), 6, strict=True)
+    assert (verdict.holds, verdict.T) == (False, 6)
+    assert verdict == kalman_oracle(desc.sls, desc.net, 6, "observability")
+    sequences = {
+        sigmas
+        for alpha in range(1, desc.net.N + 1)
+        for horizon in (1, 2, 3)
+        for _, sigmas in enumerate_switching_sequences(desc.net, alpha, horizon)
+    }
+    assert folds[0] == len(sequences) == 14
+
+
+def test_bound_not_tried_on_the_worked_system_or_a_single_input():
+    # On the worked system no horizon up to the default adds more folds
+    # than N n = 12 eliminations; with M = 1 no horizon adds more than N.
+    # So no query builds the bound, in strict or cover mode.
+    desc = loads(unreachable_single_input_text())
+    for sls, net, t_max in ((golden_sls(), NET, None), (desc.sls, desc.net, 12)):
+        for checked in ({"strict": True}, {}):
+            ms, dms = merge(sls, net), merge_dual(sls, net)
+            check_reachability(ms, t_max, **checked)
+            check_controllability(ms, t_max, **checked)
+            feasible_input_sequences(ms, t_max, **checked)
+            check_observability(dms, t_max, **checked)
+            check_reconstructibility(dms, t_max, **checked)
+            assert (ms._bound, dms._bound) == (None, None), checked
 
 
 # ---------------------------------------------------------------------------

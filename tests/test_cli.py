@@ -1,4 +1,4 @@
-"""End-to-end command runs against the two fixture files."""
+"""End-to-end command runs against the fixture files."""
 
 import json
 import os
@@ -17,6 +17,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SLS = str(FIXTURES / "sls_3x2.txt")
 LCN = str(FIXTURES / "lcn_double.txt")
 SINKS = str(FIXTURES / "lcn_sinks.txt")
+UNOBSERVABLE = str(FIXTURES / "sls_unobservable.txt")
 
 
 def run(capsys, *argv):
@@ -246,6 +247,23 @@ def test_analyze_refuses_horizon_past_budget(capsys, tmp_path):
     desc = load(path)
     with pytest.raises(BudgetExceededError):
         check_reachability(merge(desc.sls, desc.net), t_max=40)
+
+
+def test_analyze_refutes_a_structural_negative(capsys):
+    # one coordinate is never observed: the invariant-subspace bound settles
+    # strict observability before horizon 4 instead of walking 2^16
+    # sequences per horizon, with the report the full walk would give
+    code, rep = run_json(capsys, "analyze", "observability", UNOBSERVABLE, "--strict", "--t-max", "16")
+    assert code == 1
+    assert (rep["observability"]["holds"], rep["observability"]["T"]) == (False, 16)
+    assert rep["observability"]["per_alpha"]["1"] == {"rank": 1, "holds": False}
+
+
+def test_analyze_refutation_keeps_the_budget_refusal(capsys):
+    # a refuted search still refuses the horizon the walk would refuse
+    code, out, err = run(capsys, "analyze", "observability", UNOBSERVABLE, "--strict", "--t-max", "40")
+    assert (code, out) == (3, "")
+    assert err == "error: 2^20 sequences exceed the budget of 1000000\n"
 
 
 def test_analyze_decides_before_budget(capsys):
