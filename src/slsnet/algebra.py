@@ -19,9 +19,11 @@ Conventions:
   tolerance. Mixing exact and float operands gives float; mixing two
   different float tolerances is refused;
 - Matrix, LogicalMatrix, BooleanMatrix and Subspace stand on Record like
-  the package's records: frozen, compared and hashed field by field. A
-  Matrix instead compares within its context's tolerance (exact against
-  float too) and hashes on its shape, so equal matrices hash equal.
+  the package's records: built by Record's one constructor, which binds
+  values to ``__slots__`` by position or keyword and fills a missing one
+  from the class's ``defaults``; frozen, compared and hashed field by
+  field. A Matrix instead compares within its context's tolerance (exact
+  against float too) and hashes on its shape, so equal matrices hash equal.
 """
 
 from __future__ import annotations
@@ -61,20 +63,49 @@ class Record:
     inputs and results, and the matrices and subspaces below.
 
     A record lists its fields in ``__slots__``, in constructor order, and
-    sets them in its own ``__init__`` through ``object.__setattr__``.
-    Equality and the hash go field by field, leaving out the fields named
-    by the class keyword ``uncompared``; the repr reads
-    ``Name(field=value, ...)``, leaving out those named by ``hidden``; a
-    subclass may write its own of each. Assigning or deleting an attribute
-    raises AttributeError.
+    Record's constructor binds them: positional values in that order, then
+    keyword values by name, then the class keyword ``defaults`` (field ->
+    value) for a field given neither way. A missing, unknown or repeated
+    field, or a surplus value, raises TypeError naming the record. A
+    record that checks or derives its fields writes its own ``__init__``,
+    which ends in ``super().__init__(...)``. Equality and the hash go field
+    by field, leaving out the fields named by the class keyword
+    ``uncompared``; the repr reads ``Name(field=value, ...)``, leaving out
+    those named by ``hidden``; a subclass may write its own of each.
+    Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, hidden=(), uncompared=(), **kwargs):
+    def __init_subclass__(cls, hidden=(), uncompared=(), defaults=(), **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._defaults = dict(defaults)
+        for name in cls._defaults:
+            if name not in cls.__slots__:
+                raise TypeError(f"{cls.__qualname__} has no field {name!r} to default")
         cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
         cls._key = attrgetter(*(name for name in cls.__slots__ if name not in uncompared))
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if len(values) > len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        if named or len(values) < len(fields):
+            rest = fields[len(values):]
+            for name in named:
+                if name not in rest:
+                    problem = f"got field {name!r} twice" if name in fields else f"has no field {name!r}"
+                    raise TypeError(f"{type(self).__qualname__} {problem}")
+            for name in rest:
+                if name in named:
+                    value = named[name]
+                elif name in self._defaults:
+                    value = self._defaults[name]
+                else:
+                    raise TypeError(f"{type(self).__qualname__} is missing field {name!r}")
+                object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -107,7 +138,7 @@ class Numeric(Record):
             isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf
         ):
             raise ValueError("tolerance must be finite and positive")
-        object.__setattr__(self, "tol", tol)
+        super().__init__(tol)
 
 
 EXACT = Numeric()
@@ -178,10 +209,7 @@ class Matrix(Record):
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise DimensionError("ragged rows in matrix literal")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(len(grid), width, grid, mode)
 
     # -- constructors -------------------------------------------------------
 
@@ -294,10 +322,7 @@ def _of(grid: tuple, mode: Numeric) -> Matrix:
     """Matrix over a nonempty tuple of equal-length tuples whose entries are
     already in mode's form (see Matrix); nothing is converted."""
     m = object.__new__(Matrix)
-    object.__setattr__(m, "rows", len(grid))
-    object.__setattr__(m, "cols", len(grid[0]))
-    object.__setattr__(m, "entries", grid)
-    object.__setattr__(m, "mode", mode)
+    Record.__init__(m, len(grid), len(grid[0]), grid, mode)
     return m
 
 
@@ -409,8 +434,7 @@ class LogicalMatrix(Record):
         if idx and not (all(type(i) is int for i in idx) and 1 <= min(idx) and max(idx) <= rows):
             for j, i in enumerate(idx, start=1):
                 check_int(i, f"column {j}: index", 1, rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "col_index", idx)
+        super().__init__(rows, idx)
 
     @property
     def cols(self) -> int:
@@ -499,9 +523,7 @@ class BooleanMatrix(Record, uncompared=("rows", "cols")):
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise DimensionError("ragged rows in boolean matrix")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "bits", grid)
+        super().__init__(len(grid), width, grid)
 
     @staticmethod
     def identity(n: int) -> "BooleanMatrix":
@@ -667,9 +689,6 @@ class Subspace(Record):
     """
 
     __slots__ = ("basis",)
-
-    def __init__(self, basis: Matrix):
-        object.__setattr__(self, "basis", basis)
 
     @property
     def ambient(self) -> int:

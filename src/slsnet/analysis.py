@@ -66,7 +66,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence
 
-from .algebra import Record, Subspace, _contains, _echelon, _span, check_int, hstack, rank as matrix_rank, vstack
+from .algebra import Record, _contains, _echelon, _span, check_int, hstack, rank as matrix_rank, vstack
 from .lcn import LogicalNetwork, control_attractors, unchecked_step
 from .oracle import (
     EnumerationBudget,
@@ -92,19 +92,11 @@ class ReachableSet(Record):
 
     __slots__ = ("alpha", "gammas", "span", "terminal_theta")
 
-    def __init__(self, alpha: int, gammas: tuple[int, ...], span: Subspace, terminal_theta: int):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "terminal_theta", terminal_theta)
-
 
 class AlphaDetail(Record):
-    __slots__ = ("span_rank", "holds")
+    """One checked state's rank of the span, and whether the property holds there."""
 
-    def __init__(self, span_rank: int, holds: bool):
-        object.__setattr__(self, "span_rank", span_rank)
-        object.__setattr__(self, "holds", holds)
+    __slots__ = ("span_rank", "holds")
 
 
 class PropertyVerdict(Record):
@@ -117,41 +109,19 @@ class PropertyVerdict(Record):
 
     __slots__ = ("property", "holds", "witness", "T", "per_alpha", "checked_alphas")
 
-    def __init__(
-        self,
-        property: str,
-        holds: bool,
-        witness: tuple[int, ...] | None,
-        T: int | None,
-        per_alpha: dict[int, AlphaDetail],
-        checked_alphas: tuple[int, ...],
-    ):
-        object.__setattr__(self, "property", property)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "per_alpha", per_alpha)
-        object.__setattr__(self, "checked_alphas", checked_alphas)
-
 
 class FeasibleSequence(Record):
-    __slots__ = ("gammas", "trajectories")
+    """An input sequence with full reachable span at every checked state;
+    trajectories maps each checked alpha to its (sigmas, thetas) replay."""
 
-    def __init__(
-        self,
-        gammas: tuple[int, ...],
-        # alpha -> (sigmas, thetas) replay
-        trajectories: dict[int, tuple[tuple[int, ...], tuple[int, ...]]],
-    ):
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "trajectories", trajectories)
+    __slots__ = ("gammas", "trajectories")
 
 
 def switching_trajectory(
     net: LogicalNetwork, alpha: int, gammas: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Replay the network: returns (sigmas, thetas) with thetas[0] = alpha."""
-    _check_walk(net, alpha, gammas)
+    gammas = _check_walk(net, alpha, gammas)
     thetas, sigmas = [alpha], []
     for gamma in gammas:
         theta_next, sigma = unchecked_step(net, gamma, thetas[-1])
@@ -191,14 +161,17 @@ def _advance(ms, memo, state, gamma):
     return theta_next, key
 
 
-def _check_walk(net: LogicalNetwork, alpha, gammas) -> None:
+def _check_walk(net: LogicalNetwork, alpha, gammas) -> tuple[int, ...]:
     """An initial state in 1..N and a non-empty input sequence in 1..M,
-    checked before the walk, which looks the pairs up unchecked."""
+    checked before the walk, which looks the pairs up unchecked; returns
+    the inputs as a tuple, so the walk reads an iterator's inputs too."""
     check_int(alpha, "initial state", 1, net.N)
+    gammas = tuple(gammas)
     if not gammas:
         raise ValueError("need at least one logical input")
     for gamma in gammas:
         check_int(gamma, "input index", 1, net.M)
+    return gammas
 
 
 def _side(ms, query: str, dual: bool) -> None:
@@ -208,11 +181,11 @@ def _side(ms, query: str, dual: bool) -> None:
 
 
 def _fold(ms, alpha, gammas) -> ReachableSet:
-    _check_walk(ms.net, alpha, gammas)
+    gammas = _check_walk(ms.net, alpha, gammas)
     memo, state = {(): _start(ms)}, (alpha, ())
     for gamma in gammas:
         state = _advance(ms, memo, state, gamma)
-    return ReachableSet(alpha, tuple(gammas), _span(memo[state[1]][0], ms.sls.n, ms.sls.mode_flag), state[0])
+    return ReachableSet(alpha, gammas, _span(memo[state[1]][0], ms.sls.n, ms.sls.mode_flag), state[0])
 
 
 def reachable_set(ms: MergedSystem, alpha: int, gammas: Sequence[int]) -> ReachableSet:
@@ -288,12 +261,17 @@ def _horizon(bound: int | None, n: int, name: str = "t_max") -> int:
     return check_int(n if bound is None else bound, name)
 
 
-def _detail(kind: int, n: int, tol, fold) -> AlphaDetail:
+def _detail(kind: int, n: int, tol, fold) -> tuple[int, bool]:
     """Span rank, and whether the property holds: full span (kind 0), or
     im chain in the span (kind 1), which a full span settles at once."""
     span, chain = fold
     full = len(span) == n
-    return AlphaDetail(len(span), full if kind == 0 else full or _contains(span, tol, chain))
+    return len(span), full if kind == 0 else full or _contains(span, tol, chain)
+
+
+def _per_alpha(checked, details) -> dict[int, AlphaDetail]:
+    """A verdict's per_alpha; a search judges plain pairs, and builds records for the one it returns."""
+    return {alpha: AlphaDetail(*detail) for alpha, detail in zip(checked, details)}
 
 
 def _invariant_bound(ms) -> tuple[tuple[bool, ...], bool]:
@@ -381,18 +359,18 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
             break  # every score stays 0: best is the first sequence's
         enforce_budget(ms.net, horizon)
         for gammas, states in _candidates(ms, checked, horizon):
-            details = []
+            details, score = [], 0
             for _, sigmas in states:
                 detail = judged.get(sigmas)
                 if detail is None:
                     detail = judged[sigmas] = _detail(kind, n, tol, folds[sigmas])
                 details.append(detail)
-            score = sum(d.holds for d in details)
+                score += detail[1]  # whether the property holds
             if score == len(checked):
-                return PropertyVerdict(prop, True, gammas, horizon, dict(zip(checked, details)), checked)
+                return PropertyVerdict(prop, True, gammas, horizon, _per_alpha(checked, details), checked)
             if score > best_score:
                 best, best_score = details, score
-    return PropertyVerdict(prop, False, None, t_max, dict(zip(checked, best)), checked)
+    return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, best), checked)
 
 
 def check_reachability(

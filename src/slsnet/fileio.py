@@ -91,11 +91,7 @@ class SystemDescription(Record):
             entries = (x for triple in sls.modes for mat in triple for row in mat.entries for x in row)
             if context.tol is not None and not all(map(math.isfinite, entries)):
                 raise ValueError("every float matrix entry must be finite")
-        object.__setattr__(self, "net", net)
-        object.__setattr__(self, "sls", sls)
-        object.__setattr__(self, "numeric", numeric)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "t_max", t_max)
+        super().__init__(net, sls, numeric, tolerance, t_max)
 
 
 def _fail(lineno: int | None, message: str):

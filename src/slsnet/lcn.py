@@ -69,13 +69,7 @@ class LogicalNetwork(Record, hidden=("N", "M"), uncompared=("N", "M")):
             raise DimensionError(f"L has {L.cols} columns, expected M*N={M * N}")
         if R.cols != M * N:
             raise DimensionError(f"R has {R.cols} columns, expected M*N={M * N}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n_nodes", n_nodes)
-        object.__setattr__(self, "m_nodes", m_nodes)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "M", M)
+        super().__init__(k, n_nodes, m_nodes, L, R, N, M)
 
     @property
     def q(self) -> int:
@@ -173,8 +167,7 @@ class InputStateSubset(Record):
         mem = frozenset(check_int(i, "input-state index", 1, mn) for i in members)
         if not mem:
             raise DimensionError("input-state subset may not be empty")
-        object.__setattr__(self, "members", mem)
-        object.__setattr__(self, "mn", mn)
+        super().__init__(mem, mn)
 
 
 class SubsetClass(Record):
@@ -188,7 +181,7 @@ class SubsetClass(Record):
             raise DimensionError("subset class may not be empty")
         if len({s.mn for s in subs}) != 1:
             raise DimensionError("subsets disagree about M*N")
-        object.__setattr__(self, "subsets", subs)
+        super().__init__(subs)
 
     @property
     def mn(self) -> int:
@@ -244,21 +237,11 @@ def set_reachability_matrix(
 
 
 class SetReachabilityVerdicts(Record):
-    """The four verdict forms read off a Boolean reachability matrix."""
+    """The four verdict forms read off a Boolean reachability matrix:
+    source_reaches_all[j] when column j is all ones, target_reached_by_all[i]
+    when row i is, and fully_reachable when every column is."""
 
     __slots__ = ("pairwise", "source_reaches_all", "target_reached_by_all", "fully_reachable")
-
-    def __init__(
-        self,
-        pairwise: BooleanMatrix,
-        source_reaches_all: tuple[bool, ...],  # column j all ones
-        target_reached_by_all: tuple[bool, ...],  # row i all ones
-        fully_reachable: bool,
-    ):
-        object.__setattr__(self, "pairwise", pairwise)
-        object.__setattr__(self, "source_reaches_all", source_reaches_all)
-        object.__setattr__(self, "target_reached_by_all", target_reached_by_all)
-        object.__setattr__(self, "fully_reachable", fully_reachable)
 
 
 def set_reachability_verdicts(c_ell: BooleanMatrix) -> SetReachabilityVerdicts:
@@ -285,10 +268,6 @@ class Attractor(Record):
 
     __slots__ = ("states", "inputs")
 
-    def __init__(self, states: tuple[int, ...], inputs: tuple[int, ...]):
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "inputs", inputs)
-
     @property
     def is_cycle(self) -> bool:
         return len(self.states) > 1
@@ -298,24 +277,12 @@ class Attractor(Record):
         return self.states[0]
 
 
-class ControlAttractorReport(Record, uncompared=("basins",)):
+class ControlAttractorReport(Record, uncompared=("basins",), defaults={"cover": ()}):
     """`cycles` holds the canonical cycle of each SCC of two or more states;
-    `basins` holds the basin of each attractor in `cover`, and no other."""
+    `basins` holds the basin of each attractor in `cover`, and no other, as
+    attractor states -> {basin state -> steering input sequence}."""
 
     __slots__ = ("fixed_points", "cycles", "basins", "cover")
-
-    def __init__(
-        self,
-        fixed_points: tuple[Attractor, ...],
-        cycles: tuple[Attractor, ...],
-        # attractor states -> {basin state -> steering input sequence}
-        basins: dict[tuple[int, ...], dict[int, tuple[int, ...]]],
-        cover: tuple[Attractor, ...] = (),
-    ):
-        object.__setattr__(self, "fixed_points", fixed_points)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "basins", basins)
-        object.__setattr__(self, "cover", cover)
 
     def checked_states(self) -> tuple[int, ...]:
         """Representative initial states of the disjoint cover."""

@@ -24,8 +24,7 @@ class EnumerationBudget(Record):
     __slots__ = ("max_sequences", "max_horizon")
 
     def __init__(self, max_sequences: int = 10**6, max_horizon: int = 32):
-        object.__setattr__(self, "max_sequences", check_int(max_sequences, "max_sequences"))
-        object.__setattr__(self, "max_horizon", check_int(max_horizon, "max_horizon"))
+        super().__init__(check_int(max_sequences, "max_sequences"), check_int(max_horizon, "max_horizon"))
 
 
 class BudgetExceededError(RuntimeError):

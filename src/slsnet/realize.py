@@ -48,8 +48,7 @@ class FotSpec(Record):
     __slots__ = ("durations",)
 
     def __init__(self, durations: Sequence):
-        durs = tuple(_check_duration(d, "duration", True) for d in durations)
-        object.__setattr__(self, "durations", durs)
+        super().__init__(tuple(_check_duration(d, "duration", True) for d in durations))
 
     @property
     def q(self) -> int:
@@ -67,10 +66,6 @@ class SignalPreimage(Record):
 
     __slots__ = ("sigma", "members")
 
-    def __init__(self, sigma: int, members: tuple[int, ...]):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "members", members)
-
     @property
     def empty(self) -> bool:
         return not self.members
@@ -84,11 +79,10 @@ class TrackingProblem(Record):
         ref = tuple(reference)
         if not ref:
             raise ValueError("reference sequence may not be empty")
-        object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "reference", ref)
+        super().__init__(theta0, ref)
 
 
-class SignalDiagnostic(Record):
+class SignalDiagnostic(Record, defaults={"unreachable": False, "escape_failures": (), "stay_failures": ()}):
     """Outcome of the stay/escape conditions for one signal value.
 
     Failure tuples hold the input-state pair encodings that violate the
@@ -98,50 +92,17 @@ class SignalDiagnostic(Record):
 
     __slots__ = ("sigma", "requirement", "unreachable", "escape_failures", "stay_failures")
 
-    def __init__(
-        self,
-        sigma: int,
-        requirement: object,
-        unreachable: bool = False,
-        escape_failures: tuple[int, ...] = (),
-        stay_failures: tuple[int, ...] = (),
-    ):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "requirement", requirement)
-        object.__setattr__(self, "unreachable", unreachable)
-        object.__setattr__(self, "escape_failures", escape_failures)
-        object.__setattr__(self, "stay_failures", stay_failures)
-
     @property
     def ok(self) -> bool:
         return not self.escape_failures and not self.stay_failures
 
 
-class RealizabilityVerdict(Record):
+class RealizabilityVerdict(Record, defaults={"warnings": ()}):
     __slots__ = ("realizable", "diagnostics", "warnings")
-
-    def __init__(
-        self, realizable: bool, diagnostics: tuple[SignalDiagnostic, ...], warnings: tuple[str, ...] = ()
-    ):
-        object.__setattr__(self, "realizable", realizable)
-        object.__setattr__(self, "diagnostics", diagnostics)
-        object.__setattr__(self, "warnings", warnings)
 
 
 class TrackVerdict(Record):
     __slots__ = ("trackable", "witness", "failed_at", "frontier_sizes")
-
-    def __init__(
-        self,
-        trackable: bool,
-        witness: tuple[int, ...] | None,
-        failed_at: int | None,
-        frontier_sizes: tuple[int, ...],
-    ):
-        object.__setattr__(self, "trackable", trackable)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "failed_at", failed_at)
-        object.__setattr__(self, "frontier_sizes", frontier_sizes)
 
 
 def signal_preimages(net: LogicalNetwork) -> list[SignalPreimage]:

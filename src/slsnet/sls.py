@@ -52,7 +52,7 @@ class SwitchedLinearSystem(Record):
                 raise DimensionError(f"mode {i}: C has {c.cols} columns, expected {n}")
             if c.rows != c0.rows:
                 raise DimensionError(f"mode {i}: C has {c.rows} rows, expected {c0.rows}")
-        object.__setattr__(self, "modes", mds)
+        super().__init__(mds)
 
     @property
     def n(self) -> int:

@@ -46,7 +46,7 @@ from slsnet.analysis import (
     switching_trajectory,
 )
 from slsnet.fileio import loads
-from slsnet.lcn import LogicalNetwork, build_from_functions, step
+from slsnet.lcn import LogicalNetwork, step
 from slsnet.oracle import (
     controllability_matrix,
     enumerate_switching_sequences,
@@ -103,6 +103,24 @@ def test_trajectory_rejects_bad_input():
         ):
             with pytest.raises(ValueError, match="input index"):
                 walk((1, gamma))
+
+
+def test_walks_read_an_iterator_of_inputs():
+    # the inputs are read once, for the check and the walk alike
+    gammas = (1, 2, 1)
+    assert switching_trajectory(NET, 1, iter(gammas)) == switching_trajectory(NET, 1, gammas)
+    for walk, ms in ((reachable_set, MS), (dual_reachable_set, DMS)):
+        rs = walk(ms, 1, iter(gammas))
+        assert rs == walk(ms, 1, list(gammas)) and rs.gammas == gammas
+    rs = reachable_set(MS, 1, iter(gammas))
+    assert (rs.span.rank, rs.terminal_theta) == (3, 4)
+    for walk in (
+        lambda gammas: switching_trajectory(NET, 1, gammas),
+        lambda gammas: reachable_set(MS, 1, gammas),
+        lambda gammas: dual_reachable_set(DMS, 1, gammas),
+    ):
+        with pytest.raises(ValueError, match="at least one logical input"):
+            walk(iter(()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ SLS = str(FIXTURES / "sls_3x2.txt")
 LCN = str(FIXTURES / "lcn_double.txt")
 SINKS = str(FIXTURES / "lcn_sinks.txt")
 UNOBSERVABLE = str(FIXTURES / "sls_unobservable.txt")
+UNREACHABLE_SIGNAL = str(FIXTURES / "lcn_unreachable_signal.txt")
 
 
 def run(capsys, *argv):
@@ -166,6 +167,16 @@ def test_realize_fot_positive(capsys, tmp_path):
     assert code == 0
     assert rep["realizable"] is True
     assert rep["signals"][0]["requirement"] == "inf"
+
+
+def test_realize_fot_unreachable_signal_warns(capsys):
+    # no pair emits signal 2: its conditions hold vacuously, and the report says so
+    code, rep = run_json(capsys, "realize", "fot", UNREACHABLE_SIGNAL, "--durations", "inf,5")
+    assert code == 0
+    assert rep["realizable"] is True
+    assert [s["unreachable"] for s in rep["signals"]] == [False, True]
+    assert rep["signals"][1]["ok"] is True
+    assert rep["warnings"] == ["signal 2 unreachable: no input-state pair produces it"]
 
 
 def test_realize_dwell_golden(capsys):

@@ -1,7 +1,8 @@
 """Contract of slsnet's records: the immutable value objects that carry
-inputs and results. Each is built positionally and by keyword, equal by
-its compared fields, hashable unless a compared field is a dict, shown
-as ``Name(field=value, ...)`` and refuses assignment and deletion.
+inputs and results. Each is built positionally and by keyword, refuses a
+missing, unknown, repeated or surplus field with a TypeError naming it,
+equal by its compared fields, hashable unless a compared field is a dict,
+shown as ``Name(field=value, ...)`` and refuses assignment and deletion.
 
 Matrices, subspaces and merged systems refuse assignment and deletion
 too; they keep their own reprs and equality."""
@@ -11,7 +12,7 @@ import re
 import pytest
 
 from conftest import golden_net, golden_sls
-from slsnet.algebra import BooleanMatrix, LogicalMatrix, Matrix, Numeric, column_space
+from slsnet.algebra import BooleanMatrix, LogicalMatrix, Matrix, Numeric, Record, Subspace, column_space
 from slsnet.analysis import AlphaDetail, FeasibleSequence, PropertyVerdict, ReachableSet
 from slsnet.fileio import SystemDescription
 from slsnet.lcn import (
@@ -138,8 +139,18 @@ CASES = [
 IDS = [case[0].__name__ for case in CASES]
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_record_is_covered():
-    assert len(CASES) == len(set(IDS)) == 20
+    # the carriers below are checked by the frozen test; classes a test
+    # defines on Record are not the package's
+    found = {c for c in _subclasses(Record) if c.__module__.startswith("slsnet.")}
+    assert len(CASES) == len(set(IDS))
+    assert found - {Matrix, LogicalMatrix, BooleanMatrix, Subspace} == {case[0] for case in CASES}
 
 
 @pytest.mark.parametrize("cls, args, kwargs, other, text, hashable", CASES, ids=IDS)
@@ -180,10 +191,17 @@ def test_records_are_immutable(cls, args, kwargs, other, text, hashable):
 
 @pytest.mark.parametrize("cls, args, kwargs, other, text, hashable", CASES, ids=IDS)
 def test_constructor_refuses_unknown_and_surplus_arguments(cls, args, kwargs, other, text, hashable):
-    with pytest.raises(TypeError):
+    name = cls.__name__
+    first = text[len(name) + 1:].split("=", 1)[0]
+    with pytest.raises(TypeError, match=rf"{name}\b.*'unknown'"):
         cls(*args, unknown=1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=rf"{name}\b"):
         cls(*args, None, None, None, None, None, None)
+    with pytest.raises(TypeError, match=rf"{name}\b.*'{first}'"):
+        cls(args[0], **{first: args[0]})  # named twice, not missing the rest
+    if cls not in (Numeric, EnumerationBudget):  # the records whose every field has a default
+        with pytest.raises(TypeError, match=rf"{name}\b.*'{first}'"):
+            cls()
 
 
 def test_defaults():
@@ -194,6 +212,12 @@ def test_defaults():
     assert ControlAttractorReport((), (), {}) == ControlAttractorReport((), (), {}, ())
     assert SignalDiagnostic(1, 2) == SignalDiagnostic(1, 2, False, (), ())
     assert RealizabilityVerdict(True, ()) == RealizabilityVerdict(True, (), ())
+
+
+def test_a_default_must_name_a_field():
+    with pytest.raises(TypeError, match=r"X has no field 'nope'"):
+        class X(Record, defaults={"nope": 1}):
+            __slots__ = ("a",)
 
 
 def test_network_sizes_are_derived_not_given():

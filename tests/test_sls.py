@@ -22,7 +22,6 @@ from slsnet.algebra import (
     Matrix,
     Numeric,
     SizingError,
-    boolean_product,
     hstack,
     kronecker,
     power_reducing_matrix,
@@ -30,8 +29,6 @@ from slsnet.algebra import (
 )
 from slsnet.lcn import LogicalNetwork, encode_pair, input_state_matrix, step
 from slsnet.sls import (
-    DualMergedSystem,
-    MergedSystem,
     SwitchedLinearSystem,
     merge,
     merge_dual,
