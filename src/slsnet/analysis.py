@@ -34,12 +34,15 @@ logical state and mode sequence.
 Every query runs its own search over that memo: each horizon's input
 sequences are walked depth-first, each prefix advanced once from its
 parent, and each distinct mode sequence met is judged once per query.
-Queries share only the memo, so the two checks of a side, the feasible
-list and any later query on the same merged system fold each mode
-sequence at most once, whatever the checked states and in any order, and
-no verdict depends on what was asked before. Neither judgment runs an
-elimination: the rank is the number of rows, and containment is read
-off them with weights scaled by the lcm of the pivots (algebra._contains).
+The feasible list is the reachability search in collecting mode: it walks
+on to the end of the witness level and keeps every sequence that holds at
+every checked state, the witness first. Queries share only the memo, so
+the two checks of a side, the collecting search and any later query on
+the same merged system fold each mode sequence at most once, whatever the
+checked states and in any order, and no verdict depends on what was
+asked before. Neither judgment runs an elimination: the rank is the
+number of rows, and containment is read off them with weights scaled by
+the lcm of the pivots (algebra._contains).
 
 A negative verdict walks every horizon up to t_max, so an exact search
 may refute first with the logic-constrained invariant subspaces of Sun,
@@ -55,10 +58,10 @@ min(M^h |checked|, q^h) > N n, when the horizon could fold more mode
 sequences than the bound's at most N n eliminations. If it refutes every
 checked state, every score would stay 0: the search checks the budget of
 each horizon left, so a refusal names the same horizon, and returns the
-walk's verdict (T = t_max, per_alpha of the first horizon-1 sequence);
-the feasible list returns []. Float searches never try it: the bound
-eliminates in another order than the fold, so a tolerance could decide
-the two apart.
+walk's verdict (T = t_max, per_alpha of the first horizon-1 sequence)
+and collects nothing. Float searches never try it: the bound eliminates
+in another order than the fold, so a tolerance could decide the two
+apart.
 """
 
 from __future__ import annotations
@@ -111,10 +114,11 @@ class PropertyVerdict(Record):
 
 
 class FeasibleSequence(Record):
-    """An input sequence with full reachable span at every checked state;
-    trajectories maps each checked alpha to its (sigmas, thetas) replay."""
+    """An input sequence with full reachable span at every checked state.
+    It keeps the inputs alone; switching_trajectory(ms.net, alpha, gammas)
+    replays the network from a checked state alpha."""
 
-    __slots__ = ("gammas", "trajectories")
+    __slots__ = ("gammas",)
 
 
 def switching_trajectory(
@@ -344,16 +348,19 @@ def _refuted(ms, kind: int, checked, horizon: int, t_max: int) -> bool:
     return True
 
 
-def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
+def _search(ms, prop, t_max, strict, alphas, collect=False) -> tuple[PropertyVerdict, list]:
     """Breadth-first in T, lexicographic in the input tuple; one sequence
     must pass at every checked alpha. Each distinct mode sequence is judged
     once per query, however many (sequence, checked state) pairs induce it;
-    without a witness, per_alpha is the first highest-scoring sequence's."""
+    without a witness, per_alpha is the first highest-scoring sequence's.
+    Returns the verdict and the sequences found that hold at every checked
+    alpha: the witness alone, or with collect every one on its level, in
+    walk order; none for a negative verdict."""
     _side(ms, f"check_{prop}", PROPERTIES.index(prop) > 1)
     checked = _checked(ms, strict, alphas)
     t_max = _horizon(t_max, ms.sls.n)
     kind, n, tol, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms.sls.mode_flag.tol, ms._folds
-    judged, best, best_score = {}, None, -1
+    judged, best, best_score, found = {}, None, -1, []
     for horizon in range(1, t_max + 1):
         if best_score == 0 and _refuted(ms, kind, checked, horizon, t_max):
             break  # every score stays 0: best is the first sequence's
@@ -366,11 +373,15 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
                     detail = judged[sigmas] = _detail(kind, n, tol, folds[sigmas])
                 details.append(detail)
                 score += detail[1]  # whether the property holds
-            if score == len(checked):
-                return PropertyVerdict(prop, True, gammas, horizon, _per_alpha(checked, details), checked)
-            if score > best_score:
+            if score > best_score:  # the first sequence to hold everywhere stays best
                 best, best_score = details, score
-    return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, best), checked)
+            if score == len(checked):
+                found.append(gammas)
+                if not collect:
+                    break
+        if found:
+            return PropertyVerdict(prop, True, found[0], horizon, _per_alpha(checked, best), checked), found
+    return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, best), checked), found
 
 
 def check_reachability(
@@ -381,7 +392,7 @@ def check_reachability(
 ) -> PropertyVerdict:
     """Is some input sequence able to reach every x from 0, for all
     checked initial logical states? Holds when the reachable span is full."""
-    return _search(ms, "reachability", t_max, strict, alphas)
+    return _search(ms, "reachability", t_max, strict, alphas)[0]
 
 
 def check_controllability(
@@ -392,7 +403,7 @@ def check_controllability(
 ) -> PropertyVerdict:
     """Is some input sequence able to steer every x to 0? Holds when the
     drift's image is contained in the reachable span."""
-    return _search(ms, "controllability", t_max, strict, alphas)
+    return _search(ms, "controllability", t_max, strict, alphas)[0]
 
 
 def check_observability(
@@ -403,7 +414,7 @@ def check_observability(
 ) -> PropertyVerdict:
     """Can x(0) be recovered from outputs? Holds when the dual reachable
     span is full for all checked initial logical states."""
-    return _search(dms, "observability", t_max, strict, alphas)
+    return _search(dms, "observability", t_max, strict, alphas)[0]
 
 
 def check_reconstructibility(
@@ -414,7 +425,7 @@ def check_reconstructibility(
 ) -> PropertyVerdict:
     """Can x(T) be recovered from outputs? Holds when the transposed
     free-motion chain's image is contained in the dual reachable span."""
-    return _search(dms, "reconstructibility", t_max, strict, alphas)
+    return _search(dms, "reconstructibility", t_max, strict, alphas)[0]
 
 
 def feasible_input_sequences(
@@ -424,25 +435,13 @@ def feasible_input_sequences(
     alphas: Sequence[int] | None = None,
 ) -> list[FeasibleSequence]:
     """All input sequences achieving full reachable span at every checked
-    state, at the first length where any sequence succeeds, in search
-    order: levels 1..k_max are walked as the reachability search walks
-    them, and the first level holding any such sequence is returned whole."""
+    state, at the first length up to k_max where any sequence succeeds, in
+    search order: the reachability search, walked on to the end of its
+    witness level. Its first entry is check_reachability's witness."""
     _side(ms, "feasible_input_sequences", False)
-    checked = _checked(ms, strict, alphas)
-    k_max = _horizon(k_max, ms.sls.n, "k_max")
-    n, folds = ms.sls.n, ms._folds
-    for horizon in range(1, k_max + 1):
-        if _refuted(ms, 0, checked, horizon, k_max):
-            break
-        enforce_budget(ms.net, horizon)
-        found = [
-            FeasibleSequence(gammas, {a: switching_trajectory(ms.net, a, gammas) for a in checked})
-            for gammas, states in _candidates(ms, checked, horizon)
-            if all(len(folds[sigmas][0]) == n for _, sigmas in states)
-        ]
-        if found:
-            return found
-    return []
+    _horizon(k_max, ms.sls.n, "k_max")
+    _, found = _search(ms, "reachability", k_max, strict, alphas, collect=True)
+    return [FeasibleSequence(gammas) for gammas in found]
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,7 @@ import time
 
 from . import __version__
 from .algebra import BooleanMatrix, DimensionError, SizingError
-from .analysis import (
-    PROPERTIES,
-    check_controllability,
-    check_observability,
-    check_reachability,
-    check_reconstructibility,
-    feasible_input_sequences,
-)
+from .analysis import PROPERTIES, _search
 from .fileio import ParseError, content_digest, loads
 from .lcn import (
     InputStateSubset,
@@ -178,19 +171,15 @@ def _cmd_analyze(args, desc, report) -> int:
         if ("observability" in wanted or "reconstructibility" in wanted)
         else None
     )
-    checks = {
-        "reachability": lambda: check_reachability(ms, t_max, args.strict, alphas),
-        "controllability": lambda: check_controllability(ms, t_max, args.strict, alphas),
-        "observability": lambda: check_observability(dms, t_max, args.strict, alphas),
-        "reconstructibility": lambda: check_reconstructibility(dms, t_max, args.strict, alphas),
-    }
     all_hold = True
     for prop in wanted:
-        verdict = checks[prop]()
+        # one reachability walk gives the verdict and the feasible list
+        collect = prop == "reachability"
+        merged = dms if PROPERTIES.index(prop) > 1 else ms
+        verdict, found = _search(merged, prop, t_max, args.strict, alphas, collect)
         entry = _verdict_dict(verdict)
-        if prop == "reachability" and verdict.holds:
-            feasible = feasible_input_sequences(ms, verdict.T, args.strict, alphas)
-            entry["feasible"] = [list(f.gammas) for f in feasible]
+        if collect and verdict.holds:
+            entry["feasible"] = [list(gammas) for gammas in found]
         report[prop] = entry
         all_hold = all_hold and verdict.holds
     return 0 if all_hold else 1

@@ -70,20 +70,22 @@ def enumerate_switching_sequences(
     return out
 
 
-def controllability_matrix(mode_sequence: Sequence[int], sls) -> Matrix:
+def controllability_matrix(mode_sequence: Iterable[int], sls) -> Matrix:
     """[B_(s_{T-1}), A_(s_{T-1}) B_(s_{T-2}), ..., A_(s_{T-1})...A_(s_1) B_(s_0)]."""
+    mode_sequence = tuple(mode_sequence)  # an iterator is read once, and an empty one refused
     if not mode_sequence:
         raise DimensionError("mode sequence may not be empty")
     prefix = Matrix.identity(sls.n, sls.mode_flag)
     blocks = []
-    for sigma in reversed(list(mode_sequence)):
+    for sigma in reversed(mode_sequence):
         blocks.append(prefix @ sls.b(sigma))
         prefix = prefix @ sls.a(sigma)
     return hstack(blocks)
 
 
-def observability_matrix(mode_sequence: Sequence[int], sls) -> Matrix:
+def observability_matrix(mode_sequence: Iterable[int], sls) -> Matrix:
     """Stacked [C_(s_0); C_(s_1) A_(s_0); ...; C_(s_{T-1}) A_(s_{T-2})...A_(s_0)]."""
+    mode_sequence = tuple(mode_sequence)  # an iterator is read once, and an empty one refused
     if not mode_sequence:
         raise DimensionError("mode sequence may not be empty")
     prefix = Matrix.identity(sls.n, sls.mode_flag)

@@ -247,8 +247,10 @@ def test_golden_feasible_sequences():
         (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)
     ]
     for f in found:
-        sigmas, thetas = f.trajectories[4]
-        assert (sigmas, thetas) == switching_trajectory(NET, 4, f.gammas)
+        # the record keeps the inputs; a replay from the checked state 4
+        # induces a switching sequence of full Kalman rank
+        sigmas, thetas = switching_trajectory(NET, 4, f.gammas)
+        assert thetas[0] == 4 and kalman_rank(sigmas, golden_sls()) == 3
         assert subspace_is_full(reachable_set(MS, 4, f.gammas).span, 3)
 
 
@@ -417,8 +419,9 @@ def test_verdicts_match_oracle(seed, rational):
             ("observability", check_observability, dms),
             ("reconstructibility", check_reconstructibility, dms),
         )
+        verdicts = {}
         for prop, check, merged in pairs:
-            mine = check(merged, alphas=alphas)
+            mine = verdicts[prop] = check(merged, alphas=alphas)
             ref = kalman_oracle(sls, net, prop=prop, alphas=alphas)
             tag = (prop, system.mode_flag, seed, rational)
             assert mine.holds == ref.holds, tag
@@ -427,6 +430,13 @@ def test_verdicts_match_oracle(seed, rational):
             assert mine.per_alpha == ref.per_alpha, tag
         feasible = feasible_input_sequences(ms, sls.n, alphas=alphas)
         assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas), seed
+        # the feasible list is the reachability search's: its witness first, at its T
+        reach = verdicts["reachability"]
+        if reach.holds:
+            assert feasible[0].gammas == reach.witness, seed
+            assert len(feasible[0].gammas) == reach.T, seed
+        else:
+            assert feasible == [], seed
 
 
 CHECKS = {

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slsnet import BudgetExceededError, check_reachability, kalman_rank, load, merge
+from slsnet import BudgetExceededError, check_reachability, feasible_input_sequences, kalman_rank, load, merge
 from slsnet.cli import main
 
 from conftest import unreachable_single_input_text
@@ -68,6 +68,27 @@ def test_analyze_strict_and_explicit_alphas(capsys):
     code, rep = run_json(capsys, "analyze", "observability", SLS, "--alphas", "2,4")
     assert code == 0
     assert rep["observability"]["checked_alphas"] == [2, 4]
+
+
+@pytest.mark.parametrize("flags, checked", [((), {}), (("--strict",), {"strict": True}),
+                                            (("--alphas", "1,3"), {"alphas": (1, 3)})])
+def test_analyze_feasible_is_the_library_list(capsys, flags, checked):
+    # the report's feasible list is feasible_input_sequences' at the same
+    # checked states, led by the witness, every entry T inputs long
+    code, rep = run_json(capsys, "analyze", "reachability", SLS, *flags)
+    entry = rep["reachability"]
+    assert (code, entry["holds"]) == (0, True)
+    desc = load(SLS)
+    library = feasible_input_sequences(merge(desc.sls, desc.net), entry["T"], **checked)
+    assert entry["feasible"] == [list(f.gammas) for f in library]
+    assert entry["feasible"][0] == entry["witness"]
+    assert {len(gammas) for gammas in entry["feasible"]} == {entry["T"]}
+
+
+def test_analyze_negative_reachability_has_no_feasible_list(capsys):
+    code, rep = run_json(capsys, "analyze", "reachability", UNOBSERVABLE, "--strict")
+    assert (code, rep["reachability"]["holds"]) == (1, False)
+    assert "feasible" not in rep["reachability"]
 
 
 def test_analyze_needs_modes(capsys):

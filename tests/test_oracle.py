@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from slsnet.algebra import Matrix, rank
+from slsnet.algebra import DimensionError, Matrix, rank
 from slsnet.oracle import (
     BudgetExceededError,
     EnumerationBudget,
@@ -90,6 +90,16 @@ def test_observability_matrix_layout():
     assert m.rows == 2
     assert Matrix([m.entries[0]]) == sls.c(1)
     assert Matrix([m.entries[1]]) == sls.c(2) @ sls.a(1)
+
+
+def test_stacked_matrices_read_an_iterator_of_modes():
+    # an empty iterator is refused as an empty sequence is, not by the
+    # stacking of no blocks; a non-empty one gives the list's matrix
+    sls = golden_sls()
+    for stacked in (controllability_matrix, observability_matrix):
+        with pytest.raises(DimensionError, match="^mode sequence may not be empty$"):
+            stacked(iter(()), sls)
+        assert stacked(iter([1, 2, 1]), sls) == stacked([1, 2, 1], sls)
 
 
 def test_mode_chain_order():

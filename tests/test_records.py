@@ -73,14 +73,7 @@ CASES = [
         "per_alpha={1: AlphaDetail(span_rank=3, holds=True)}, checked_alphas=(1,))",
         False,
     ),
-    (
-        FeasibleSequence,
-        ((1, 2), {1: ((2, 1), (1, 3, 4))}),
-        {"gammas": (1, 2), "trajectories": {1: ((2, 1), (1, 3, 4))}},
-        ((1, 2), {1: ((2, 2), (1, 3, 4))}),
-        "FeasibleSequence(gammas=(1, 2), trajectories={1: ((2, 1), (1, 3, 4))})",
-        False,
-    ),
+    (FeasibleSequence, ((1, 2),), {"gammas": (1, 2)}, ((2, 1),), "FeasibleSequence(gammas=(1, 2))", True),
     (
         SystemDescription,
         (golden_net(), None, "exact", None, 3),
