@@ -13,17 +13,15 @@ Conventions:
   notation for canonical basis vectors;
 - every Matrix and Subspace carries a frozen numeric context (Numeric):
   exact contexts store int entries, and fractions.Fraction ones only where
-  a value is not integral, and compare exactly;
-  float contexts store doubles, and every zero/equality test and every
-  elimination pivot (after partial pivoting) uses the context's own
-  tolerance. Mixing exact and float operands gives float; mixing two
-  different float tolerances is refused;
-- Matrix, LogicalMatrix, BooleanMatrix and Subspace stand on Record like
-  the package's records: built by Record's one constructor, which binds
-  values to ``__slots__`` by position or keyword and fills a missing one
-  from the class's ``defaults``; frozen, compared and hashed field by
-  field. A Matrix instead compares within its context's tolerance (exact
-  against float too) and hashes on its shape, so equal matrices hash equal.
+  a value is not integral; float contexts store doubles, and every zero
+  test and every elimination pivot (after partial pivoting) uses the
+  context's own tolerance. Mixing exact and float operands gives float;
+  mixing two different float tolerances is refused;
+- every Matrix, LogicalMatrix, BooleanMatrix and Subspace stands on Record
+  like the package's records: built by Record's one constructor, which
+  binds values to ``__slots__`` by position or keyword and fills a missing
+  one from the class's ``defaults``; frozen, compared and hashed field by
+  field, so equality is exact (context included) and the hash follows it.
 """
 
 from __future__ import annotations
@@ -169,10 +167,6 @@ def _is_zero(value, mode: Numeric) -> bool:
     return value == 0 if mode.tol is None else abs(value) <= mode.tol
 
 
-def _eq(a, b, mode: Numeric) -> bool:
-    return a == b if mode.tol is None else abs(a - b) <= mode.tol
-
-
 def _exact(value):
     """Entry of an exact matrix: the int when value is integral, else its
     Fraction. Fraction(float) is the exact binary value; no silent rounding."""
@@ -196,6 +190,11 @@ class Matrix(Record):
 
     ``cols == 0`` is permitted so that empty subspace bases have a
     carrier; all arithmetic degenerates correctly in that case.
+
+    Equality is Record's: shape, entries and context all equal, so an
+    exact matrix never equals a float one, nor a float matrix one under
+    another tolerance. Closeness within a tolerance is
+    ``(a - b).is_zero()``, which reads the joined context (see _join).
     """
 
     __slots__ = ("rows", "cols", "entries", "mode")
@@ -242,22 +241,6 @@ class Matrix(Record):
 
     def is_zero(self) -> bool:
         return all(_is_zero(v, self.mode) for row in self.entries for v in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            return False
-        if self.mode != other.mode and None not in (self.mode.tol, other.mode.tol):
-            return False  # two float tolerances never compare equal
-        # a Fraction meets a float as float(Fraction), exactly as if coerced
-        mode = _join((self.mode, other.mode))
-        return all(
-            _eq(x, y, mode) for rx, ry in zip(self.entries, other.entries) for x, y in zip(rx, ry)
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols))  # __eq__ is tolerant and cross-mode
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
@@ -684,8 +667,10 @@ class Subspace(Record):
     column echelon form; ambient and mode are read from the basis.
 
     The canonical basis makes equality checks deterministic: two subspaces
-    are equal iff their basis matrices are equal. Containment is read off
-    it without elimination (see _contains).
+    are equal iff their basis matrices are equal, exactly (see Matrix);
+    within a tolerance, two subspaces agree iff each contains the other
+    (subspace_contains). Containment is read off the basis without
+    elimination (see _contains).
     """
 
     __slots__ = ("basis",)

@@ -3,7 +3,7 @@
 Line-oriented text format with three named sections. Comments start
 with '#', blank lines are ignored, every other line is either a
 "[section]" header or a "key = value" assignment; a key appears at most
-once per section.
+once per section, and a key a section does not take is refused.
 
     [modes]               optional; omit for a logic-only description
     n = 3                 linear state dimension
@@ -22,7 +22,7 @@ once per section.
     L = 1 1 2 4 4 4 3 3   transition map as column indices, or
     node1 = ...           per-node truth tables (with `signal = ...`)
     q = 2                 signal range (defaults to 1)
-    R = 2 2 1 1 1 2 2 1   signal map as column indices
+    R = 2 2 1 1 1 2 2 1   signal map as column indices (beside L only)
 
     [options]             optional
     numeric = exact       exact | float
@@ -232,6 +232,8 @@ def _build_net(logic: _Section) -> LogicalNetwork:
             _fail(None, f"need truth tables node1 to node{n_nodes}, got {node_keys}")
     elif "l" not in logic:
         _fail(None, "[logic] needs either L or per-node truth tables")
+    form = ("signal", *node_keys) if node_keys else ("l", "r")
+    logic.only({"k", "state_nodes", "input_nodes", "q", *form})
     width = _width(logic, k, n_nodes + m_nodes)
     n_states = k**n_nodes
     if node_keys:

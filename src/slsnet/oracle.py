@@ -119,7 +119,8 @@ def count_paths(
     ell: int,
     budget: EnumerationBudget = EnumerationBudget(),
 ) -> int:
-    """Number of ell-edge walks in the input-state graph between subsets.
+    """Number of ell-edge walks in the input-state graph between subsets,
+    counted by a DFS on an explicit stack; ell is at most budget.max_horizon.
 
     Pair (gamma, theta), encoded (gamma-1)*N + theta, steps to
     (gamma', L-target) for every free next input gamma'.
@@ -131,14 +132,15 @@ def count_paths(
     targets = {check_int(i, "input-state index", 1, mn) for i in to_subset}
     if len(sources) * net.M**ell > budget.max_sequences:
         raise BudgetExceededError("path enumeration exceeds the budget")
-
-    def walk(pair: int, remaining: int) -> int:
+    if ell > budget.max_horizon:
+        raise BudgetExceededError(f"path length {ell} exceeds the budget of {budget.max_horizon}")
+    count = 0
+    stack = [(src, ell) for src in sources]
+    while stack:
+        pair, remaining = stack.pop()
         if remaining == 0:
-            return 1 if pair in targets else 0
+            count += pair in targets
+            continue
         theta_next = net.L.col_index[pair - 1]
-        return sum(
-            walk((g - 1) * n_states + theta_next, remaining - 1)
-            for g in range(1, net.M + 1)
-        )
-
-    return sum(walk(src, ell) for src in sources)
+        stack.extend(((g - 1) * n_states + theta_next, remaining - 1) for g in range(1, net.M + 1))
+    return count

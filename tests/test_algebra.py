@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slsnet import algebra
@@ -435,18 +435,46 @@ def test_vector_membership():
     assert not flat.contains_vector(Matrix.column([3, -2, 1e-6], "float"))
 
 
-def test_equal_matrices_and_subspaces_hash_equal():
-    # equality is tolerance-aware and crosses modes, so hashes must not
-    # depend on the entries or the numeric context
-    near = Matrix([[1.0], [0.0]], "float")
-    nearer = Matrix([[1.0 + 1e-12], [0.0]], "float")
-    exact = Matrix([[1], [0]])
-    assert near == nearer == exact
-    assert hash(near) == hash(nearer) == hash(exact)
-    assert len({near, nearer, exact}) == 1
-    spaces = [column_space(m) for m in (near, nearer, exact)]
-    assert spaces[0] == spaces[1] == spaces[2]
-    assert len({hash(s) for s in spaces}) == 1 and len(set(spaces)) == 1
+# a nudge smaller than the float tolerance (1e-9); two nudges can differ by more
+sub_tolerance_nudge = st.sampled_from([0.0, 0.4e-9, -0.6e-9, 0.9e-9])
+
+
+@st.composite
+def near_matrices(draw):
+    """Matrices of one shape from one grid of small values: exact, rational
+    and float copies, one under a second tolerance, and float copies
+    nudged by less than the tolerance."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    grid = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    out = [Matrix(grid), Matrix([[Fraction(v, 2) for v in row] for row in grid]),
+           Matrix(grid, "float"), Matrix(grid, Numeric(1e-3))]
+    for _ in range(draw(st.integers(1, 3))):
+        out.append(Matrix([[v + draw(sub_tolerance_nudge) for v in row] for row in grid], "float"))
+    return out
+
+
+# float matrices close pairwise, not all three (closeness is not transitive)
+CLOSE_CHAIN = [Matrix([[1.0 + d]], "float") for d in (0.0, 0.6e-9, 1.2e-9)]
+# one value in three contexts
+THREE_CONTEXTS = [Matrix([[1.0]], Numeric(1e-3)), Matrix([[1]]), Matrix([[1.0]], "float")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_matrices())
+@example(CLOSE_CHAIN)
+@example(THREE_CONTEXTS)
+def test_equal_matrices_and_subspaces_hash_equal(mats):
+    # equality is an equivalence relation that agrees with the hash, so a
+    # set keeps one object per value, whatever the order of insertion
+    assert len(set(mats)) == len({(m.mode, m.entries) for m in mats})
+    for objs in (mats, [column_space(m) for m in mats]):
+        for a, b in itertools.product(objs, repeat=2):
+            assert a != b or hash(a) == hash(b)
+        for triple in itertools.product(objs, repeat=3):
+            a, b, c = triple
+            assert a == c or not (a == b and b == c)
+            assert len({len(set(order)) for order in itertools.permutations(triple)}) == 1
 
 
 def test_float_mode_pivot_tolerance():
@@ -473,8 +501,10 @@ def test_float_tolerance_is_the_matrix_own():
     assert Matrix(entries, "float").mode == tight
     space = column_space(Matrix(entries, loose))
     assert (space.rank, space.mode, space.basis.mode) == (1, loose, loose)
-    assert Matrix([[1.0]], loose) == Matrix([[1.005]], loose)
-    assert Matrix([[1.0]], tight) != Matrix([[1.005]], tight)
+    assert (Matrix([[1.0]], loose) - Matrix([[1.005]], loose)).is_zero()
+    assert not (Matrix([[1.0]], tight) - Matrix([[1.005]], tight)).is_zero()
+    x, y, z = CLOSE_CHAIN
+    assert (x - y).is_zero() and (y - z).is_zero() and not (x - z).is_zero()
 
 
 def test_numeric_join_rule():
@@ -484,7 +514,7 @@ def test_numeric_join_rule():
     # float beats exact, whichever side it is on
     for mixed in (exact @ a, a @ exact, exact + a, hstack([exact, a]), vstack([a, exact])):
         assert mixed.mode == loose
-    assert exact == a and (exact @ exact).mode == Numeric()
+    assert (exact - a).is_zero() and exact != a and (exact @ exact).mode == Numeric()
     # two different float tolerances are refused, not silently resolved
     for mix in (lambda: a @ b, lambda: a + b, lambda: a - b, lambda: hstack([exact, a, b]),
                 lambda: vstack([b, a]), lambda: kronecker(a, b)):
@@ -497,7 +527,7 @@ def test_different_float_tolerances_compare_unequal():
     assert not a == b and a != b
     assert len({a, b}) == 2
     assert column_space(a) != column_space(b) and len({column_space(a), column_space(b)}) == 2
-    assert a == Matrix([[1]]) == b
+    assert (a - Matrix([[1]])).is_zero() and (Matrix([[1]]) - b).is_zero()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -621,10 +651,11 @@ def test_float_column_spaces_near_tolerance():
     base = [[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]]
     nudged = [[1.0, 2.0 + 0.4 * tol], [2.0, 4.0], [0.0, 1.0 - 0.4 * tol]]
     a, b = Matrix(base, "float"), Matrix(nudged, "float")
-    assert a != Matrix([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0 + 3 * tol]], "float")
-    assert a == b
-    assert column_space(a).basis == column_space(b).basis
-    assert column_space(a) == column_space(b)
+    assert not (a - Matrix([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0 + 3 * tol]], "float")).is_zero()
+    assert (a - b).is_zero()
+    space_a, space_b = column_space(a), column_space(b)
+    assert (space_a.basis - space_b.basis).is_zero()
+    assert subspace_contains(space_a, space_b) and subspace_contains(space_b, space_a)
     # exact copies of the same doubles span two different planes
     exact_a, exact_b = column_space(Matrix(a.entries)), column_space(Matrix(b.entries))
     assert exact_a.rank == exact_b.rank == 2 and exact_a != exact_b

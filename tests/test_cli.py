@@ -19,6 +19,7 @@ LCN = str(FIXTURES / "lcn_double.txt")
 SINKS = str(FIXTURES / "lcn_sinks.txt")
 UNOBSERVABLE = str(FIXTURES / "sls_unobservable.txt")
 UNREACHABLE_SIGNAL = str(FIXTURES / "lcn_unreachable_signal.txt")
+SINGLE_INPUT = str(FIXTURES / "lcn_single_input.txt")
 
 
 def run(capsys, *argv):
@@ -262,6 +263,17 @@ def test_exit_code_budget(capsys):
                          "--alpha", "1", "--horizon", "40")
     assert code == 3
     assert "budget" in err
+
+
+def test_oracle_paths_refuses_a_length_past_the_horizon_budget(capsys):
+    # with one input the sequence budget never binds; the walk used to
+    # recurse once per step and end in a RecursionError (exit 1)
+    code, rep = run_json(capsys, "oracle", "paths", SINGLE_INPUT, "--from", "1", "--to", "1", "--l", "32")
+    assert (code, rep["paths"]) == (0, 1)
+    for ell in ("33", "5000"):
+        code, out, err = run(capsys, "oracle", "paths", SINGLE_INPUT, "--from", "1", "--to", "1", "--l", ell)
+        assert code == 3 and out == ""
+        assert err == f"error: path length {ell} exceeds the budget of 32\n"
 
 
 def _unreachable_single_input(tmp_path):

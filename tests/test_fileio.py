@@ -327,3 +327,27 @@ signal = 1 2 2 1
         loads(base.replace("state_nodes = 1", "state_nodes = 2"))
     with pytest.raises(ParseError, match=r"line \d+: node1 contains 3, outside 1\.\.2"):
         loads(base.replace("node1 = 1 2 2 1", "node1 = 1 3 2 1"))
+
+
+def test_logic_refuses_keys_outside_its_form():
+    # the L form takes L and R, the truth-table form node1..nodeN and
+    # signal; any other key used to be dropped without a word
+    tables = """
+[logic]
+k = 2
+state_nodes = 1
+input_nodes = 1
+node1 = 1 2 2 1
+q = 2
+signal = 1 2 2 1
+"""
+    for text, extra, key in (
+        (GOLDEN, "foo = 7", "foo"),
+        (GOLDEN, "signal = 1 1 1 1 1 1 1 1", "signal"),
+        (tables, "R = 1 2 2 1", "r"),
+    ):
+        bad = text.replace("k = 2", f"k = 2\n{extra}")
+        lineno = bad.splitlines().index(extra) + 1
+        with pytest.raises(ParseError) as raised:
+            loads(bad)
+        assert str(raised.value) == f"line {lineno}: unknown key {key!r} in [logic]"

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from slsnet.algebra import DimensionError, Matrix, rank
+from slsnet.fileio import loads
 from slsnet.oracle import (
     BudgetExceededError,
     EnumerationBudget,
@@ -22,7 +23,7 @@ from slsnet.oracle import (
     obsv_rank,
 )
 
-from conftest import golden_net, golden_sls
+from conftest import FIXTURES, golden_net, golden_sls
 
 
 def test_enumeration_counts_and_order():
@@ -149,3 +150,17 @@ def test_count_paths_budget():
     net = golden_net()
     with pytest.raises(BudgetExceededError):
         count_paths(net, [1, 2], [3], 4, EnumerationBudget(max_sequences=10))
+
+
+def test_count_paths_single_input_honours_the_horizon_budget():
+    # with M = 1 one walk leaves each pair, so the sequence budget never
+    # binds: the horizon budget refuses a long walk before it starts, and
+    # a walk the caller allows runs without a frame per step
+    net = loads((FIXTURES / "lcn_single_input.txt").read_text()).net
+    assert net.M == 1
+    assert [count_paths(net, [1], [1], ell) for ell in (31, 32)] == [0, 1]
+    with pytest.raises(BudgetExceededError, match="path length 33 exceeds the budget of 32"):
+        count_paths(net, [1], [1], 33)
+    budget = EnumerationBudget(max_horizon=5000)
+    assert count_paths(net, [1], [1], 5000, budget) == 1
+    assert count_paths(net, [1, 2], [2], 4999, budget) == 1
