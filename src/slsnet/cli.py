@@ -4,7 +4,8 @@ Every command reads a system-description file, runs one analysis and
 prints a report, either as indented text or as JSON. Exit codes: 0 when
 the queried property holds (or the command is informational), 1 for a
 definitive negative verdict, 2 for input errors or an unwritable report,
-3 when an enumeration budget or size cap is exceeded.
+3 when an enumeration budget or size cap is exceeded or a quantitative
+path count is too long to print.
 """
 
 from __future__ import annotations
@@ -212,6 +213,10 @@ def _cmd_setreach(args, desc, report) -> int:
     matrix = set_reachability_matrix(desc.net, omega0, omegad, args.ell, args.quantitative)
     if args.quantitative:
         rows = [[int(v) for v in row] for row in matrix.entries]
+        # a Python without the limit (before 3.10.7) prints any integer
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and max(map(max, rows)) >= 10**limit:
+            raise SizingError(f"a path count has more than {limit} digits, the most this interpreter prints")
         boolean = BooleanMatrix.from_matrix(matrix)
     else:
         rows = [list(row) for row in matrix.bits]

@@ -30,9 +30,11 @@ once per section, and a key a section does not take is refused.
                           refused unless numeric = float
     t_max = 3             property search horizon
 
-Entries are integers or rationals "p/q"; decimals are accepted only
-when numeric = float, so exact descriptions stay exact through a
-save/load round trip, and a float entry must be finite.
+numeric and tolerance set the context of the parsed matrices; a
+description carries no copy of them, and in a logic-only file they are
+checked and dropped. Entries are integers or rationals "p/q"; decimals
+are accepted only when numeric = float, so exact descriptions stay exact
+through a save/load round trip, and a float entry must be finite.
 """
 
 from __future__ import annotations
@@ -52,46 +54,23 @@ class ParseError(ValueError):
     """Malformed description file; message carries the 1-based line."""
 
 
-def _numeric_context(numeric: str, tolerance: float | None) -> Numeric:
-    """The context a description's matrices carry: exact, or float at the
-    tolerance (default 1e-9). Each refusal's message starts with the
-    option it blames."""
-    if numeric not in ("exact", "float"):
-        raise ValueError("numeric must be 'exact' or 'float'")
-    context = FLOAT if tolerance is None else Numeric(tolerance)
-    if numeric == "float":
-        return context
-    if tolerance is not None:
-        raise ValueError("tolerance needs numeric = float (exact arithmetic has none)")
-    return EXACT
-
-
 class SystemDescription(Record):
     """A description file's content; it builds only if dumps writes a text
-    that loads reads back equal."""
+    that loads reads back equal. Its numeric context is its system's
+    (sls.mode_flag); a logic-only description has none."""
 
-    __slots__ = ("net", "sls", "numeric", "tolerance", "t_max")
+    __slots__ = ("net", "sls", "t_max")
 
-    def __init__(
-        self,
-        net: LogicalNetwork,
-        sls: SwitchedLinearSystem | None = None,
-        numeric: str = "exact",
-        tolerance: float | None = None,
-        t_max: int | None = None,
-    ):
-        context = _numeric_context(numeric, tolerance)
+    def __init__(self, net: LogicalNetwork, sls: SwitchedLinearSystem | None = None, t_max: int | None = None):
         if t_max is not None:
             check_int(t_max, "t_max")
         if sls is not None:
             if sls.q != net.q:
                 raise ValueError(f"{sls.q} modes but the logic signal range is {net.q}")
-            if sls.mode_flag != context:
-                raise ValueError(f"every matrix must carry the context {context} that the options name")
             entries = (x for triple in sls.modes for mat in triple for row in mat.entries for x in row)
-            if context.tol is not None and not all(map(math.isfinite, entries)):
+            if sls.mode_flag.tol is not None and not all(map(math.isfinite, entries)):
                 raise ValueError("every float matrix entry must be finite")
-        super().__init__(net, sls, numeric, tolerance, t_max)
+        super().__init__(net, sls, t_max)
 
 
 def _fail(lineno: int | None, message: str):
@@ -192,25 +171,28 @@ def loads(text: str) -> SystemDescription:
     modes, logic, options = sections.values()
 
     options.only(("numeric", "tolerance", "t_max"))
-    numeric = options["numeric"][1] if "numeric" in options else "exact"
-    tolerance = None
-    if "tolerance" in options:
-        lineno, value = options["tolerance"]
-        try:
-            tolerance = float(value)
-        except ValueError:
-            _fail(lineno, f"tolerance must be a number, got {value!r}")
+    tol_line, tol_text = options.get("tolerance", (None, None))
+    try:
+        tolerance = FLOAT.tol if tol_text is None else float(tol_text)
+    except ValueError:
+        _fail(tol_line, f"tolerance must be a number, got {tol_text!r}")
+    lineno, numeric = options.get("numeric", (None, "exact"))
+    if numeric not in ("exact", "float"):
+        _fail(lineno, f"numeric must be 'exact' or 'float', got {numeric!r}")
     try:
         # every parsed matrix carries this context, and so does all arithmetic on them
-        context = _numeric_context(numeric, tolerance)
+        context = Numeric(tolerance)
     except ValueError as exc:
-        lineno, value = options[str(exc).split()[0]]
-        _fail(lineno, f"{exc}, got {value!r}")
+        _fail(tol_line, f"{exc}, got {tol_text!r}")
+    if numeric == "exact":
+        if tol_text is not None:
+            _fail(tol_line, f"tolerance needs numeric = float (exact arithmetic has none), got {tol_text!r}")
+        context = EXACT
     t_max = options.integer("t_max", 1) if "t_max" in options else None
 
     net = _build_net(logic)
     sls = _build_sls(modes, context, net.q) if modes else None
-    return SystemDescription(net, sls, numeric, tolerance, t_max)
+    return SystemDescription(net, sls, t_max)
 
 
 def _build_net(logic: _Section) -> LogicalNetwork:
@@ -309,7 +291,7 @@ def _format_matrix(mat: Matrix) -> str:
 
 def dumps(desc: SystemDescription) -> str:
     """Canonical text form; always writes L/R as column-index lists."""
-    lines = []
+    lines, context = [], EXACT
     if desc.sls is not None:
         sls = desc.sls
         lines += [
@@ -324,6 +306,7 @@ def dumps(desc: SystemDescription) -> str:
             lines.append(f"B{i} = {_format_matrix(b)}")
             lines.append(f"C{i} = {_format_matrix(c)}")
         lines.append("")
+        context = desc.sls.mode_flag
     net = desc.net
     lines += [
         "[logic]",
@@ -335,10 +318,10 @@ def dumps(desc: SystemDescription) -> str:
         f"R = {' '.join(str(c) for c in net.R.col_index)}",
         "",
         "[options]",
-        f"numeric = {desc.numeric}",
+        f"numeric = {'exact' if context == EXACT else 'float'}",
     ]
-    if desc.tolerance is not None:
-        lines.append(f"tolerance = {desc.tolerance!r}")
+    if context not in (EXACT, FLOAT):
+        lines.append(f"tolerance = {context.tol!r}")
     if desc.t_max is not None:
         lines.append(f"t_max = {desc.t_max}")
     return "\n".join(lines) + "\n"

@@ -215,7 +215,9 @@ def set_reachability_matrix(
 
     Counts are propagated per source subset: each step adds every pair's
     count onto its L-target state, and the state totals are repeated for
-    each of the M free next inputs, so a step costs O(M*N).
+    each of the M free next inputs, so a step costs O(M*N). Boolean mode
+    ORs instead of adding, since every count is >= 0 and the sign of a sum
+    is the OR of the signs: each state stays 0/1 however long the path.
     """
     check_int(ell, "ell")
     mn = net.M * net.N
@@ -226,8 +228,12 @@ def set_reachability_matrix(
         counts = [1 if i + 1 in source.members else 0 for i in range(mn)]
         for _ in range(ell):
             per_state = [0] * net.N
-            for target, count in zip(net.L.col_index, counts):
-                per_state[target - 1] += count
+            if quantitative:
+                for target, count in zip(net.L.col_index, counts):
+                    per_state[target - 1] += count
+            else:
+                for target, count in zip(net.L.col_index, counts):
+                    per_state[target - 1] |= count
             counts = per_state * net.M
         columns.append([sum(counts[i - 1] for i in dest.members) for dest in omega_d.subsets])
     rows = [list(row) for row in zip(*columns)]

@@ -169,6 +169,17 @@ def test_setreach_two_steps(capsys):
     assert rep["matrix"] == [[1], [1]]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_setreach_count_too_long_to_print_exits_3(capsys, fmt):
+    # 2**30000 has 9031 digits, past the interpreter's default of 4300: a
+    # size cap (exit 3), not an input error (exit 2), and refused before any output
+    code, out, err = run(capsys, "setreach", SLS, "--l", "30000", "--omega0", "1,2", "--omegad", "3,4",
+                         "--quantitative", "--format", fmt, "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: a path count has more than {sys.get_int_max_str_digits()} digits, the most this interpreter prints\n"
+
+
 def test_realize_fot_golden(capsys):
     code, rep = run_json(capsys, "realize", "fot", SLS, "--durations", "2,2")
     assert code == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slsnet.algebra import EXACT, Matrix, Numeric
+from slsnet.algebra import EXACT, FLOAT, Matrix, Numeric
 from slsnet.fileio import ParseError, SystemDescription, dumps, load, loads, save
 from slsnet.lcn import build_from_functions
 from slsnet.sls import SwitchedLinearSystem
@@ -49,7 +49,7 @@ def test_golden_fixture_loads():
     assert desc.net.N == 4
     assert desc.net.M == 2
     assert desc.t_max == 3
-    assert desc.numeric == "exact"
+    assert desc.sls.mode_flag == EXACT
     assert desc.sls == golden_sls()
     assert desc.net == golden_net()
 
@@ -132,12 +132,11 @@ def test_round_trip_logic_only():
 
 
 def test_tolerance_only_with_float():
-    # a description holds a tolerance only in float mode, as loads demands,
-    # so every description that can be built also round-trips
-    desc = SystemDescription(golden_net(), golden_sls("float"), "float", 1e-9)
+    # a float file's tolerance becomes its matrices' context and reloads
+    # equal; test_diagnostics refuses a tolerance beside numeric = exact
+    desc = loads(GOLDEN + FLOAT_OPTIONS + "tolerance = 1e-9\n")
+    assert desc.sls.mode_flag == FLOAT
     assert loads(dumps(desc)) == desc
-    with pytest.raises(ValueError, match="tolerance needs numeric = float"):
-        SystemDescription(golden_net(), golden_sls(), "exact", 0.5)
 
 
 @pytest.mark.parametrize(
@@ -147,11 +146,6 @@ def test_tolerance_only_with_float():
         # one mode on the two-signal network
         (lambda: SystemDescription(golden_net(), SwitchedLinearSystem(golden_sls().modes[:1])),
          "1 modes but the logic signal range is 2"),
-        # float matrices would be written under numeric = exact
-        (lambda: SystemDescription(golden_net(), golden_sls("float")), "carry the context"),
-        # these would reload at the default tolerance 1e-9
-        (lambda: SystemDescription(golden_net(), golden_sls(Numeric(1e-6)), "float"), "carry the context"),
-        (lambda: SystemDescription(golden_net(), numeric="decimal"), "numeric must be"),
     ],
 )
 def test_description_refuses_what_would_not_reload(build, fragment):
@@ -159,21 +153,24 @@ def test_description_refuses_what_would_not_reload(build, fragment):
         build()
 
 
+def test_float_system_builds_without_options():
+    # the context is the matrices' own, so dumps writes numeric = float for it
+    desc = SystemDescription(golden_net(), golden_sls("float"))
+    assert loads(dumps(desc)) == desc
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_every_description_that_builds_round_trips(seed):
-    # exact, rational and float systems, with and without a tolerance, and
+    # exact and rational systems, float ones at 1e-9 and 1e-6, and
     # logic-only descriptions; the draws are biased towards consistent ones
     # and also hit every refusal
     rng = random.Random(seed)
-    numeric = rng.choice(["exact", "float"])
-    tolerance = rng.choice([None, None, 1e-6, 1e-9]) if numeric == "float" else rng.choice([None] * 5 + [0.5])
-    context = EXACT if numeric == "exact" else Numeric(tolerance or 1e-9)
     t_max = rng.choice([None, None, 1, 3, 0])
     sls, finite = None, True
     if rng.random() < 0.8:
         base = random_system(rng, denominators=rng.choice([None, (1, 5)]))
-        matrices = rng.choice([context] * 4 + [EXACT, Numeric(1e-9), Numeric(1e-6)])
+        matrices = rng.choice([EXACT, FLOAT, Numeric(1e-6)])
         modes = [[[list(row) for row in m.entries] for m in triple] for triple in base.modes]
         if matrices.tol is not None and rng.random() < 0.3:
             # a non-finite entry, which loads refuses, anywhere in any matrix
@@ -182,13 +179,9 @@ def test_every_description_that_builds_round_trips(seed):
             finite = False
         sls = SwitchedLinearSystem([tuple(Matrix(m, matrices) for m in triple) for triple in modes])
     net = random_net_for(rng, rng.choice([sls.q if sls else 1] * 5 + [1, 2, 3]))
-    builds = (
-        (numeric == "float" or tolerance is None)
-        and (t_max is None or t_max >= 1)
-        and (sls is None or (sls.q == net.q and sls.mode_flag == context and finite))
-    )
+    builds = (t_max is None or t_max >= 1) and (sls is None or (sls.q == net.q and finite))
     try:
-        desc = SystemDescription(net, sls, numeric, tolerance, t_max)
+        desc = SystemDescription(net, sls, t_max)
     except ValueError:
         assert not builds
         return
@@ -243,8 +236,7 @@ signal = 1 2 2 1
 def test_float_mode_allows_decimals():
     text = GOLDEN.replace("A1 = 1 2 -1", "A1 = 1.5 2 -1") + "\n[options]\nnumeric = float\ntolerance = 1e-8\n"
     desc = loads(text)
-    assert desc.numeric == "float"
-    assert desc.tolerance == 1e-8
+    assert desc.sls.mode_flag == Numeric(1e-8)
     assert desc.sls.a(1)[0, 0] == 1.5
     assert loads(dumps(desc)) == desc
 

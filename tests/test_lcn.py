@@ -199,6 +199,17 @@ def test_boolean_is_sign_of_quantitative_golden():
     assert set_reachability_matrix(NET, omega0, omega_d, 2) == BooleanMatrix([[1], [1]])
 
 
+def test_boolean_reachability_is_linear_in_steps():
+    # Boolean mode keeps each state 0/1, so a step costs the same at any l;
+    # exact path counts would grow to about l bits each
+    omega0 = SubsetClass([InputStateSubset([1, 2], 8)])
+    omega_d = SubsetClass([InputStateSubset([3, 4], 8)])
+    start = time.perf_counter()
+    far = set_reachability_matrix(NET, omega0, omega_d, 200_000)
+    assert time.perf_counter() - start < 1.0
+    assert far.bits == set_reachability_matrix(NET, omega0, omega_d, 2).bits == ((1,),)
+
+
 def walk_ends(net, source, ell):
     """Endpoints of every l-step walk from a pair, by exhaustive DFS.
 

@@ -76,10 +76,10 @@ CASES = [
     (FeasibleSequence, ((1, 2),), {"gammas": (1, 2)}, ((2, 1),), "FeasibleSequence(gammas=(1, 2))", True),
     (
         SystemDescription,
-        (golden_net(), None, "exact", None, 3),
+        (golden_net(), None, 3),
         {"net": golden_net(), "t_max": 3},
-        (golden_net(), None, "exact", None, 4),
-        f"SystemDescription(net={NET_REPR}, sls=None, numeric='exact', tolerance=None, t_max=3)",
+        (golden_net(), None, 4),
+        f"SystemDescription(net={NET_REPR}, sls=None, t_max=3)",
         True,
     ),
     (LogicalNetwork, (2, 2, 1, golden_net().L, golden_net().R),
@@ -201,7 +201,7 @@ def test_defaults():
     assert Numeric() == Numeric(None) and Numeric().tol is None
     assert EnumerationBudget() == EnumerationBudget(max_sequences=10**6, max_horizon=32)
     assert EnumerationBudget(max_horizon=5) == EnumerationBudget(10**6, 5)
-    assert SystemDescription(golden_net()) == SystemDescription(golden_net(), None, "exact", None, None)
+    assert SystemDescription(golden_net()) == SystemDescription(golden_net(), None, None)
     assert ControlAttractorReport((), (), {}) == ControlAttractorReport((), (), {}, ())
     assert SignalDiagnostic(1, 2) == SignalDiagnostic(1, 2, False, (), ())
     assert RealizabilityVerdict(True, ()) == RealizabilityVerdict(True, (), ())
@@ -240,8 +240,8 @@ def test_system_descriptions_compare_their_systems():
 
 
 def test_a_tolerance_shows_in_messages_as_its_record():
-    with pytest.raises(ValueError, match=r"the context Numeric\(tol=1e-06\) that the options name"):
-        SystemDescription(golden_net(), golden_sls("float"), "float", 1e-6)
+    with pytest.raises(ValueError, match=r"mode 2: every matrix must carry the context Numeric\(tol=1e-06\) of A_1"):
+        SwitchedLinearSystem([golden_sls(Numeric(1e-6)).modes[0], golden_sls("float").modes[1]])
 
 
 # (a builder, a builder of an equal instance or None where equality is
