@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter, sub
 from typing import Iterable, Sequence
 
 # Results larger than this many entries are refused outright: merged-system
@@ -172,7 +172,10 @@ def _exact(value):
     Fraction. Fraction(float) is the exact binary value; no silent rounding."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    try:
+        value = Fraction(value)
+    except (OverflowError, ValueError):  # inf overflows; nan, or no number at all
+        raise ValueError(f"{value!r} is not a finite rational number") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -185,8 +188,7 @@ class Matrix(Record):
 
     Integers first: an exact matrix stores every integral entry as an int
     and only a non-integral one as a Fraction; a float matrix stores
-    floats. A transpose and a column-space basis already hold entries in
-    this form and are built without converting each entry again.
+    floats.
 
     ``cols == 0`` is permitted so that empty subspace bases have a
     carrier; all arithmetic degenerates correctly in that case.
@@ -249,28 +251,16 @@ class Matrix(Record):
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise DimensionError(f"add: {self.shape} vs {other.shape}")
-        mode = _join((self.mode, other.mode))
-        return Matrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            mode,
-        )
+        return self._entrywise(other, "add", add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, "sub", sub)
+
+    def _entrywise(self, other: "Matrix", name: str, op) -> "Matrix":
         if self.shape != other.shape:
-            raise DimensionError(f"sub: {self.shape} vs {other.shape}")
+            raise DimensionError(f"{name}: {self.shape} vs {other.shape}")
         mode = _join((self.mode, other.mode))
-        return Matrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            mode,
-        )
+        return Matrix([list(map(op, row, their)) for row, their in zip(self.entries, other.entries)], mode)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -293,20 +283,12 @@ class Matrix(Record):
     def transpose(self) -> "Matrix":
         if self.cols == 0:
             raise DimensionError("cannot transpose a zero-column matrix")
-        return _of(tuple(zip(*self.entries)), self.mode)
+        return Matrix(tuple(zip(*self.entries)), self.mode)
 
 
 def _check_size(rows: int, cols: int) -> None:
     if rows * cols > SIZE_CAP:
         raise SizingError(f"result would have {rows}x{cols} entries (cap {SIZE_CAP})")
-
-
-def _of(grid: tuple, mode: Numeric) -> Matrix:
-    """Matrix over a nonempty tuple of equal-length tuples whose entries are
-    already in mode's form (see Matrix); nothing is converted."""
-    m = object.__new__(Matrix)
-    Record.__init__(m, len(grid), len(grid[0]), grid, mode)
-    return m
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
@@ -436,11 +418,7 @@ class LogicalMatrix(Record):
         )
 
     def boolean(self) -> "BooleanMatrix":
-        _check_size(self.rows, self.cols)
-        return BooleanMatrix(
-            [[1 if self.col_index[j] == i + 1 else 0 for j in range(self.cols)]
-             for i in range(self.rows)]
-        )
+        return BooleanMatrix(self.dense().entries)
 
     @staticmethod
     def identity(n: int) -> "LogicalMatrix":
@@ -512,12 +490,6 @@ class BooleanMatrix(Record, uncompared=("rows", "cols")):
     def identity(n: int) -> "BooleanMatrix":
         _check_size(n, n)
         return BooleanMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_matrix(m: Matrix) -> "BooleanMatrix":
-        return BooleanMatrix(
-            [[0 if _is_zero(v, m.mode) else 1 for v in row] for row in m.entries]
-        )
 
     def dense(self, mode: Numeric | str = EXACT) -> Matrix:
         return Matrix(self.bits, mode)

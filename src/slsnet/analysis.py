@@ -470,24 +470,18 @@ def kalman_oracle(
     horizon_cap = _horizon(t_max, n)
     checked = _resolve_alphas(net, alphas is None, alphas)
 
+    # kind and side as _search reads them: the controllability matrix's
+    # columns, or the observability matrix's rows (dual), have rank n
+    # (kind 0) or keep their rank when the mode chain joins them (kind 1)
+    kind, dual = PROPERTIES.index(prop) % 2, PROPERTIES.index(prop) > 1
+    stacked, stack = (observability_matrix, vstack) if dual else (controllability_matrix, hstack)
+
     def test(sigmas) -> AlphaDetail:
-        if prop == "reachability":
-            k = controllability_matrix(sigmas, sls)
-            r = matrix_rank(k)
+        k = stacked(sigmas, sls)
+        r = matrix_rank(k)
+        if kind == 0:
             return AlphaDetail(r, r == n)
-        if prop == "controllability":
-            k = controllability_matrix(sigmas, sls)
-            chain = mode_chain(sigmas, sls)
-            r = matrix_rank(k)
-            return AlphaDetail(r, matrix_rank(hstack([k, chain])) == r)
-        if prop == "observability":
-            o = observability_matrix(sigmas, sls)
-            r = matrix_rank(o)
-            return AlphaDetail(r, r == n)
-        o = observability_matrix(sigmas, sls)
-        chain = mode_chain(sigmas, sls)
-        r = matrix_rank(o)
-        return AlphaDetail(r, matrix_rank(vstack([o, chain])) == r)
+        return AlphaDetail(r, matrix_rank(stack([k, mode_chain(sigmas, sls)])) == r)
 
     best, best_score = None, -1
     for horizon in range(1, horizon_cap + 1):

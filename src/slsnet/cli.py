@@ -211,17 +211,12 @@ def _cmd_setreach(args, desc, report) -> int:
     omega0 = _subset_class(args.omega0, mn, "--omega0")
     omegad = _subset_class(args.omegad, mn, "--omegad")
     matrix = set_reachability_matrix(desc.net, omega0, omegad, args.ell, args.quantitative)
-    if args.quantitative:
-        rows = [[int(v) for v in row] for row in matrix.entries]
-        # a Python without the limit (before 3.10.7) prints any integer
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        if limit and max(map(max, rows)) >= 10**limit:
-            raise SizingError(f"a path count has more than {limit} digits, the most this interpreter prints")
-        boolean = BooleanMatrix.from_matrix(matrix)
-    else:
-        rows = [list(row) for row in matrix.bits]
-        boolean = matrix
-    verdicts = set_reachability_verdicts(boolean)
+    rows = [list(row) for row in (matrix.entries if args.quantitative else matrix.bits)]
+    # a Python without the limit (before 3.10.7) prints any integer
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if args.quantitative and limit and max(map(max, rows)) >= 10**limit:
+        raise SizingError(f"a path count has more than {limit} digits, the most this interpreter prints")
+    verdicts = set_reachability_verdicts(BooleanMatrix([[1 if v else 0 for v in row] for row in rows]))
     report["steps"] = args.ell
     report["matrix"] = rows
     report["fully_reachable"] = verdicts.fully_reachable

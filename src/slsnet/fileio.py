@@ -64,12 +64,8 @@ class SystemDescription(Record):
     def __init__(self, net: LogicalNetwork, sls: SwitchedLinearSystem | None = None, t_max: int | None = None):
         if t_max is not None:
             check_int(t_max, "t_max")
-        if sls is not None:
-            if sls.q != net.q:
-                raise ValueError(f"{sls.q} modes but the logic signal range is {net.q}")
-            entries = (x for triple in sls.modes for mat in triple for row in mat.entries for x in row)
-            if sls.mode_flag.tol is not None and not all(map(math.isfinite, entries)):
-                raise ValueError("every float matrix entry must be finite")
+        if sls is not None and sls.q != net.q:
+            raise ValueError(f"{sls.q} modes but the logic signal range is {net.q}")
         super().__init__(net, sls, t_max)
 
 

@@ -218,28 +218,54 @@ def set_reachability_matrix(
     each of the M free next inputs, so a step costs O(M*N). Boolean mode
     ORs instead of adding, since every count is >= 0 and the sign of a sum
     is the OR of the signs: each state stays 0/1 however long the path.
+    So each Boolean vector is a function of the one before, and the
+    sequence is eventually periodic: past N steps a repeat is sought
+    (see _iterate), and the steps past it are taken modulo the period.
     """
     check_int(ell, "ell")
     mn = net.M * net.N
     if omega0.mn != mn or omega_d.mn != mn:
         raise DimensionError(f"subset classes must live on {mn} input-state pairs")
+
+    def advance(counts):
+        per_state = [0] * net.N
+        if quantitative:
+            for target, count in zip(net.L.col_index, counts):
+                per_state[target - 1] += count
+        else:
+            for target, count in zip(net.L.col_index, counts):
+                per_state[target - 1] |= count
+        return per_state * net.M
+
     columns = []
     for source in omega0.subsets:
         counts = [1 if i + 1 in source.members else 0 for i in range(mn)]
-        for _ in range(ell):
-            per_state = [0] * net.N
-            if quantitative:
-                for target, count in zip(net.L.col_index, counts):
-                    per_state[target - 1] += count
-            else:
-                for target, count in zip(net.L.col_index, counts):
-                    per_state[target - 1] |= count
-            counts = per_state * net.M
+        # quantitative counts are never compared: they may grow without bound
+        counts = _iterate(advance, counts, ell, ell if quantitative else net.N)
         columns.append([sum(counts[i - 1] for i in dest.members) for dest in omega_d.subsets])
     rows = [list(row) for row in zip(*columns)]
     if quantitative:
         return Matrix(rows)
     return BooleanMatrix([[1 if c else 0 for c in row] for row in rows])
+
+
+def _iterate(f, x, ell: int, start: int):
+    """f applied ell times to x. Past step start, a repeat is sought by
+    Brent's method, holding two values: once x recurs after a period of
+    steps, only (ell - t) % period more steps are taken, t the steps so far."""
+    t = 0
+    while t < min(ell, start):
+        x, t = f(x), t + 1
+    mark, power, period = x, 1, 0  # mark is the value period steps back
+    while t < ell:
+        x, t, period = f(x), t + 1, period + 1
+        if x == mark:
+            for _ in range((ell - t) % period):
+                x = f(x)
+            return x
+        if period == power:
+            mark, power, period = x, 2 * power, 0
+    return x
 
 
 class SetReachabilityVerdicts(Record):

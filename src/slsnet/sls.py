@@ -3,11 +3,11 @@
 A switched linear system (SLS) is a family of modes (A_i, B_i, C_i);
 at each step one mode, selected by the switching signal sigma, drives
 x(t+1) = A_sigma x(t) + B_sigma u(t). Every matrix of a system carries
-one numeric context (algebra.Numeric); modes that mix contexts are
-refused when the system is built. When sigma is emitted by a
-logical control network, the pair can be merged into a single hybrid
-system on z = theta_vec (x) x whose dynamics are carried by two large
-matrices G (nN x nMN) and H (nN x mMN).
+one numeric context (algebra.Numeric); modes that mix contexts, and a
+float matrix with a non-finite entry, are refused when the system is
+built. When sigma is emitted by a logical control network, the pair can
+be merged into a single hybrid system on z = theta_vec (x) x whose
+dynamics are carried by two large matrices G (nN x nMN) and H (nN x mMN).
 
 Each block column (gamma, beta) of G and H holds exactly one nonzero
 block: it sits at block row L(gamma, beta) and equals the A (resp. B)
@@ -22,6 +22,8 @@ observability-side checks.
 """
 
 from __future__ import annotations
+
+import math
 
 from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, _check_size, check_int
 from .lcn import LogicalNetwork, step
@@ -52,6 +54,9 @@ class SwitchedLinearSystem(Record):
                 raise DimensionError(f"mode {i}: C has {c.cols} columns, expected {n}")
             if c.rows != c0.rows:
                 raise DimensionError(f"mode {i}: C has {c.rows} rows, expected {c0.rows}")
+            entries = (x for mat in (a, b, c) for row in mat.entries for x in row)
+            if context.tol is not None and not all(map(math.isfinite, entries)):
+                raise ValueError(f"mode {i}: every float matrix entry must be finite")
         super().__init__(mds)
 
     @property

@@ -632,8 +632,8 @@ def test_integral_entries_are_ints():
 
 
 def test_fast_paths_equal_converting_constructor():
-    # a transpose and a column-space basis are built without converting
-    # their entries; they must equal the converting constructor
+    # a transpose and a column-space basis, built from entries already in
+    # exact form, must equal the converting constructor given a literal
     a = Matrix([[1, Fraction(1, 2)], [0, -3], [3, 1]])
     for built, literal in (
         (a.transpose(), [[1, 0, 3], [Fraction(1, 2), -3, 1]]),

@@ -167,20 +167,22 @@ def test_every_description_that_builds_round_trips(seed):
     # and also hit every refusal
     rng = random.Random(seed)
     t_max = rng.choice([None, None, 1, 3, 0])
-    sls, finite = None, True
+    modes, finite = None, True
     if rng.random() < 0.8:
         base = random_system(rng, denominators=rng.choice([None, (1, 5)]))
         matrices = rng.choice([EXACT, FLOAT, Numeric(1e-6)])
         modes = [[[list(row) for row in m.entries] for m in triple] for triple in base.modes]
         if matrices.tol is not None and rng.random() < 0.3:
-            # a non-finite entry, which loads refuses, anywhere in any matrix
+            # a non-finite entry, which loads and the system refuse, anywhere in any matrix
             grid = rng.choice(rng.choice(modes))
             rng.choice(grid)[0] = rng.choice([float("nan"), float("inf"), float("-inf")])
             finite = False
-        sls = SwitchedLinearSystem([tuple(Matrix(m, matrices) for m in triple) for triple in modes])
-    net = random_net_for(rng, rng.choice([sls.q if sls else 1] * 5 + [1, 2, 3]))
-    builds = (t_max is None or t_max >= 1) and (sls is None or (sls.q == net.q and finite))
+    net = random_net_for(rng, rng.choice([len(modes) if modes else 1] * 5 + [1, 2, 3]))
+    builds = (t_max is None or t_max >= 1) and (modes is None or (len(modes) == net.q and finite))
     try:
+        sls = None if modes is None else SwitchedLinearSystem(
+            [tuple(Matrix(m, matrices) for m in triple) for triple in modes]
+        )
         desc = SystemDescription(net, sls, t_max)
     except ValueError:
         assert not builds

@@ -210,6 +210,66 @@ def test_boolean_reachability_is_linear_in_steps():
     assert far.bits == set_reachability_matrix(NET, omega0, omega_d, 2).bits == ((1,),)
 
 
+def reached_pairs(net, pairs, ell):
+    """The input-state pairs that l-step walks from the given pairs end
+    at, by a plain loop over the set of pairs."""
+    for _ in range(ell):
+        pairs = frozenset(encode_pair(g, net.L.target(p), net.N) for p in pairs for g in range(1, net.M + 1))
+    return pairs
+
+
+def plain_reachability(net, omega0, omega_d, ell):
+    ends = [reached_pairs(net, source.members, ell) for source in omega0.subsets]
+    return BooleanMatrix([[1 if dest.members & e else 0 for e in ends] for dest in omega_d.subsets])
+
+
+def congruent_ell(net, omega0, ell):
+    """The least l' whose reached pairs equal ell's for every source: the
+    sources' sets are stepped until they repeat, which gives the
+    pre-period mu and the period, and l' = mu + (ell - mu) % period."""
+    seen, t = {}, 0
+    state = tuple(source.members for source in omega0.subsets)
+    while state not in seen:
+        if t == ell:
+            return ell
+        seen[state] = t
+        state, t = tuple(reached_pairs(net, pairs, 1) for pairs in state), t + 1
+    mu = seen[state]
+    return mu + (ell - mu) % (t - mu)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_boolean_reachability_equals_a_plain_loop(seed):
+    # every l up to 4N: the search for a repeat starts past N steps, and
+    # the runs cover the pre-period and several periods
+    rng = random.Random(seed)
+    net = random_network(rng, k=rng.choice([2, 3]), n_nodes=rng.randint(1, 3),
+                         m_nodes=rng.randint(0, 1))
+    mn = net.M * net.N
+    omega0, omega_d = (
+        SubsetClass([InputStateSubset(rng.sample(range(1, mn + 1), rng.randint(1, mn)), mn)
+                     for _ in range(rng.randint(1, 3))])
+        for _ in range(2)
+    )
+    for ell in range(1, 4 * net.N + 1):
+        assert set_reachability_matrix(net, omega0, omega_d, ell) == plain_reachability(net, omega0, omega_d, ell)
+    huge = 10**20 + rng.randint(0, 12)
+    small = congruent_ell(net, omega0, huge)
+    assert set_reachability_matrix(net, omega0, omega_d, huge) == plain_reachability(net, omega0, omega_d, small)
+
+
+def test_boolean_reachability_at_a_huge_l():
+    # a plain loop of 10^20 steps never finishes; the steps past the first
+    # repeat are taken modulo the period
+    ell = 10**20
+    for omega0, omega_d in (example_partition(), example_partition()[::-1],
+                            (SubsetClass([InputStateSubset([1, 2], 8)]), SubsetClass([InputStateSubset([3, 4], 8)]))):
+        small = congruent_ell(NET, omega0, ell)
+        assert small < 20
+        assert set_reachability_matrix(NET, omega0, omega_d, ell) == plain_reachability(NET, omega0, omega_d, small)
+
+
 def walk_ends(net, source, ell):
     """Endpoints of every l-step walk from a pair, by exhaustive DFS.
 

@@ -333,6 +333,27 @@ def test_system_refuses_mixed_contexts(first, second, bad):
     assert str(raised.value) == f"mode {bad}: every matrix must carry the context {first[0]} of A_1"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("part", [0, 1, 2])
+@pytest.mark.parametrize("bad", [1, 2])
+def test_float_system_refuses_non_finite_entries(value, part, bad):
+    # the worked system in float mode used to build and be analysed: a NaN
+    # in A_1 gave a reachability witness, and with an inf the search and
+    # kalman_oracle disagreed
+    grids = [[[list(row) for row in m.entries] for m in triple] for triple in golden_sls("float").modes]
+    grids[bad - 1][part][-1][-1] = value
+    with pytest.raises(ValueError) as raised:
+        SwitchedLinearSystem([tuple(Matrix(g, FLOAT) for g in triple) for triple in grids])
+    assert str(raised.value) == f"mode {bad}: every float matrix entry must be finite"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_exact_matrix_refuses_non_finite_entries(value):
+    # an infinite entry used to raise OverflowError, not a ValueError
+    with pytest.raises(ValueError, match=f"^{value!r} is not a finite rational number$"):
+        Matrix([[1, value]])
+
+
 def test_float_mode_merge_agrees_with_exact():
     exact = merge(golden_sls(), golden_net())
     floaty = merge(golden_sls(mode="float"), golden_net())
