@@ -44,24 +44,37 @@ asked before. Neither judgment runs an elimination: the rank is the
 number of rows, and containment is read off them with weights scaled by
 the lcm of the pivots (algebra._contains).
 
-A negative verdict walks every horizon up to t_max, so an exact search
-may refute first with the logic-constrained invariant subspaces of Sun,
-Ge & Lee (2002, Automatica 38(5)), kept per logical state: V[theta] holds
-the span of every sequence ending at theta (dual: starting there). A state
-from which no state reachable in one or more steps has a full V (dual:
-whose own V is not full) holds reachability (observability) at no
-horizon; with every emitted A nonsingular the drift's image is full, and
-the same test refutes controllability (reconstructibility), never
-otherwise. A merged system builds the bound once, lazily: a search tries
-it before walking a horizon h >= 2 only while its best score is 0 and
-min(M^h |checked|, q^h) > N n, when the horizon could fold more mode
-sequences than the bound's at most N n eliminations. If it refutes every
-checked state, every score would stay 0: the search checks the budget of
-each horizon left, so a refusal names the same horizon, and returns the
-walk's verdict (T = t_max, per_alpha of the first horizon-1 sequence)
-and collects nothing. Float searches never try it: the bound eliminates
-in another order than the fold, so a tolerance could decide the two
-apart.
+The floor: after h steps the span has at most h width rows, width the
+H block's columns (m, or p on the dual side), since an elimination never
+adds rows, in float mode too; so reachability and observability (kind 0)
+fail at every horizon with h width < n. Controllability and
+reconstructibility (kind 1) hold when im D lies in the span, and D is a
+product of emitted A's: when every emitted A is nonsingular that needs a
+full span too. A tolerance could pass containment for a nearly singular
+D, so kind 1 uses the floor in exact mode only, the bound's rule
+below. A search walks horizon 1, then skips every horizon h >= 2 below
+the floor while its best score is 0, checking only its budget: every
+score there would be 0, so the verdict, witness, T, per_alpha and the
+feasible list are the walk's.
+
+A negative verdict walks every other horizon up to t_max, so an exact
+search may refute first with the logic-constrained invariant subspaces
+of Sun, Ge & Lee (2002, Automatica 38(5)), kept per logical state:
+V[theta] holds the span of every sequence ending at theta (dual:
+starting there). A state from which no state reachable in one or more
+steps has a full V (dual: whose own V is not full) holds reachability
+(observability) at no horizon; with every emitted A nonsingular the
+drift's image is full, and the same test refutes controllability
+(reconstructibility), never otherwise. A merged system builds the bound
+once, lazily: a search tries it before walking a horizon h >= 2 only
+while its best score is 0 and min(M^h |checked|, q^h) > N n, when the
+horizon could fold more mode sequences than the bound's at most N n
+eliminations. If it refutes every checked state, every score would stay
+0: the search checks the budget of each horizon left, so a refusal names
+the same horizon, and returns the walk's verdict (T = t_max, per_alpha
+of the first horizon-1 sequence) and collects nothing. Float searches
+never try it: the bound eliminates in another order than the fold, so a
+tolerance could decide the two apart.
 """
 
 from __future__ import annotations
@@ -305,9 +318,13 @@ def _invariant_bound(ms) -> tuple[tuple[bool, ...], bool]:
             vectors = _times(g.entries, spans[src - 1]) + tuple(zip(*h.entries))
             if not _contains(spans[dst - 1], None, vectors):
                 spans[dst - 1], changed = _echelon(spans[dst - 1] + vectors, None), True
-    emitted = {sigma for *_, sigma in pairs}
-    nonsingular = all(len(_echelon(ms.modes[s - 1][0].entries, None)) == n for s in emitted)
-    return tuple(len(span) == n for span in spans), nonsingular
+    return tuple(len(span) == n for span in spans), _nonsingular(ms)
+
+
+def _nonsingular(ms) -> bool:
+    """Whether every A that R emits is nonsingular: at most q exact eliminations."""
+    n = ms.sls.n
+    return all(len(_echelon(ms.modes[s - 1][0].entries, None)) == n for s in set(ms.net.R.col_index))
 
 
 def _bound_refutes(ms, kind: int, checked) -> bool:
@@ -360,8 +377,14 @@ def _search(ms, prop, t_max, strict, alphas, collect=False) -> tuple[PropertyVer
     checked = _checked(ms, strict, alphas)
     t_max = _horizon(t_max, ms.sls.n)
     kind, n, tol, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms.sls.mode_flag.tol, ms._folds
+    # the floor (see the module docstring): no span is full while h width < n
+    width = ms.modes[0][1].cols
+    floored = kind == 0 or (tol is None and t_max > 1 and 2 * width < n and _nonsingular(ms))
     judged, best, best_score, found = {}, None, -1, []
     for horizon in range(1, t_max + 1):
+        if horizon > 1 and best_score == 0 and floored and horizon * width < n:
+            enforce_budget(ms.net, horizon)
+            continue  # nothing holds below the floor: every score stays 0
         if best_score == 0 and _refuted(ms, kind, checked, horizon, t_max):
             break  # every score stays 0: best is the first sequence's
         enforce_budget(ms.net, horizon)

@@ -218,9 +218,10 @@ def set_reachability_matrix(
     each of the M free next inputs, so a step costs O(M*N). Boolean mode
     ORs instead of adding, since every count is >= 0 and the sign of a sum
     is the OR of the signs: each state stays 0/1 however long the path.
-    So each Boolean vector is a function of the one before, and the
-    sequence is eventually periodic: past N steps a repeat is sought
-    (see _iterate), and the steps past it are taken modulo the period.
+    So past the first step a Boolean vector is a state set, pushed through
+    the state relation (theta -> L(gamma, theta) for every gamma); past N
+    steps the rest is taken by repeated squaring of that relation, its
+    rows held as N-bit masks (see _push), in O(N^2 log l) ORs.
     """
     check_int(ell, "ell")
     mn = net.M * net.N
@@ -237,35 +238,49 @@ def set_reachability_matrix(
                 per_state[target - 1] |= count
         return per_state * net.M
 
-    columns = []
+    ends = []
     for source in omega0.subsets:
         counts = [1 if i + 1 in source.members else 0 for i in range(mn)]
-        # quantitative counts are never compared: they may grow without bound
-        counts = _iterate(advance, counts, ell, ell if quantitative else net.N)
-        columns.append([sum(counts[i - 1] for i in dest.members) for dest in omega_d.subsets])
-    rows = [list(row) for row in zip(*columns)]
+        for _ in range(ell if quantitative else min(ell, net.N)):
+            counts = advance(counts)
+        ends.append(counts)
+    if not quantitative and ell > net.N:
+        relation = [0] * net.N
+        for col, target in enumerate(net.L.col_index):
+            relation[col % net.N] |= 1 << (target - 1)
+        masks = [sum(1 << i for i in range(net.N) if counts[i]) for counts in ends]
+        masks = _push(masks, relation, ell - net.N)
+        ends = [[mask >> i & 1 for i in range(net.N)] * net.M for mask in masks]
+    rows = [[sum(counts[i - 1] for i in dest.members) for counts in ends] for dest in omega_d.subsets]
     if quantitative:
         return Matrix(rows)
     return BooleanMatrix([[1 if c else 0 for c in row] for row in rows])
 
 
-def _iterate(f, x, ell: int, start: int):
-    """f applied ell times to x. Past step start, a repeat is sought by
-    Brent's method, holding two values: once x recurs after a period of
-    steps, only (ell - t) % period more steps are taken, t the steps so far."""
-    t = 0
-    while t < min(ell, start):
-        x, t = f(x), t + 1
-    mark, power, period = x, 1, 0  # mark is the value period steps back
-    while t < ell:
-        x, t, period = f(x), t + 1, period + 1
-        if x == mark:
-            for _ in range((ell - t) % period):
-                x = f(x)
-            return x
-        if period == power:
-            mark, power, period = x, 2 * power, 0
-    return x
+def _compose(first, then):
+    """The relation first followed by then, each a list of bit-mask rows
+    (bit j - 1 of row i - 1 set when i relates to j)."""
+    out = []
+    for mask in first:
+        row = 0
+        while mask:
+            low = mask & -mask
+            row |= then[low.bit_length() - 1]
+            mask ^= low
+        out.append(row)
+    return out
+
+
+def _push(masks, relation, steps):
+    """Each state set (a mask) pushed steps steps through the relation, by
+    repeated squaring: one composition per bit of steps, N^2 ORs at most."""
+    while steps:
+        if steps & 1:
+            masks = _compose(masks, relation)
+        steps >>= 1
+        if steps:
+            relation = _compose(relation, relation)
+    return masks
 
 
 class SetReachabilityVerdicts(Record):

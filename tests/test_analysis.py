@@ -7,6 +7,7 @@ the four property verdicts therefore agree with the brute-force oracle
 on identical checked-state sets.
 """
 
+import contextlib
 import itertools
 import random
 import sys
@@ -695,7 +696,9 @@ def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
     # each distinct mode sequence it meets once, however many (checked
     # state, leaf) pairs induce it, and the next query judges afresh. The
     # count comes from the network alone: the mode sequences of the leaves
-    # in search order up to the witness, from every state.
+    # in search order up to the witness, from every state, on the horizons
+    # the search walks: horizon 1 and every T with T width >= n (every A is
+    # nonsingular, so the floor skips the others on both kinds).
     calls = [0]
     original = analysis._detail
 
@@ -715,7 +718,8 @@ def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
     for check, merged in pairs * 2:
         calls[0] = 0
         v = check(merged, strict=True)
-        leaves = [g for t in range(1, v.T + 1) for g in itertools.product((1, 2), repeat=t)]
+        walked = [t for t in range(1, v.T + 1) if t == 1 or t * merged.modes[0][1].cols >= sls.n]
+        leaves = [g for t in walked for g in itertools.product((1, 2), repeat=t)]
         leaves = leaves[: leaves.index(v.witness) + 1]
         sequences = {switching_trajectory(NET, a, g)[0] for a in v.checked_alphas for g in leaves}
         assert calls[0] == len(sequences) < len(v.checked_alphas) * len(leaves), check
@@ -893,6 +897,25 @@ def _structural_negative(rng, n, q, reach_ok, obs_ok):
             return SwitchedLinearSystem(modes)
 
 
+@contextlib.contextmanager
+def _watched():
+    """Spy on the searches: what each call of _refuted answered (tried),
+    and each horizon walked (walked); the caller clears both per search."""
+    tried, walked = [], []
+    refuted, candidates = analysis._refuted, analysis._candidates
+
+    def refuted_spy(*args):
+        tried.append(refuted(*args))
+        return tried[-1]
+
+    def candidates_spy(ms, alphas, horizon):
+        walked.append(horizon)
+        return candidates(ms, alphas, horizon)
+
+    with mock.patch.object(analysis, "_refuted", refuted_spy), mock.patch.object(analysis, "_candidates", candidates_spy):
+        yield tried, walked
+
+
 def _first_trigger(n_states, n_inputs, n, q, checked):
     """The first horizon at which a search tries the bound, M, q >= 2:
     min(M^h |checked|, q^h) > N n, from h = 2 on."""
@@ -918,27 +941,24 @@ def test_refuted_verdicts_match_oracle(seed):
     # Structural negatives on one side or both, exact, searched up to the
     # first horizon at which strict mode tries the bound: whole verdicts
     # and the feasible list equal the enumeration's in strict, cover and
-    # explicit-state mode. In strict mode the bound must fire on every
-    # property that fails structurally (every A is nonsingular, so on
-    # both kinds), so no draw leaves it untried.
+    # explicit-state mode. In strict mode the bound or the floor must
+    # settle every property that fails structurally (every A is
+    # nonsingular, so on both kinds): either the bound refutes, or the
+    # floor skips every horizon from 2 on, so no draw walks its last
+    # horizon; and m = p = 1, so no horizon 2 <= h < n is ever walked.
     rng = random.Random(seed)
     n, n_nodes, m_nodes, q = rng.choice(STRUCTURAL_SHAPES)
     reach_ok, obs_ok = rng.choice([(False, True), (True, False), (False, False)])
     sls = _structural_negative(rng, n, q, reach_ok, obs_ok)
     net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
     t_max = _first_trigger(net.N, net.M, n, q, net.N)
-    tried, refuted = [], analysis._refuted
-
-    def spy(*args):
-        tried.append(refuted(*args))
-        return tried[-1]
-
     explicit = tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))
-    with mock.patch.object(analysis, "_refuted", spy):
+    with _watched() as (tried, walked):
         for checked in ({"strict": True}, {}, {"alphas": explicit}):
             merged = {merger: merger(sls, net) for merger in (merge, merge_dual)}
             for prop, check, merger in SIDES:
                 tried.clear()
+                walked.clear()
                 mine = check(merged[merger], t_max, **checked)
                 ref = kalman_oracle(sls, net, t_max, prop, alphas=mine.checked_alphas)
                 tag = (prop, checked, seed)
@@ -946,7 +966,9 @@ def test_refuted_verdicts_match_oracle(seed):
                 assert mine.per_alpha == ref.per_alpha, tag
                 fails = not (reach_ok if merger is merge else obs_ok)
                 if checked.get("strict") and fails:
-                    assert tried[-1] is True, tag
+                    assert tried[-1:] == [True] or walked == [1], tag
+                    assert t_max not in walked, tag
+                    assert not [h for h in walked if 1 < h < n], tag  # m = p = 1: the floor's horizons
             feasible = feasible_input_sequences(merged[merge], t_max, **checked)
             alphas = _resolve_alphas(net, checked.get("strict", False), checked.get("alphas"))
             assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas, t_max), seed
@@ -1007,6 +1029,75 @@ def test_bound_not_tried_on_the_worked_system_or_a_single_input():
             check_observability(dms, t_max, **checked)
             check_reconstructibility(dms, t_max, **checked)
             assert (ms._bound, dms._bound) == (None, None), checked
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_floor_verdicts_match_oracle(seed):
+    # The floor: a search skips every horizon h >= 2 with h width < n
+    # (width m, or p on the dual side) on reachability and observability,
+    # and on controllability and reconstructibility in exact mode when
+    # every emitted A is nonsingular. Random systems with n 2-4 and m, p
+    # 1-2, half of them with a nilpotent mode and B = 0, so kind 1 must
+    # still walk there; exact and float (only kind 0 skips); strict, cover
+    # and explicit states. Whole verdicts and the feasible list equal the
+    # enumeration's, and the search walks exactly the horizons the rule
+    # leaves, cut short only where the exact bound refutes.
+    rng = random.Random(seed)
+    n, m, p = rng.randint(2, 4), rng.randint(1, 2), rng.randint(1, 2)
+    n_nodes, m_nodes = rng.choice([(1, 0), (1, 1), (2, 1)])
+    q = rng.randint(1, min(3, 2 ** (n_nodes + m_nodes)))
+
+    def rand(rows, cols):
+        return Matrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+
+    modes = [(rand(n, n), rand(n, m), rand(p, n)) for _ in range(q)]
+    if rng.random() < 0.5:
+        shift = Matrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+        modes[rng.randrange(q)] = (shift, Matrix.zeros(n, m), rand(p, n))
+    sls = SwitchedLinearSystem(modes)
+    net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
+    nonsingular = all(rank(modes[s - 1][0]) == n for s in set(net.R.col_index))
+    t_max = n + 1
+    explicit = tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))
+    with _watched() as (tried, walked):
+        for system in (sls, _float_copy(sls)):
+            exact = system.mode_flag.tol is None
+            for checked in ({"strict": True}, {}, {"alphas": explicit}):
+                merged = {merger: merger(system, net) for merger in (merge, merge_dual)}
+                for kind, (prop, check, merger) in enumerate(SIDES):
+                    tried.clear()
+                    walked.clear()
+                    mine = check(merged[merger], t_max, **checked)
+                    tag = (prop, exact, checked, seed)
+                    assert mine == kalman_oracle(sls, net, t_max, prop, alphas=mine.checked_alphas), tag
+                    width = m if merger is merge else p
+                    floored = kind % 2 == 0 or (exact and nonsingular)
+                    left = [h for h in range(1, mine.T + 1) if h == 1 or not (floored and h * width < n)]
+                    assert walked == (left[: len(walked)] if tried[-1:] == [True] else left), tag
+                    if kind % 2 and not nonsingular:
+                        assert walked == list(range(1, mine.T + 1)), tag
+                feasible = feasible_input_sequences(merged[merge], t_max, **checked)
+                alphas = _resolve_alphas(net, checked.get("strict", False), checked.get("alphas"))
+                assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas, t_max), tag
+
+
+@pytest.mark.parametrize("prop, check, merger", SIDES)
+def test_floor_refuses_a_skipped_horizon_as_the_walk_would(prop, check, merger):
+    # n = 8, m = p = 1, one state, M = 8 and a nonsingular A: the floor
+    # skips horizons 2..7 and still checks each one's budget, so t_max = 7
+    # is refused at horizon 7 with the message a walk gives there, having
+    # folded only horizon 1's single mode sequence.
+    n = 8
+    cycle = Matrix([[int(j == (i + 1) % n) for j in range(n)] for i in range(n)])
+    e1 = [[int(i == 0)] for i in range(n)]
+    sls = SwitchedLinearSystem([(cycle, Matrix(e1), Matrix(e1).transpose())])
+    net = LogicalNetwork(2, 0, 3, LogicalMatrix(1, [1] * 8), LogicalMatrix(1, [1] * 8))
+    merged = merger(sls, net)
+    with pytest.raises(BudgetExceededError) as refusal:
+        check(merged, 7, strict=True)
+    assert str(refusal.value) == "8^7 sequences exceed the budget of 1000000"
+    assert len(merged._folds) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ from slsnet.lcn import (
     set_reachability_verdicts,
     step,
 )
+from slsnet.fileio import loads
+
+from conftest import FIXTURES
 
 # The running example pair: a 2-node Boolean net with one input whose
 # transition/signal matrices exercise every branch below.
@@ -241,8 +244,8 @@ def congruent_ell(net, omega0, ell):
 @given(st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
 def test_boolean_reachability_equals_a_plain_loop(seed):
-    # every l up to 4N: the search for a repeat starts past N steps, and
-    # the runs cover the pre-period and several periods
+    # every l up to 4N: squaring of the state relation starts past N
+    # steps, and the runs cover the pre-period and several periods
     rng = random.Random(seed)
     net = random_network(rng, k=rng.choice([2, 3]), n_nodes=rng.randint(1, 3),
                          m_nodes=rng.randint(0, 1))
@@ -261,13 +264,64 @@ def test_boolean_reachability_equals_a_plain_loop(seed):
 
 def test_boolean_reachability_at_a_huge_l():
     # a plain loop of 10^20 steps never finishes; the steps past the first
-    # repeat are taken modulo the period
+    # N are taken by squaring the state relation
     ell = 10**20
     for omega0, omega_d in (example_partition(), example_partition()[::-1],
                             (SubsetClass([InputStateSubset([1, 2], 8)]), SubsetClass([InputStateSubset([3, 4], 8)]))):
         small = congruent_ell(NET, omega0, ell)
         assert small < 20
         assert set_reachability_matrix(NET, omega0, omega_d, ell) == plain_reachability(NET, omega0, omega_d, small)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_boolean_reachability_by_squaring_equals_a_plain_loop(seed):
+    # N up to 16: a random network with M up to 4, or a permutation of the
+    # states with no input (M = 1), whose cycles give long periods. Every
+    # l in 1..4N+2 crosses the switch to squaring past N steps, and one l
+    # past 10^20 equals the plain loop at the congruent small l.
+    rng = random.Random(seed)
+    n_nodes = rng.randint(1, 4)
+    n_states = 2**n_nodes
+    if rng.random() < 0.5:
+        net = random_network(rng, n_nodes=n_nodes, m_nodes=rng.randint(0, 2))
+    else:
+        perm = rng.sample(range(1, n_states + 1), n_states)
+        net = LogicalNetwork(2, n_nodes, 0, LogicalMatrix(n_states, perm), LogicalMatrix(1, [1] * n_states))
+    mn = net.M * net.N
+    omega0, omega_d = (
+        SubsetClass([InputStateSubset(rng.sample(range(1, mn + 1), rng.randint(1, min(mn, 3))), mn)
+                     for _ in range(rng.randint(1, 3))])
+        for _ in range(2)
+    )
+    for ell in range(1, 4 * net.N + 3):
+        assert set_reachability_matrix(net, omega0, omega_d, ell) == plain_reachability(net, omega0, omega_d, ell)
+    huge = 10**20 + rng.randint(0, 12)
+    small = congruent_ell(net, omega0, huge)
+    assert set_reachability_matrix(net, omega0, omega_d, huge) == plain_reachability(net, omega0, omega_d, small)
+
+
+def test_boolean_reachability_through_an_lcm_period():
+    # The fixture's cycles of the first nine primes: the set of their first
+    # states returns only after 223092870 steps, so neither a plain loop
+    # nor a repeat search reaches l = 10^20. Each state lies on one cycle,
+    # so its ends are the plain loop's at l modulo its cycle's length; the
+    # targets are every state, so each column is a source's whole image.
+    net = loads((FIXTURES / "lcn_lcm_period.txt").read_text()).net
+    firsts = (1, 3, 6, 11, 18, 29, 42, 59, 78)
+    omega0 = SubsetClass([InputStateSubset(firsts, net.N)] + [InputStateSubset([a, a + 1], net.N) for a in firsts])
+    omega_d = SubsetClass([InputStateSubset([theta], net.N) for theta in range(1, net.N + 1)])
+
+    def cycle_length(theta):
+        return next(t for t in itertools.count(1) if reached_pairs(net, {theta}, t) == {theta})
+
+    for ell in (10**20, 10**20 + 1, 99999999999999999999, 10**20 + 6):
+        ends = [
+            frozenset().union(*(reached_pairs(net, {theta}, ell % cycle_length(theta)) for theta in source.members))
+            for source in omega0.subsets
+        ]
+        expected = BooleanMatrix([[1 if dest.members & e else 0 for e in ends] for dest in omega_d.subsets])
+        assert set_reachability_matrix(net, omega0, omega_d, ell) == expected, ell
 
 
 def walk_ends(net, source, ell):
