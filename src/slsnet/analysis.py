@@ -22,7 +22,7 @@ instead. Searches run breadth-first in the horizon T (default bound:
 the linear state dimension n) and depth-first, lexicographically within
 each T; the reported witness is the shortest, lexicographically first
 one. A search refuses (BudgetExceededError) a horizon that kalman_oracle's
-default enumeration budget would refuse, just before walking it.
+default enumeration budget would refuse, before walking or skipping it.
 
 The fold reads the linear part only through the switching signal: the
 nonzero merged block of column (gamma, theta) holds the matrices of the
@@ -44,37 +44,33 @@ asked before. Neither judgment runs an elimination: the rank is the
 number of rows, and containment is read off them with weights scaled by
 the lcm of the pivots (algebra._contains).
 
-The floor: after h steps the span has at most h width rows, width the
-H block's columns (m, or p on the dual side), since an elimination never
-adds rows, in float mode too; so reachability and observability (kind 0)
-fail at every horizon with h width < n. Controllability and
-reconstructibility (kind 1) hold when im D lies in the span, and D is a
-product of emitted A's: when every emitted A is nonsingular that needs a
-full span too. A tolerance could pass containment for a nearly singular
-D, so kind 1 uses the floor in exact mode only, the bound's rule
-below. A search walks horizon 1, then skips every horizon h >= 2 below
-the floor while its best score is 0, checking only its budget: every
-score there would be 0, so the verdict, witness, T, per_alpha and the
-feasible list are the walk's.
+Controllability and reconstructibility (kind 1) hold when im D lies in
+the span, and D is a product of emitted A's. When every emitted A is
+nonsingular im D is full, so an exact kind-1 search is decided as
+reachability or observability (kind 0): the same judgments, under its
+own property name. A tolerance could pass containment for a nearly
+singular D, so a float kind-1 search stays kind 1, as does one where
+some emitted A is singular, and both walk every horizon.
 
-A negative verdict walks every other horizon up to t_max, so an exact
-search may refute first with the logic-constrained invariant subspaces
-of Sun, Ge & Lee (2002, Automatica 38(5)), kept per logical state:
-V[theta] holds the span of every sequence ending at theta (dual:
-starting there). A state from which no state reachable in one or more
-steps has a full V (dual: whose own V is not full) holds reachability
-(observability) at no horizon; with every emitted A nonsingular the
-drift's image is full, and the same test refutes controllability
-(reconstructibility), never otherwise. A merged system builds the bound
-once, lazily: a search tries it before walking a horizon h >= 2 only
-while its best score is 0 and min(M^h |checked|, q^h) > N n, when the
-horizon could fold more mode sequences than the bound's at most N n
-eliminations. If it refutes every checked state, every score would stay
-0: the search checks the budget of each horizon left, so a refusal names
-the same horizon, and returns the walk's verdict (T = t_max, per_alpha
-of the first horizon-1 sequence) and collects nothing. Float searches
+Two rules let a kind-0 search skip a horizon h >= 2 while its best score
+is 0; every score there would be 0, so the verdict, witness, T,
+per_alpha (a negative verdict's is the first horizon-1 sequence's) and
+the feasible list are the walk's. The floor: after h steps the span has
+at most h width rows, width the H block's columns (m, or p on the dual
+side), since an elimination never adds rows, in float mode too; so no
+span is full while h width < n. The bound, in exact mode: the
+logic-constrained invariant subspaces of Sun, Ge & Lee (2002,
+Automatica 38(5)), kept per logical state. V[theta] holds the span of
+every sequence ending at theta (dual: starting there), and a state from
+which no state reachable in one or more steps has a full V (dual: whose
+own V is not full) has a full span at no horizon. A merged system builds
+the bound once, lazily, and a search tries it only where
+min(M^h |checked|, q^h) > N n, when the horizon could fold more mode
+sequences than the bound's at most N n eliminations. Float searches
 never try it: the bound eliminates in another order than the fold, so a
-tolerance could decide the two apart.
+tolerance could decide the two apart. A search checks the budget of
+every horizon, walked or skipped, so a refusal names the horizon the
+walk would.
 """
 
 from __future__ import annotations
@@ -291,9 +287,9 @@ def _per_alpha(checked, details) -> dict[int, AlphaDetail]:
     return {alpha: AlphaDetail(*detail) for alpha, detail in zip(checked, details)}
 
 
-def _invariant_bound(ms) -> tuple[tuple[bool, ...], bool]:
+def _invariant_bound(ms) -> tuple[bool, ...]:
     """Per logical state, whether its logic-constrained invariant subspace
-    is full; and whether every A that R emits is nonsingular.
+    is full.
 
     The least fixed point of V[dst] >= G_sigma V[src] + im H_sigma over
     every input-state pair: src theta, dst theta' = L(gamma, theta) on the
@@ -318,7 +314,7 @@ def _invariant_bound(ms) -> tuple[tuple[bool, ...], bool]:
             vectors = _times(g.entries, spans[src - 1]) + tuple(zip(*h.entries))
             if not _contains(spans[dst - 1], None, vectors):
                 spans[dst - 1], changed = _echelon(spans[dst - 1] + vectors, None), True
-    return tuple(len(span) == n for span in spans), _nonsingular(ms)
+    return tuple(len(span) == n for span in spans)
 
 
 def _nonsingular(ms) -> bool:
@@ -327,15 +323,12 @@ def _nonsingular(ms) -> bool:
     return all(len(_echelon(ms.modes[s - 1][0].entries, None)) == n for s in set(ms.net.R.col_index))
 
 
-def _bound_refutes(ms, kind: int, checked) -> bool:
+def _bound_refutes(ms, checked) -> bool:
     """Whether the bound, built on the first call, shows that no sequence
-    of one or more inputs holds at any checked state (see the module
-    docstring); kind 1 only when every emitted A is nonsingular."""
+    of one or more inputs holds a full span at any checked state (see the
+    module docstring)."""
     if ms._bound is None:
         object.__setattr__(ms, "_bound", _invariant_bound(ms))
-    full, nonsingular = ms._bound
-    if kind and not nonsingular:
-        return False
     if isinstance(ms, DualMergedSystem):
         ends = set(checked)
     else:  # the states reachable from a checked one in one or more steps
@@ -347,22 +340,16 @@ def _bound_refutes(ms, kind: int, checked) -> bool:
                 if theta_next not in ends:
                     ends.add(theta_next)
                     todo.append(theta_next)
-    return not any(full[theta - 1] for theta in ends)
+    return not any(ms._bound[theta - 1] for theta in ends)
 
 
-def _refuted(ms, kind: int, checked, horizon: int, t_max: int) -> bool:
-    """Whether an exact search stops before walking horizon, which could
-    fold more than the bound eliminates, the bound refuting every checked
-    state; if so, the budget of every horizon left is checked, so a
-    refusal names the horizon the walk would have."""
+def _refuted(ms, checked, horizon: int) -> bool:
+    """Whether an exact search skips horizon, which could fold more than
+    the bound eliminates, the bound refuting every checked state."""
     net, sls = ms.net, ms.sls
     if sls.mode_flag.tol is not None or min(net.M**horizon * len(checked), sls.q**horizon) <= net.N * sls.n:
         return False
-    if not _bound_refutes(ms, kind, checked):
-        return False
-    for rest in range(horizon, t_max + 1):
-        enforce_budget(net, rest)
-    return True
+    return _bound_refutes(ms, checked)
 
 
 def _search(ms, prop, t_max, strict, alphas, collect=False) -> tuple[PropertyVerdict, list]:
@@ -377,17 +364,15 @@ def _search(ms, prop, t_max, strict, alphas, collect=False) -> tuple[PropertyVer
     checked = _checked(ms, strict, alphas)
     t_max = _horizon(t_max, ms.sls.n)
     kind, n, tol, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms.sls.mode_flag.tol, ms._folds
-    # the floor (see the module docstring): no span is full while h width < n
+    if kind and tol is None and _nonsingular(ms):
+        kind = 0  # im D is full, so it lies in the span iff the span is full
     width = ms.modes[0][1].cols
-    floored = kind == 0 or (tol is None and t_max > 1 and 2 * width < n and _nonsingular(ms))
     judged, best, best_score, found = {}, None, -1, []
     for horizon in range(1, t_max + 1):
-        if horizon > 1 and best_score == 0 and floored and horizon * width < n:
-            enforce_budget(ms.net, horizon)
-            continue  # nothing holds below the floor: every score stays 0
-        if best_score == 0 and _refuted(ms, kind, checked, horizon, t_max):
-            break  # every score stays 0: best is the first sequence's
         enforce_budget(ms.net, horizon)
+        # the floor and the bound (see the module docstring): every score stays 0
+        if best_score == 0 and kind == 0 and (horizon * width < n or _refuted(ms, checked, horizon)):
+            continue
         for gammas, states in _candidates(ms, checked, horizon):
             details, score = [], 0
             for _, sigmas in states:

@@ -11,7 +11,8 @@ Every pair j has exactly M successors (gamma', L-target of j), one per
 free next input, so the analyses here read successor indices off L
 instead of multiplying matrices: simulation, l-step set reachability
 between input-state subset classes (path counts propagated along the
-successors, with Boolean verdicts as their signs), control attractors
+successors; Boolean verdicts push state sets through the state relation
+by repeated squaring), control attractors
 (fixed points, one cycle per strongly connected component, and a
 disjoint cover of one attractor per sink component with its basin, used
 to cut analysis work), and DOT export of the input-state dynamic graph.
@@ -213,48 +214,41 @@ def set_reachability_matrix(
     counts as a Matrix; Boolean mode returns the verdict matrix of their
     signs (1 iff omega0[j] reaches omega_d[i] in exactly l steps).
 
-    Counts are propagated per source subset: each step adds every pair's
-    count onto its L-target state, and the state totals are repeated for
-    each of the M free next inputs, so a step costs O(M*N). Boolean mode
-    ORs instead of adding, since every count is >= 0 and the sign of a sum
-    is the OR of the signs: each state stays 0/1 however long the path.
-    So past the first step a Boolean vector is a state set, pushed through
-    the state relation (theta -> L(gamma, theta) for every gamma); past N
-    steps the rest is taken by repeated squaring of that relation, its
-    rows held as N-bit masks (see _push), in O(N^2 log l) ORs.
+    Quantitative mode propagates counts per source subset: each step adds
+    every pair's count onto its L-target state, and the state totals are
+    repeated for each of the M free next inputs, so a step costs O(M*N).
+    Boolean mode needs only which pairs have a path, and after the first
+    step that depends on the pair's state alone: each source subset becomes
+    the set of its pairs' L-targets, held as an N-bit mask, and is pushed
+    the remaining l - 1 steps through the state relation (theta ->
+    L(gamma, theta) for every gamma) by repeated squaring (see _push), in
+    O(N^2 log l) ORs. A destination subset is met iff the set meets its
+    pairs' states.
     """
     check_int(ell, "ell")
     mn = net.M * net.N
     if omega0.mn != mn or omega_d.mn != mn:
         raise DimensionError(f"subset classes must live on {mn} input-state pairs")
-
-    def advance(counts):
-        per_state = [0] * net.N
-        if quantitative:
-            for target, count in zip(net.L.col_index, counts):
-                per_state[target - 1] += count
-        else:
-            for target, count in zip(net.L.col_index, counts):
-                per_state[target - 1] |= count
-        return per_state * net.M
-
-    ends = []
-    for source in omega0.subsets:
-        counts = [1 if i + 1 in source.members else 0 for i in range(mn)]
-        for _ in range(ell if quantitative else min(ell, net.N)):
-            counts = advance(counts)
-        ends.append(counts)
-    if not quantitative and ell > net.N:
-        relation = [0] * net.N
-        for col, target in enumerate(net.L.col_index):
-            relation[col % net.N] |= 1 << (target - 1)
-        masks = [sum(1 << i for i in range(net.N) if counts[i]) for counts in ends]
-        masks = _push(masks, relation, ell - net.N)
-        ends = [[mask >> i & 1 for i in range(net.N)] * net.M for mask in masks]
-    rows = [[sum(counts[i - 1] for i in dest.members) for counts in ends] for dest in omega_d.subsets]
+    targets = net.L.col_index
     if quantitative:
+        ends = []
+        for source in omega0.subsets:
+            counts = [1 if i + 1 in source.members else 0 for i in range(mn)]
+            for _ in range(ell):
+                per_state = [0] * net.N
+                for target, count in zip(targets, counts):
+                    per_state[target - 1] += count
+                counts = per_state * net.M
+            ends.append(counts)
+        rows = [[sum(counts[i - 1] for i in dest.members) for counts in ends] for dest in omega_d.subsets]
         return Matrix(rows)
-    return BooleanMatrix([[1 if c else 0 for c in row] for row in rows])
+    relation = [0] * net.N
+    for col, target in enumerate(targets):
+        relation[col % net.N] |= 1 << (target - 1)
+    masks = [sum({1 << (targets[i - 1] - 1) for i in source.members}) for source in omega0.subsets]
+    masks = _push(masks, relation, ell - 1)
+    dests = [sum({1 << ((i - 1) % net.N) for i in dest.members}) for dest in omega_d.subsets]
+    return BooleanMatrix([[int(mask & dest != 0) for mask in masks] for dest in dests])
 
 
 def _compose(first, then):

@@ -130,10 +130,10 @@ def count_paths(
     mn = net.M * n_states
     sources = sorted({check_int(i, "input-state index", 1, mn) for i in from_subset})
     targets = {check_int(i, "input-state index", 1, mn) for i in to_subset}
-    if len(sources) * net.M**ell > budget.max_sequences:
-        raise BudgetExceededError("path enumeration exceeds the budget")
     if ell > budget.max_horizon:
         raise BudgetExceededError(f"path length {ell} exceeds the budget of {budget.max_horizon}")
+    if len(sources) * net.M**ell > budget.max_sequences:
+        raise BudgetExceededError("path enumeration exceeds the budget")
     count = 0
     stack = [(src, ell) for src in sources]
     while stack:

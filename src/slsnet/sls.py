@@ -133,8 +133,8 @@ class _MergedBase:
         # the attractor cover's checked states, built on the first cover request
         object.__setattr__(self, "_cover", None)
         # the searches' refutation bound (see analysis._invariant_bound): per
-        # logical state, whether its invariant subspace is full, and whether
-        # every emitted A is nonsingular; built on the first request
+        # logical state, whether its invariant subspace is full; built on the
+        # first request
         object.__setattr__(self, "_bound", None)
 
     def __setattr__(self, name, value):

@@ -856,8 +856,10 @@ def _sparse_system(rng, n, q):
 def test_bound_refutes_only_failing_states(seed):
     # The bound is sound: every state it refutes, one at a time, has no
     # holding sequence at any horizon up to n + 3 by enumeration, on both
-    # sides and for both kinds. Exact sparse systems with n <= 4, N <= 8,
-    # M 1-4 and q <= 4; M^(n+3) stays at most 1024, so the oracle is cheap.
+    # sides, for kind 0 and, where every emitted A is nonsingular (the only
+    # kind-1 searches that reach it), for kind 1. Exact sparse systems with
+    # n <= 4, N <= 8, M 1-4 and q <= 4; M^(n+3) stays at most 1024, so the
+    # oracle is cheap.
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     m_nodes = rng.choice([mm for mm in (0, 1, 2) if 2 ** (mm * (n + 3)) <= 1024])
@@ -867,7 +869,9 @@ def test_bound_refutes_only_failing_states(seed):
     net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
     for kind, (prop, _, merger) in enumerate(SIDES):
         merged = merger(sls, net)
-        refuted = tuple(a for a in range(1, net.N + 1) if analysis._bound_refutes(merged, kind % 2, (a,)))
+        if kind % 2 and not analysis._nonsingular(merged):
+            continue
+        refuted = tuple(a for a in range(1, net.N + 1) if analysis._bound_refutes(merged, (a,)))
         if refuted:
             # the best sequence holds nowhere, so no sequence holds anywhere
             ref = kalman_oracle(sls, net, n + 3, prop, alphas=refuted)
@@ -979,8 +983,9 @@ def test_bound_leaves_singular_kinds_alone():
     # observability fail at every horizon, while the drift and its
     # transpose vanish from T = 2 on, so controllability and
     # reconstructibility hold there, though at no state at T = 1. With
-    # q = 4 > N n = 4 the searches try the bound before horizon 2, and it
-    # may refute only the former two.
+    # q = 4 > N n = 4 reachability and observability try the bound before
+    # horizon 2, and it refutes both; the singular A keeps the other two
+    # off it, so they never build it.
     zero = [[0], [0]]
     mode = (Matrix([[0, 1], [0, 0]]), Matrix(zero), Matrix([[0, 0]]))
     sls = SwitchedLinearSystem([mode] * 4)
@@ -991,8 +996,12 @@ def test_bound_leaves_singular_kinds_alone():
         ref = kalman_oracle(sls, net, 4, prop)
         assert verdict == ref, prop
         assert (verdict.holds, verdict.T) == ((False, 4) if kind % 2 == 0 else (True, 2)), prop
-        assert merged._bound == ((False, False), False), prop
-        assert analysis._bound_refutes(merged, kind % 2, (1, 2)) is (kind % 2 == 0), prop
+        if kind % 2 == 0:
+            assert merged._bound == (False, False), prop
+            assert analysis._bound_refutes(merged, (1, 2)) is True, prop
+        else:
+            assert not analysis._nonsingular(merged), prop
+            assert merged._bound is None, prop
 
 
 def test_fold_count_on_a_structural_negative(monkeypatch):
@@ -1042,7 +1051,9 @@ def test_floor_verdicts_match_oracle(seed):
     # still walk there; exact and float (only kind 0 skips); strict, cover
     # and explicit states. Whole verdicts and the feasible list equal the
     # enumeration's, and the search walks exactly the horizons the rule
-    # leaves, cut short only where the exact bound refutes.
+    # leaves, cut short only where the exact bound refutes. In exact mode
+    # with every emitted A nonsingular, the kind-1 verdict is the same
+    # side's kind-0 verdict under its own name.
     rng = random.Random(seed)
     n, m, p = rng.randint(2, 4), rng.randint(1, 2), rng.randint(1, 2)
     n_nodes, m_nodes = rng.choice([(1, 0), (1, 1), (2, 1)])
@@ -1065,12 +1076,17 @@ def test_floor_verdicts_match_oracle(seed):
             exact = system.mode_flag.tol is None
             for checked in ({"strict": True}, {}, {"alphas": explicit}):
                 merged = {merger: merger(system, net) for merger in (merge, merge_dual)}
+                verdicts = []
                 for kind, (prop, check, merger) in enumerate(SIDES):
                     tried.clear()
                     walked.clear()
                     mine = check(merged[merger], t_max, **checked)
+                    verdicts.append(mine)
                     tag = (prop, exact, checked, seed)
                     assert mine == kalman_oracle(sls, net, t_max, prop, alphas=mine.checked_alphas), tag
+                    if kind % 2 and exact and nonsingular:
+                        fields = ("holds", "witness", "T", "per_alpha", "checked_alphas")
+                        assert [getattr(mine, f) for f in fields] == [getattr(verdicts[-2], f) for f in fields], tag
                     width = m if merger is merge else p
                     floored = kind % 2 == 0 or (exact and nonsingular)
                     left = [h for h in range(1, mine.T + 1) if h == 1 or not (floored and h * width < n)]

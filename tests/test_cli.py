@@ -278,11 +278,13 @@ def test_exit_code_budget(capsys):
 
 def test_oracle_paths_refuses_a_length_past_the_horizon_budget(capsys):
     # with one input the sequence budget never binds; the walk used to
-    # recurse once per step and end in a RecursionError (exit 1)
+    # recurse once per step and end in a RecursionError (exit 1). With two
+    # inputs the length is checked before M^l is computed, so 10^12 steps
+    # are refused at once instead of building a 10^12-bit integer
     code, rep = run_json(capsys, "oracle", "paths", SINGLE_INPUT, "--from", "1", "--to", "1", "--l", "32")
     assert (code, rep["paths"]) == (0, 1)
-    for ell in ("33", "5000"):
-        code, out, err = run(capsys, "oracle", "paths", SINGLE_INPUT, "--from", "1", "--to", "1", "--l", ell)
+    for path, ell in ((SINGLE_INPUT, "33"), (SINGLE_INPUT, "5000"), (SLS, "40"), (SLS, "1000000000000")):
+        code, out, err = run(capsys, "oracle", "paths", path, "--from", "1", "--to", "1", "--l", ell)
         assert code == 3 and out == ""
         assert err == f"error: path length {ell} exceeds the budget of 32\n"
 
