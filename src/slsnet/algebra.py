@@ -491,9 +491,6 @@ class BooleanMatrix(Record, uncompared=("rows", "cols")):
         _check_size(n, n)
         return BooleanMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def dense(self, mode: Numeric | str = EXACT) -> Matrix:
-        return Matrix(self.bits, mode)
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.bits[i][j]

@@ -79,7 +79,7 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import Record, _contains, _echelon, _span, check_int, hstack, rank as matrix_rank, vstack
-from .lcn import LogicalNetwork, control_attractors, unchecked_step
+from .lcn import LogicalNetwork, _image, _relation, control_attractors, unchecked_step
 from .oracle import (
     EnumerationBudget,
     controllability_matrix,
@@ -287,9 +287,9 @@ def _per_alpha(checked, details) -> dict[int, AlphaDetail]:
     return {alpha: AlphaDetail(*detail) for alpha, detail in zip(checked, details)}
 
 
-def _invariant_bound(ms) -> tuple[bool, ...]:
-    """Per logical state, whether its logic-constrained invariant subspace
-    is full.
+def _invariant_bound(ms) -> int:
+    """The mask of the logical states whose logic-constrained invariant
+    subspace is full (bit theta - 1 for state theta).
 
     The least fixed point of V[dst] >= G_sigma V[src] + im H_sigma over
     every input-state pair: src theta, dst theta' = L(gamma, theta) on the
@@ -314,7 +314,7 @@ def _invariant_bound(ms) -> tuple[bool, ...]:
             vectors = _times(g.entries, spans[src - 1]) + tuple(zip(*h.entries))
             if not _contains(spans[dst - 1], None, vectors):
                 spans[dst - 1], changed = _echelon(spans[dst - 1] + vectors, None), True
-    return tuple(len(span) == n for span in spans)
+    return sum(1 << i for i, span in enumerate(spans) if len(span) == n)
 
 
 def _nonsingular(ms) -> bool:
@@ -326,21 +326,19 @@ def _nonsingular(ms) -> bool:
 def _bound_refutes(ms, checked) -> bool:
     """Whether the bound, built on the first call, shows that no sequence
     of one or more inputs holds a full span at any checked state (see the
-    module docstring)."""
+    module docstring): the mask ends meets no full invariant subspace. On
+    the dual side ends is the checked set, on the primal side the states
+    reachable from it in one or more steps."""
     if ms._bound is None:
         object.__setattr__(ms, "_bound", _invariant_bound(ms))
-    if isinstance(ms, DualMergedSystem):
-        ends = set(checked)
-    else:  # the states reachable from a checked one in one or more steps
-        ends, todo = set(), list(checked)
-        while todo:
-            theta = todo.pop()
-            for gamma in range(1, ms.net.M + 1):
-                theta_next = unchecked_step(ms.net, gamma, theta)[0]
-                if theta_next not in ends:
-                    ends.add(theta_next)
-                    todo.append(theta_next)
-    return not any(ms._bound[theta - 1] for theta in ends)
+    ends = sum(1 << (theta - 1) for theta in checked)
+    if isinstance(ms, MergedSystem):
+        relation = _relation(ms.net)
+        ends = new = _image(ends, relation)
+        while new:
+            new = _image(new, relation) & ~ends
+            ends |= new
+    return not ends & ms._bound
 
 
 def _refuted(ms, checked, horizon: int) -> bool:

@@ -112,8 +112,6 @@ def _render_text(value, indent=0) -> list[str]:
                 lines.extend(head[1:])
             else:
                 lines.append(f"{pad}- {_scalarize(item)}")
-    else:
-        lines.append(f"{pad}{_scalarize(value)}")
     return lines
 
 

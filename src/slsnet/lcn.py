@@ -11,14 +11,21 @@ Every pair j has exactly M successors (gamma', L-target of j), one per
 free next input, so the analyses here read successor indices off L
 instead of multiplying matrices: simulation, l-step set reachability
 between input-state subset classes (path counts propagated along the
-successors; Boolean verdicts push state sets through the state relation
-by repeated squaring), control attractors
+successors, Boolean verdicts by the image step below), control attractors
 (fixed points, one cycle per strongly connected component, and a
 disjoint cover of one attractor per sink component with its basin, used
 to cut analysis work), and DOT export of the input-state dynamic graph.
 The input-state transition matrix is the same graph in the matrix form
 of the semi-tensor calculus; it is library API and the reference the
 tests check set reachability against.
+
+A state set is one N-bit int (bit theta - 1 for state theta), and the
+logical layer has one image step for it: _relation gives the state
+relation theta -> L(gamma, theta), every gamma, as N bit-mask rows, and
+_image ORs the rows at a set's bits. Boolean set reachability squares
+the relation, sparse tracking steps (realize.check_trackable) apply its
+per-signal restriction, and the invariant-subspace bound closes a checked
+set under it (analysis._bound_refutes).
 """
 
 from __future__ import annotations
@@ -220,10 +227,9 @@ def set_reachability_matrix(
     Boolean mode needs only which pairs have a path, and after the first
     step that depends on the pair's state alone: each source subset becomes
     the set of its pairs' L-targets, held as an N-bit mask, and is pushed
-    the remaining l - 1 steps through the state relation (theta ->
-    L(gamma, theta) for every gamma) by repeated squaring (see _push), in
-    O(N^2 log l) ORs. A destination subset is met iff the set meets its
-    pairs' states.
+    the remaining l - 1 steps through the state relation (_relation) by
+    repeated squaring (see _push), in O(N^2 log l) ORs. A destination
+    subset is met iff the set meets its pairs' states.
     """
     check_int(ell, "ell")
     mn = net.M * net.N
@@ -242,38 +248,41 @@ def set_reachability_matrix(
             ends.append(counts)
         rows = [[sum(counts[i - 1] for i in dest.members) for counts in ends] for dest in omega_d.subsets]
         return Matrix(rows)
-    relation = [0] * net.N
-    for col, target in enumerate(targets):
-        relation[col % net.N] |= 1 << (target - 1)
     masks = [sum({1 << (targets[i - 1] - 1) for i in source.members}) for source in omega0.subsets]
-    masks = _push(masks, relation, ell - 1)
+    masks = _push(masks, _relation(net), ell - 1)
     dests = [sum({1 << ((i - 1) % net.N) for i in dest.members}) for dest in omega_d.subsets]
     return BooleanMatrix([[int(mask & dest != 0) for mask in masks] for dest in dests])
 
 
-def _compose(first, then):
-    """The relation first followed by then, each a list of bit-mask rows
-    (bit j - 1 of row i - 1 set when i relates to j)."""
-    out = []
-    for mask in first:
-        row = 0
-        while mask:
-            low = mask & -mask
-            row |= then[low.bit_length() - 1]
-            mask ^= low
-        out.append(row)
+def _relation(net: LogicalNetwork) -> list[int]:
+    """The state relation theta -> L(gamma, theta), every gamma, as N
+    bit-mask rows: bit theta' - 1 of row theta - 1 for each such theta'."""
+    rows = [0] * net.N
+    for col, target in enumerate(net.L.col_index):
+        rows[col % net.N] |= 1 << (target - 1)
+    return rows
+
+
+def _image(mask: int, rows: Sequence[int]) -> int:
+    """The image of a state set (a mask) under a relation of bit-mask rows:
+    the OR of the rows at its set bits, one OR per member."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
 def _push(masks, relation, steps):
     """Each state set (a mask) pushed steps steps through the relation, by
-    repeated squaring: one composition per bit of steps, N^2 ORs at most."""
+    repeated squaring: per bit of steps, an image of each set and row."""
     while steps:
         if steps & 1:
-            masks = _compose(masks, relation)
+            masks = [_image(mask, relation) for mask in masks]
         steps >>= 1
         if steps:
-            relation = _compose(relation, relation)
+            relation = [_image(row, relation) for row in relation]
     return masks
 
 

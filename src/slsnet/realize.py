@@ -22,7 +22,7 @@ from operator import getitem, or_
 from typing import Sequence
 
 from .algebra import DimensionError, Record, check_int
-from .lcn import LogicalNetwork
+from .lcn import LogicalNetwork, _image
 
 INFINITY = math.inf
 # below N/_SPARSE members a tracking step walks the set bits (see check_trackable)
@@ -193,15 +193,16 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     precomputation gives these masks and, per signal value sigma, the
     successor mask of each state (the L-targets of its inputs that emit
     sigma); S_{t+1} is the OR of the successor masks of the members of
-    S_t. Below N/_SPARSE members, S_t is walked bit by bit, one
-    OR per member. Otherwise it is read as ceil(N/8) bytes, and each byte
-    indexes its 8-state block's table, which holds the OR of the masks
-    selected by every byte value: ceil(N/8) lookups in C. A signal's tables
-    are built by doubling on its first dense step (about 32*N ORs, 0.8 ms
-    at N = 256) and dropped on return. On random masks at N = 64 and 256, a
-    walk step beats a lookup step up to about N/16 members, but a set that
-    turns dense only now and then does not earn the tables back, so _SPARSE
-    is 8 (16 made 800-step benchmark references up to 1.6x slower).
+    S_t. Below N/_SPARSE members, S_t is walked bit by bit, one OR per
+    member, by the logical layer's image step (lcn._image). Otherwise it is
+    read as ceil(N/8) bytes, and each byte indexes its 8-state block's
+    table, which holds the OR of the masks selected by every byte value:
+    ceil(N/8) lookups in C. A signal's tables are built by doubling on its
+    first dense step (about 32*N ORs, 0.8 ms at N = 256) and dropped on
+    return. On random masks at N = 64 and 256, a walk step beats a lookup
+    step up to about N/16 members, but a set that turns dense only now and
+    then does not earn the tables back, so _SPARSE is 8 (16 made 800-step
+    benchmark references up to 1.6x slower).
 
     Backward pass, on success only: the witness ends at the lowest set bit
     of F_T. With preimage[theta] the mask of the pairs whose L-target is
@@ -235,11 +236,7 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
             prev = reference[t - 1]
             step_succ = succ[prev - 1]
             if states.bit_count() * _SPARSE < N:  # few states: visit each
-                rest, states = states, 0
-                while rest:
-                    low = rest & -rest
-                    states |= step_succ[low.bit_length() - 1]
-                    rest ^= low
+                states = _image(states, step_succ)
             else:  # many: one table lookup per byte of S_t
                 if prev not in tables:
                     tables[prev] = [_or_table(step_succ[c : c + 8]) for c in range(0, N, 8)]

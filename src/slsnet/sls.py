@@ -132,9 +132,9 @@ class _MergedBase:
         object.__setattr__(self, "_folds", {(): _start(self)})
         # the attractor cover's checked states, built on the first cover request
         object.__setattr__(self, "_cover", None)
-        # the searches' refutation bound (see analysis._invariant_bound): per
-        # logical state, whether its invariant subspace is full; built on the
-        # first request
+        # the searches' refutation bound (see analysis._invariant_bound): the
+        # mask of the logical states whose invariant subspace is full (bit
+        # theta - 1 for state theta); built on the first request
         object.__setattr__(self, "_bound", None)
 
     def __setattr__(self, name, value):

@@ -299,6 +299,26 @@ def test_power_reducing_matrix():
             assert pr @ x == stp(x, x)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Matrix([]), "matrix needs at least one row"),
+        (lambda: Matrix([[1, 2], [3]]), "ragged rows in matrix literal"),
+        (lambda: Matrix([[1, 2]]) + Matrix([[1], [2]]), r"add: \(1, 2\) vs \(2, 1\)"),
+        (lambda: Matrix([[1, 2]]) - Matrix([[1], [2]]), r"sub: \(1, 2\) vs \(2, 1\)"),
+        (lambda: Matrix([[1, 2]]) @ Matrix([[1, 2]]), r"matmul: \(1, 2\) vs \(1, 2\)"),
+        (lambda: Matrix([[]]).transpose(), "cannot transpose a zero-column matrix"),
+        (lambda: hstack([]), "hstack of nothing"),
+        (lambda: vstack([]), "vstack of nothing"),
+        (lambda: stp_all([]), "stp_all of nothing"),
+    ],
+    ids=["no-rows", "ragged", "add", "sub", "matmul", "transpose", "hstack", "vstack", "stp_all"],
+)
+def test_matrix_validation(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Logical matrices
 # ---------------------------------------------------------------------------
@@ -318,6 +338,10 @@ def test_logical_khatri_rao_matches_dense():
 def test_logical_matrix_validation():
     with pytest.raises(DimensionError):
         LogicalMatrix(2, [1, 3])
+    with pytest.raises(DimensionError, match="compose: 2 vs 3"):
+        LogicalMatrix(2, [1, 2]).compose(LogicalMatrix(3, [1, 2]))
+    with pytest.raises(DimensionError, match="khatri_rao: column counts differ"):
+        LogicalMatrix(2, [1, 2]).khatri_rao(LogicalMatrix(2, [1, 2, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +382,13 @@ def test_boolean_validation():
             BooleanMatrix([[bad, 0]])
     with pytest.raises(DimensionError):
         boolean_product(BooleanMatrix([[1, 0]]), BooleanMatrix([[1, 0]]))
+    for bits in ([], [[]]):
+        with pytest.raises(DimensionError, match="boolean matrix needs at least one entry"):
+            BooleanMatrix(bits)
+    with pytest.raises(DimensionError, match="ragged rows in boolean matrix"):
+        BooleanMatrix([[1, 0], [1]])
+    with pytest.raises(DimensionError, match="boolean_power needs a square matrix"):
+        boolean_power(BooleanMatrix([[1, 0]]), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,11 @@ def test_alpha_validation():
         check_reachability(MS, t_max=0)
 
 
+def test_oracle_refuses_an_unknown_property():
+    with pytest.raises(ValueError, match="unknown property 'stability'"):
+        kalman_oracle(golden_sls(), NET, prop="stability")
+
+
 def test_strict_with_explicit_alphas_rejected():
     # strict names every state, so explicit states beside it are refused,
     # not silently preferred
@@ -997,24 +1002,26 @@ def test_bound_leaves_singular_kinds_alone():
         assert verdict == ref, prop
         assert (verdict.holds, verdict.T) == ((False, 4) if kind % 2 == 0 else (True, 2)), prop
         if kind % 2 == 0:
-            assert merged._bound == (False, False), prop
+            assert merged._bound == 0, prop  # no state's subspace is full
             assert analysis._bound_refutes(merged, (1, 2)) is True, prop
         else:
             assert not analysis._nonsingular(merged), prop
             assert merged._bound is None, prop
 
 
-def test_fold_count_on_a_structural_negative(monkeypatch):
-    # The fixture leaves one coordinate unobserved, so observability fails
-    # from every state. Strict, N n = 12: horizons 2 and 3 stay walked
-    # (min(4 * 2^h, 2^h) <= 12), and before horizon 4 the bound refutes
-    # every state, so t_max = 6 folds exactly the mode sequences that
-    # horizons 1..3 induce from the four states, and no more.
-    desc = loads((FIXTURES / "sls_unobservable.txt").read_text())
+@pytest.mark.parametrize("fixture, prop", [("sls_unobservable.txt", "observability"), ("sls_unreachable.txt", "reachability")])
+def test_fold_count_on_a_structural_negative(monkeypatch, fixture, prop):
+    # Each fixture leaves one coordinate unobserved or unreached, so the
+    # property fails from every state. Strict, N n = 12: horizons 2 and 3
+    # stay walked (min(4 * 2^h, 2^h) <= 12), and before horizon 4 the
+    # bound refutes every state, so t_max = 6 folds exactly the mode
+    # sequences that horizons 1..3 induce from the four states, and no more.
+    desc = loads((FIXTURES / fixture).read_text())
     folds = _count_folds(monkeypatch)
-    verdict = check_observability(merge_dual(desc.sls, desc.net), 6, strict=True)
+    check, merger = {name: (check, merger) for name, check, merger in SIDES}[prop]
+    verdict = check(merger(desc.sls, desc.net), 6, strict=True)
     assert (verdict.holds, verdict.T) == (False, 6)
-    assert verdict == kalman_oracle(desc.sls, desc.net, 6, "observability")
+    assert verdict == kalman_oracle(desc.sls, desc.net, 6, prop)
     sequences = {
         sigmas
         for alpha in range(1, desc.net.N + 1)

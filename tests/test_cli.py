@@ -18,6 +18,7 @@ SLS = str(FIXTURES / "sls_3x2.txt")
 LCN = str(FIXTURES / "lcn_double.txt")
 SINKS = str(FIXTURES / "lcn_sinks.txt")
 UNOBSERVABLE = str(FIXTURES / "sls_unobservable.txt")
+UNREACHABLE = str(FIXTURES / "sls_unreachable.txt")
 UNREACHABLE_SIGNAL = str(FIXTURES / "lcn_unreachable_signal.txt")
 SINGLE_INPUT = str(FIXTURES / "lcn_single_input.txt")
 
@@ -147,6 +148,59 @@ def test_attractors_report_pinned_with_two_sinks(capsys):
         ],
         "checked_states": [5, 6],
     }
+
+
+ATTRACTORS_TEXT = """tool: slsnet 0.1.0
+command: attractors
+input: 5d46170a4aaac1fa
+fixed_points: 1 3 4
+cycles:
+  - 2 4 3
+cover:
+  - states: 4
+    kind: fixed point
+    basin: 1 2 3 4
+    steering:
+      1: 2
+      2: 2
+      3: 1 2
+      4: none
+checked_states: 4
+"""
+
+FOT_UNREACHABLE_TEXT = """tool: slsnet 0.1.0
+command: realize fot
+input: ce9f4cd40a7641c4
+realizable: yes
+signals:
+  - signal: 1
+    requirement: inf
+    ok: yes
+    unreachable: no
+    escape_failures: none
+    stay_failures: none
+  - signal: 2
+    requirement: 5
+    ok: yes
+    unreachable: yes
+    escape_failures: none
+    stay_failures: none
+warnings: signal 2 unreachable: no input-state pair produces it
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # a list of dicts (the cover) and an empty steering sequence
+        (("attractors", SLS), ATTRACTORS_TEXT),
+        # empty failure lists print as none
+        (("realize", "fot", UNREACHABLE_SIGNAL, "--durations", "inf,5"), FOT_UNREACHABLE_TEXT),
+    ],
+    ids=["attractors", "realize-fot"],
+)
+def test_text_reports_pinned(capsys, argv, text):
+    assert run(capsys, *argv, "--no-timestamp") == (0, text, "")
 
 
 def test_setreach_one_step(capsys):
@@ -306,19 +360,25 @@ def test_analyze_refuses_horizon_past_budget(capsys, tmp_path):
         check_reachability(merge(desc.sls, desc.net), t_max=40)
 
 
-def test_analyze_refutes_a_structural_negative(capsys):
-    # one coordinate is never observed: the invariant-subspace bound settles
-    # strict observability before horizon 4 instead of walking 2^16
-    # sequences per horizon, with the report the full walk would give
-    code, rep = run_json(capsys, "analyze", "observability", UNOBSERVABLE, "--strict", "--t-max", "16")
+STRUCTURAL_NEGATIVES = [(UNOBSERVABLE, "observability"), (UNREACHABLE, "reachability")]
+
+
+@pytest.mark.parametrize("path, prop", STRUCTURAL_NEGATIVES, ids=["observability", "reachability"])
+def test_analyze_refutes_a_structural_negative(capsys, path, prop):
+    # one coordinate is never observed, or never reached: the
+    # invariant-subspace bound settles the strict search before horizon 4
+    # instead of walking 2^16 sequences per horizon, with the report the
+    # full walk would give
+    code, rep = run_json(capsys, "analyze", prop, path, "--strict", "--t-max", "16")
     assert code == 1
-    assert (rep["observability"]["holds"], rep["observability"]["T"]) == (False, 16)
-    assert rep["observability"]["per_alpha"]["1"] == {"rank": 1, "holds": False}
+    assert (rep[prop]["holds"], rep[prop]["T"]) == (False, 16)
+    assert rep[prop]["per_alpha"]["1"] == {"rank": 1, "holds": False}
 
 
-def test_analyze_refutation_keeps_the_budget_refusal(capsys):
+@pytest.mark.parametrize("path, prop", STRUCTURAL_NEGATIVES, ids=["observability", "reachability"])
+def test_analyze_refutation_keeps_the_budget_refusal(capsys, path, prop):
     # a refuted search still refuses the horizon the walk would refuse
-    code, out, err = run(capsys, "analyze", "observability", UNOBSERVABLE, "--strict", "--t-max", "40")
+    code, out, err = run(capsys, "analyze", prop, path, "--strict", "--t-max", "40")
     assert (code, out) == (3, "")
     assert err == "error: 2^20 sequences exceed the budget of 1000000\n"
 
@@ -419,6 +479,11 @@ def test_exit_code_input_errors(capsys):
     assert "9" in err
     assert run(capsys, "realize", "fot", SLS, "--durations", "2")[0] == 2
     assert run(capsys, "realize", "fot", SLS, "--durations", "2,x")[0] == 2
+    for argv, message in (
+        (("analyze", "all", SLS, "--alphas", "1,x"), "--alphas must be a comma-separated list of integers, got '1,x'"),
+        (("oracle", "ranks", LCN, "--sigmas", "1"), "oracle ranks needs a [modes] section"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_reports_are_deterministic(capsys):

@@ -288,6 +288,14 @@ def test_exact_mode_rejects_decimals():
         # a width too long to print is refused on a line, and never computed
         (lambda t: "[logic]\nk = 2\nstate_nodes = 20000\ninput_nodes = 0\nL = 1 2\n",
          r"line 5: L has 2 entries, expected k\*\*\(state_nodes \+ input_nodes\) = 2\*\*20000"),
+        (lambda t: t.replace("[modes]", "[modes]\nbogus"), r"line 3: expected 'key = value', got 'bogus'"),
+        (lambda t: t.replace("n = 3", "n = three"), r"line \d+: n must be an integer, got 'three'"),
+        (lambda t: t.replace("L = 1 1 2 4 4 4 3 3", "L = 1 1 2 4 4 4 3 x"),
+         r"line \d+: expected a list of integers, got '1 1 2 4 4 4 3 x'"),
+        (lambda t: t.replace("B1 = 1 ; 0 ; 0", "B1 = 1 ; ; 0"), r"line \d+: empty matrix row"),
+        (lambda t: t + FLOAT_OPTIONS + "tolerance = small\n", r"line \d+: tolerance must be a number, got 'small'"),
+        (lambda t: t.split("[logic]")[0], r"^description has no \[logic\] section$"),
+        (lambda t: t.replace("L = 1 1 2 4 4 4 3 3", ""), r"^\[logic\] needs either L or per-node truth tables$"),
     ],
 )
 def test_diagnostics(mangle, fragment):

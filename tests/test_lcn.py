@@ -108,6 +108,17 @@ def test_build_rejects_malformed_tables():
         build_from_functions(2, 1, 1, [[1, 1, 2, 3]])
     with pytest.raises(DimensionError):
         build_from_functions(2, 2, 0, [[1, 2, 1, 2]])
+    with pytest.raises(DimensionError, match="signal table has 2 entries, expected 4"):
+        build_from_functions(2, 1, 1, [[1, 1, 2, 2]], signal_table=[1, 2])
+    # the network itself checks the shapes of L and R
+    l_good, r_good = LogicalMatrix(2, [1, 2, 2, 1]), LogicalMatrix(1, [1] * 4)
+    for l_mat, r_mat, message in (
+        (LogicalMatrix(3, [1, 2, 2, 1]), r_good, "L has 3 rows, expected N=2"),
+        (LogicalMatrix(2, [1, 2]), r_good, r"L has 2 columns, expected M\*N=4"),
+        (l_good, LogicalMatrix(1, [1, 1]), r"R has 2 columns, expected M\*N=4"),
+    ):
+        with pytest.raises(DimensionError, match=message):
+            LogicalNetwork(2, 1, 1, l_mat, r_mat)
 
 
 def test_build_with_signal_table():
@@ -404,6 +415,8 @@ def test_verdict_forms():
 def test_subset_validation():
     with pytest.raises(DimensionError):
         InputStateSubset([], 8)
+    with pytest.raises(DimensionError, match="subset class may not be empty"):
+        SubsetClass([])
     with pytest.raises(DimensionError):
         InputStateSubset([9], 8)
     with pytest.raises(DimensionError):

@@ -305,12 +305,17 @@ def test_system_validation():
     a = Matrix([[1, 0], [0, 1]])
     b = Matrix([[1], [0]])
     c = Matrix([[1, 0]])
-    with pytest.raises(DimensionError):
-        SwitchedLinearSystem([])
-    with pytest.raises(DimensionError):
-        SwitchedLinearSystem([(a, b, c), (Matrix([[1]]), b, c)])
-    with pytest.raises(DimensionError):
-        SwitchedLinearSystem([(a, Matrix([[1]]), c)])
+    wide = Matrix([[1, 0], [0, 1]])
+    for modes, message in (
+        ([], "need at least one mode"),
+        ([(a, b, c), (Matrix([[1]]), b, c)], r"mode 2: A is \(1, 1\), expected 2x2"),
+        ([(a, Matrix([[1]]), c)], "mode 1: B has 1 rows, expected 2"),
+        ([(a, b, c), (a, wide, c)], "mode 2: B has 2 columns, expected 1"),
+        ([(a, b, c), (a, b, Matrix([[1, 0, 0]]))], "mode 2: C has 3 columns, expected 2"),
+        ([(a, b, c), (a, b, wide)], "mode 2: C has 2 rows, expected 1"),
+    ):
+        with pytest.raises(DimensionError, match=message):
+            SwitchedLinearSystem(modes)
 
 
 @pytest.mark.parametrize(
