@@ -189,27 +189,29 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     where spread sets bit gamma*N for every input, so the product copies
     S_t into each input's N-bit block without carries, and emits[sigma]
     marks the pairs emitting sigma. frontier_sizes[t] is the popcount of
-    F_t, and tracking fails at the first empty frontier. An O(q*N + M*N)
-    precomputation gives these masks and, per signal value sigma, the
-    successor mask of each state (the L-targets of its inputs that emit
-    sigma); S_{t+1} is the OR of the successor masks of the members of
-    S_t. Below N/_SPARSE members, S_t is walked bit by bit, one OR per
-    member, by the logical layer's image step (lcn._image). Otherwise it is
-    read as ceil(N/8) bytes, and each byte indexes its 8-state block's
-    table, which holds the OR of the masks selected by every byte value:
-    ceil(N/8) lookups in C. A signal's tables are built by doubling on its
-    first dense step (about 32*N ORs, 0.8 ms at N = 256) and dropped on
-    return. On random masks at N = 64 and 256, a walk step beats a lookup
-    step up to about N/16 members, but a set that turns dense only now and
-    then does not earn the tables back, so _SPARSE is 8 (16 made 800-step
-    benchmark references up to 1.6x slower).
+    F_t, and tracking fails at the first empty frontier. One O(q*N + M*N)
+    walk over L and R, an input's block of N pairs at a time, gives these
+    masks and, per signal value sigma, the successor mask of each state
+    (the L-targets of its inputs that emit sigma); S_{t+1} is the OR of the
+    successor masks of the members of S_t. Below N/_SPARSE members, S_t is
+    walked bit by bit, one OR per member, by the logical layer's image step
+    (lcn._image). Otherwise it is read as ceil(N/8) bytes, and each byte
+    indexes its 8-state block's table, which holds the OR of the masks
+    selected by every byte value: ceil(N/8) lookups in C. A signal's tables
+    are built by doubling on its first dense step (about 32*N ORs, 0.8 ms
+    at N = 256) and dropped on return. On random masks at N = 64 and 256, a
+    walk step beats a lookup step up to about N/16 members, but a set that
+    turns dense only now and then does not earn the tables back, so
+    _SPARSE is 8 (16 made 800-step benchmark references up to 1.6x
+    slower).
 
     Backward pass, on success only: the witness ends at the lowest set bit
-    of F_T. With preimage[theta] the mask of the pairs whose L-target is
-    theta, each earlier pair is the lowest set bit of F_t &
-    preimage[theta_{t+1}], the smallest frontier pair leading to the next
-    pair's state. Only the S_t are kept, and each F_t is formed again on
-    the way back, so the history takes N bits per step, not M*N.
+    of F_T. Each earlier pair is the smallest pair of F_t whose L-target is
+    the next pair's state: the pairs with a given L-target are listed once,
+    in ascending order, and the first that emits sigma_t from a member of
+    S_t is taken, about M tests per step. Only the S_t are kept, so the
+    history takes N bits per step, not M*N, and the lists take O(M*N)
+    space, not a mask of M*N bits per state.
     """
     check_int(problem.theta0, "initial state", 1, net.N)
     reference = problem.reference
@@ -220,42 +222,50 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
 
     N = net.N
     l_target, signal = net.L.col_index, net.R.col_index
+    bits = [1 << theta for theta in range(N)]
     succ = [[0] * N for _ in range(net.q)]
     emits = [0] * net.q
-    for pair, (target, sigma) in enumerate(zip(l_target, signal)):
-        succ[sigma - 1][pair % N] |= 1 << (target - 1)
-        emits[sigma - 1] |= 1 << pair
+    for lo in range(0, len(l_target), N):  # one input's block of pairs
+        block = [0] * net.q  # per signal, the states emitting it there
+        for theta, target, sigma in zip(range(N), l_target[lo : lo + N], signal[lo : lo + N]):
+            succ[sigma - 1][theta] |= bits[target - 1]
+            block[sigma - 1] |= bits[theta]
+        for i, mask in enumerate(block):
+            emits[i] |= mask << lo
     spread = sum(1 << gamma * N for gamma in range(net.M))
 
     tables: dict[int, list[list[int]]] = {}  # per signal value, per block
     width = (N + 7) // 8
+    dense = -(-N // _SPARSE)  # the fewest members a lookup step takes
     states = 1 << (problem.theta0 - 1)
-    history, sizes = [], []
-    for t, sigma in enumerate(reference):
-        if t:
-            prev = reference[t - 1]
-            step_succ = succ[prev - 1]
-            if states.bit_count() * _SPARSE < N:  # few states: visit each
-                states = _image(states, step_succ)
-            else:  # many: one table lookup per byte of S_t
-                if prev not in tables:
-                    tables[prev] = [_or_table(step_succ[c : c + 8]) for c in range(0, N, 8)]
-                states = reduce(or_, map(getitem, tables[prev], states.to_bytes(width, "little")))
-        sizes.append((states * spread & emits[sigma - 1]).bit_count())
-        if not sizes[-1]:
-            return TrackVerdict(False, None, t, tuple(sizes))
+    history, sizes = [states], [(states * spread & emits[reference[0] - 1]).bit_count()]
+    # S_{t+1} from S_t under the signal sigma_t, then F_{t+1}
+    for prev, sigma in zip(reference, reference[1:] if sizes[0] else ()):
+        if states.bit_count() < dense:  # few states: visit each
+            states = _image(states, succ[prev - 1])
+        else:  # many: one table lookup per byte of S_t
+            if prev not in tables:
+                step_succ = succ[prev - 1]
+                tables[prev] = [_or_table(step_succ[c : c + 8]) for c in range(0, N, 8)]
+            states = reduce(or_, map(getitem, tables[prev], states.to_bytes(width, "little")))
+        size = (states * spread & emits[sigma - 1]).bit_count()
+        sizes.append(size)
+        if not size:
+            break
         history.append(states)
+    if not sizes[-1]:
+        return TrackVerdict(False, None, len(sizes) - 1, tuple(sizes))
 
-    preimage = [0] * N
+    into = [[] for _ in range(N)]  # per state, the pairs leading to it
     for pair, target in enumerate(l_target):
-        preimage[target - 1] |= 1 << pair
-    # j is the bit of the pair taken at step t; lead is every pair (-1) at
-    # the last step, then the preimage of the later pair's state
-    chain, lead = [], -1
-    for t in range(len(reference) - 1, -1, -1):
-        hit = history[t] * spread & emits[reference[t] - 1] & lead
-        j = (hit & -hit).bit_length() - 1
-        chain.append(j)
-        lead = preimage[j % N]
+        into[target - 1].append(pair)
+    last = history[-1] * spread & emits[reference[-1] - 1]
+    chain = [(last & -last).bit_length() - 1]  # the pair taken at each step, last first
+    for t in range(len(reference) - 2, -1, -1):
+        states, sigma = history[t], reference[t]
+        for pair in into[chain[-1] % N]:
+            if signal[pair] == sigma and states >> pair % N & 1:
+                break
+        chain.append(pair)
     witness = tuple(j // N + 1 for j in reversed(chain))
     return TrackVerdict(True, witness, None, tuple(sizes))

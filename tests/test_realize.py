@@ -522,6 +522,18 @@ def test_tracking_dies_after_tables_were_built(monkeypatch):
     assert built and set(built) == {8}
 
 
+def test_tracking_keeps_nothing_between_calls(monkeypatch):
+    # each call builds its own tables and leaves the network as it was
+    built = _count_tables(monkeypatch)
+    net = _spread_and_collapse_net()
+    fields = [getattr(net, name) for name in LogicalNetwork.__slots__]
+    problem = TrackingProblem(5, [1] * 10 + [2, 3] + [1] * 10 + [2, 1, 1])
+    assert check_trackable(net, problem) == check_trackable(net, problem)
+    assert built == [8] * 32
+    assert [getattr(net, name) for name in LogicalNetwork.__slots__] == fields
+    assert net == _spread_and_collapse_net()
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
 def test_tracking_monotone_under_preimage_growth(seed):
