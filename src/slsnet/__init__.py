@@ -71,7 +71,6 @@ from .lcn import (
 )
 from .oracle import (
     BudgetExceededError,
-    EnumerationBudget,
     controllability_matrix,
     count_paths,
     enumerate_switching_sequences,

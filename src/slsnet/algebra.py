@@ -19,9 +19,9 @@ Conventions:
   mixing two different float tolerances is refused;
 - every Matrix, LogicalMatrix, BooleanMatrix and Subspace stands on Record
   like the package's records: built by Record's one constructor, which
-  binds values to ``__slots__`` by position or keyword and fills a missing
-  one from the class's ``defaults``; frozen, compared and hashed field by
-  field, so equality is exact (context included) and the hash follows it.
+  binds values to ``__slots__`` by position or keyword; frozen, compared
+  and hashed field by field, so equality is exact (context included) and
+  the hash follows it.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ class Record:
 
     A record lists its fields in ``__slots__``, in constructor order, and
     Record's constructor binds them: positional values in that order, then
-    keyword values by name, then the class keyword ``defaults`` (field ->
-    value) for a field given neither way. A missing, unknown or repeated
-    field, or a surplus value, raises TypeError naming the record. A
+    keyword values by name. A missing, unknown or repeated field, or a
+    surplus value, raises TypeError naming the record. A
     record that checks or derives its fields writes its own ``__init__``,
     which ends in ``super().__init__(...)``. Equality and the hash go field
     by field, leaving out the fields named by the class keyword
@@ -75,12 +74,8 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, hidden=(), uncompared=(), defaults=(), **kwargs):
+    def __init_subclass__(cls, hidden=(), uncompared=(), **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._defaults = dict(defaults)
-        for name in cls._defaults:
-            if name not in cls.__slots__:
-                raise TypeError(f"{cls.__qualname__} has no field {name!r} to default")
         cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
         cls._key = attrgetter(*(name for name in cls.__slots__ if name not in uncompared))
 
@@ -97,13 +92,9 @@ class Record:
                     problem = f"got field {name!r} twice" if name in fields else f"has no field {name!r}"
                     raise TypeError(f"{type(self).__qualname__} {problem}")
             for name in rest:
-                if name in named:
-                    value = named[name]
-                elif name in self._defaults:
-                    value = self._defaults[name]
-                else:
+                if name not in named:
                     raise TypeError(f"{type(self).__qualname__} is missing field {name!r}")
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, named[name])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -468,7 +459,7 @@ def power_reducing_matrix(n: int) -> LogicalMatrix:
 # Boolean matrices
 # ---------------------------------------------------------------------------
 
-class BooleanMatrix(Record, uncompared=("rows", "cols")):
+class BooleanMatrix(Record):
     """Dense {0,1} matrix, multiplied by boolean_product (OR of ANDs)."""
 
     __slots__ = ("rows", "cols", "bits")

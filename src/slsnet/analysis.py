@@ -21,8 +21,9 @@ basins cover the whole state space); strict mode checks all N states
 instead. Searches run breadth-first in the horizon T (default bound:
 the linear state dimension n) and depth-first, lexicographically within
 each T; the reported witness is the shortest, lexicographically first
-one. A search refuses (BudgetExceededError) a horizon that kalman_oracle's
-default enumeration budget would refuse, before walking or skipping it.
+one. A search refuses (BudgetExceededError) a horizon past the
+enumeration budget (oracle.MAX_HORIZON, oracle.MAX_SEQUENCES) before
+walking or skipping it, as kalman_oracle does.
 
 The fold reads the linear part only through the switching signal: the
 nonzero merged block of column (gamma, theta) holds the matrices of the
@@ -75,19 +76,13 @@ walk would.
 
 from __future__ import annotations
 
+import itertools
 from operator import mul
 from typing import Sequence
 
 from .algebra import Record, _contains, _echelon, _span, check_int, hstack, rank as matrix_rank, vstack
 from .lcn import LogicalNetwork, _image, _relation, control_attractors, unchecked_step
-from .oracle import (
-    EnumerationBudget,
-    controllability_matrix,
-    enforce_budget,
-    enumerate_switching_sequences,
-    mode_chain,
-    observability_matrix,
-)
+from .oracle import _simulate, controllability_matrix, enforce_budget, mode_chain, observability_matrix
 from .sls import DualMergedSystem, MergedSystem, _start
 
 PROPERTIES = ("reachability", "controllability", "observability", "reconstructibility")
@@ -460,15 +455,16 @@ def kalman_oracle(
     t_max: int | None = None,
     prop: str = "reachability",
     alphas: Sequence[int] | None = None,
-    budget: EnumerationBudget = EnumerationBudget(),
 ) -> PropertyVerdict:
     """Exhaustive-enumeration verdict from raw mode-matrix rank tests.
 
-    Enumerates every logical input sequence (default: over all initial
-    states), replays the induced switching sequence by direct simulation
-    and applies the classical stacked-matrix criteria. No merged-system
-    machinery is involved: only the input checks (states as in strict
-    mode, the horizon bound) are shared with the searches.
+    Walks every logical input sequence of each horizon in lexicographic
+    order, replays its induced switching sequence from every checked
+    initial state (default: all states) by direct simulation and applies
+    the classical stacked-matrix criteria, stopping at the first sequence
+    that holds everywhere. No merged-system machinery is involved: only
+    the input checks (states as in strict mode, the horizon bound) and the
+    enumeration budget are shared with the searches.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
@@ -491,15 +487,9 @@ def kalman_oracle(
 
     best, best_score = None, -1
     for horizon in range(1, horizon_cap + 1):
-        per_alpha_runs = {
-            a: enumerate_switching_sequences(net, a, horizon, budget) for a in checked
-        }
-        for idx in range(net.M**horizon):
-            details = {}
-            gammas = None
-            for a in checked:
-                gammas, sigmas = per_alpha_runs[a][idx]
-                details[a] = test(sigmas)
+        enforce_budget(net, horizon)
+        for gammas in itertools.product(range(1, net.M + 1), repeat=horizon):
+            details = {a: test(_simulate(net, a, gammas)) for a in checked}
             score = sum(d.holds for d in details.values())
             if score == len(checked):
                 return PropertyVerdict(prop, True, gammas, horizon, details, checked)

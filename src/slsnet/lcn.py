@@ -56,7 +56,7 @@ def decode_pair(index: int, n_states: int) -> tuple[int, int]:
 # Network model
 # ---------------------------------------------------------------------------
 
-class LogicalNetwork(Record, hidden=("N", "M"), uncompared=("N", "M")):
+class LogicalNetwork(Record, hidden=("N", "M")):
     """Logical control network theta(t+1) = L.gamma(t).theta(t), sigma = R.gamma.theta.
 
     N = k**n_nodes and M = k**m_nodes are computed once, at construction.
@@ -327,7 +327,7 @@ class Attractor(Record):
         return self.states[0]
 
 
-class ControlAttractorReport(Record, uncompared=("basins",), defaults={"cover": ()}):
+class ControlAttractorReport(Record, uncompared=("basins",)):
     """`cycles` holds the canonical cycle of each SCC of two or more states;
     `basins` holds the basin of each attractor in `cover`, and no other, as
     attractor states -> {basin state -> steering input sequence}."""

@@ -6,7 +6,8 @@ graph-module code is involved), controllability/observability matrices
 are stacked from the raw mode matrices, and path counting is a plain
 DFS. These are the reference answers the optimized analysis code is
 tested against, so they share nothing with it beyond the exact
-matrix core.
+matrix core and the enumeration budget below, which the property searches
+read too: both refuse the same horizons with the same message.
 """
 
 from __future__ import annotations
@@ -14,21 +15,16 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .algebra import DimensionError, Matrix, Record, check_int, hstack, rank, vstack
+from .algebra import DimensionError, Matrix, check_int, hstack, rank, vstack
 
-
-class EnumerationBudget(Record):
-    """Limits of an enumeration: at most max_sequences input sequences and
-    a horizon of at most max_horizon, both integers >= 1."""
-
-    __slots__ = ("max_sequences", "max_horizon")
-
-    def __init__(self, max_sequences: int = 10**6, max_horizon: int = 32):
-        super().__init__(check_int(max_sequences, "max_sequences"), check_int(max_horizon, "max_horizon"))
+# An enumeration lists at most MAX_SEQUENCES input sequences, over a
+# horizon of at most MAX_HORIZON steps.
+MAX_SEQUENCES = 10**6
+MAX_HORIZON = 32
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
+    """The requested enumeration is larger than the budget."""
 
 
 def _simulate(net, alpha: int, gammas: Sequence[int]) -> tuple[int, ...]:
@@ -43,27 +39,21 @@ def _simulate(net, alpha: int, gammas: Sequence[int]) -> tuple[int, ...]:
     return tuple(sigmas)
 
 
-def enforce_budget(net, horizon: int, budget: EnumerationBudget = EnumerationBudget()) -> None:
-    """Refuse a horizon past budget.max_horizon, or one with more than
-    budget.max_sequences input sequences (M^horizon)."""
-    if horizon > budget.max_horizon:
-        raise BudgetExceededError(
-            f"horizon {horizon} exceeds the budget of {budget.max_horizon}"
-        )
-    if net.M**horizon > budget.max_sequences:
-        raise BudgetExceededError(
-            f"{net.M}^{horizon} sequences exceed the budget of {budget.max_sequences}"
-        )
+def enforce_budget(net, horizon: int) -> None:
+    """Refuse a horizon past MAX_HORIZON, or one with more than
+    MAX_SEQUENCES input sequences (M^horizon)."""
+    if horizon > MAX_HORIZON:
+        raise BudgetExceededError(f"horizon {horizon} exceeds the budget of {MAX_HORIZON}")
+    if net.M**horizon > MAX_SEQUENCES:
+        raise BudgetExceededError(f"{net.M}^{horizon} sequences exceed the budget of {MAX_SEQUENCES}")
 
 
-def enumerate_switching_sequences(
-    net, alpha: int, horizon: int, budget: EnumerationBudget = EnumerationBudget()
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def enumerate_switching_sequences(net, alpha: int, horizon: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All M^T logical input sequences with their induced switching
     sequences from initial state alpha, in lexicographic input order."""
     check_int(alpha, "initial state", 1, net.N)
     check_int(horizon, "horizon")
-    enforce_budget(net, horizon, budget)
+    enforce_budget(net, horizon)
     out = []
     for gammas in itertools.product(range(1, net.M + 1), repeat=horizon):
         out.append((gammas, _simulate(net, alpha, gammas)))
@@ -112,15 +102,10 @@ def obsv_rank(mode_sequence: Sequence[int], sls) -> int:
     return rank(observability_matrix(mode_sequence, sls))
 
 
-def count_paths(
-    net,
-    from_subset: Iterable[int],
-    to_subset: Iterable[int],
-    ell: int,
-    budget: EnumerationBudget = EnumerationBudget(),
-) -> int:
+def count_paths(net, from_subset: Iterable[int], to_subset: Iterable[int], ell: int) -> int:
     """Number of ell-edge walks in the input-state graph between subsets,
-    counted by a DFS on an explicit stack; ell is at most budget.max_horizon.
+    counted by a DFS on an explicit stack; ell is at most MAX_HORIZON, and
+    at most MAX_SEQUENCES walks leave the sources.
 
     Pair (gamma, theta), encoded (gamma-1)*N + theta, steps to
     (gamma', L-target) for every free next input gamma'.
@@ -130,9 +115,9 @@ def count_paths(
     mn = net.M * n_states
     sources = sorted({check_int(i, "input-state index", 1, mn) for i in from_subset})
     targets = {check_int(i, "input-state index", 1, mn) for i in to_subset}
-    if ell > budget.max_horizon:
-        raise BudgetExceededError(f"path length {ell} exceeds the budget of {budget.max_horizon}")
-    if len(sources) * net.M**ell > budget.max_sequences:
+    if ell > MAX_HORIZON:
+        raise BudgetExceededError(f"path length {ell} exceeds the budget of {MAX_HORIZON}")
+    if len(sources) * net.M**ell > MAX_SEQUENCES:
         raise BudgetExceededError("path enumeration exceeds the budget")
     count = 0
     stack = [(src, ell) for src in sources]

@@ -82,7 +82,7 @@ class TrackingProblem(Record):
         super().__init__(theta0, ref)
 
 
-class SignalDiagnostic(Record, defaults={"unreachable": False, "escape_failures": (), "stay_failures": ()}):
+class SignalDiagnostic(Record):
     """Outcome of the stay/escape conditions for one signal value.
 
     Failure tuples hold the input-state pair encodings that violate the
@@ -97,7 +97,7 @@ class SignalDiagnostic(Record, defaults={"unreachable": False, "escape_failures"
         return not self.escape_failures and not self.stay_failures
 
 
-class RealizabilityVerdict(Record, defaults={"warnings": ()}):
+class RealizabilityVerdict(Record):
     __slots__ = ("realizable", "diagnostics", "warnings")
 
 
@@ -127,7 +127,7 @@ def _realizability(net: LogicalNetwork, requirements, needs) -> RealizabilityVer
     for pre in signal_preimages(net):
         sigma = pre.sigma
         if pre.empty:
-            diagnostics.append(SignalDiagnostic(sigma, requirements[sigma - 1], unreachable=True))
+            diagnostics.append(SignalDiagnostic(sigma, requirements[sigma - 1], True, (), ()))
             warnings.append(f"signal {sigma} unreachable: no input-state pair produces it")
             continue
         need_escape, need_stay = needs[sigma - 1]

@@ -32,6 +32,7 @@ from slsnet.algebra import (
     subspace_is_full,
 )
 from slsnet import analysis
+from slsnet import oracle as oracle_module
 from slsnet.analysis import (
     _resolve_alphas,
     _start,
@@ -47,7 +48,7 @@ from slsnet.analysis import (
     switching_trajectory,
 )
 from slsnet.fileio import loads
-from slsnet.lcn import LogicalNetwork, step
+from slsnet.lcn import LogicalNetwork, control_attractors, step
 from slsnet.oracle import (
     controllability_matrix,
     enumerate_switching_sequences,
@@ -1121,6 +1122,65 @@ def test_floor_refuses_a_skipped_horizon_as_the_walk_would(prop, check, merger):
         check(merged, 7, strict=True)
     assert str(refusal.value) == "8^7 sequences exceed the budget of 1000000"
     assert len(merged._folds) == 2
+
+
+# ---------------------------------------------------------------------------
+# Searches against the oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "cover"])
+@pytest.mark.parametrize("prop, check, merger", SIDES, ids=[side[0] for side in SIDES])
+@pytest.mark.parametrize("m_nodes, t_max, message", [
+    (0, 40, "horizon 33 exceeds the budget of 32"),
+    (10, 3, "1024^2 sequences exceed the budget of 1000000"),
+])
+def test_searches_and_oracle_refuse_alike(m_nodes, t_max, message, prop, check, merger, strict):
+    # A = [1], B = [0], C = [0]: every property fails at every horizon, so
+    # each side walks on until the shared budget refuses a horizon. Every
+    # pair steps to state 1, so the cover checks fewer states than strict.
+    sls = SwitchedLinearSystem([(Matrix([[1]]), Matrix([[0]]), Matrix([[0]]))])
+    width = 2 * 2**m_nodes
+    net = LogicalNetwork(2, 1, m_nodes, LogicalMatrix(2, [1] * width), LogicalMatrix(1, [1] * width))
+    cover = control_attractors(net).checked_states()
+    assert cover == (1,)
+    with pytest.raises(BudgetExceededError) as search:
+        check(merger(sls, net), t_max, strict)
+    with pytest.raises(BudgetExceededError) as oracle:
+        kalman_oracle(sls, net, t_max, prop, None if strict else cover)
+    assert str(search.value) == str(oracle.value) == message
+
+
+@pytest.mark.parametrize("constant, value, message", [
+    ("MAX_HORIZON", 2, "horizon 3 exceeds the budget of 2"),
+    ("MAX_SEQUENCES", 7, "2^3 sequences exceed the budget of 7"),
+])
+def test_searches_and_oracle_read_one_budget(monkeypatch, constant, value, message):
+    # Worked system: reachability first holds at T = 3, so a budget that
+    # refuses horizon 3 refuses it on both sides, with the same message.
+    monkeypatch.setattr(oracle_module, constant, value)
+    with pytest.raises(BudgetExceededError) as search:
+        check_reachability(merge(golden_sls(), NET), 5, strict=True)
+    with pytest.raises(BudgetExceededError) as oracle:
+        kalman_oracle(golden_sls(), NET, 5, "reachability")
+    assert str(search.value) == str(oracle.value) == message
+
+
+@pytest.mark.parametrize("alphas, replays", [((4,), 10), (None, 40)], ids=["cover", "strict"])
+def test_oracle_replays_only_what_it_judges(monkeypatch, alphas, replays):
+    # Worked system: reachability holds at T = 3 with witness (1, 2, 2),
+    # after 2 + 4 + 4 input sequences. The oracle replays each of them
+    # once from every checked state, and no sequence past the witness.
+    calls = [0]
+    original = analysis._simulate
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "_simulate", counted)
+    verdict = kalman_oracle(golden_sls(), NET, prop="reachability", alphas=alphas)
+    assert (verdict.holds, verdict.witness, verdict.T) == (True, (1, 2, 2), 3)
+    assert calls[0] == replays
 
 
 # ---------------------------------------------------------------------------

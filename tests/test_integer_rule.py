@@ -40,7 +40,7 @@ from slsnet.lcn import (
     set_reachability_matrix,
     step,
 )
-from slsnet.oracle import EnumerationBudget, count_paths, enumerate_switching_sequences
+from slsnet.oracle import count_paths, enumerate_switching_sequences
 from slsnet.realize import (
     FotSpec,
     TrackingProblem,
@@ -112,8 +112,6 @@ SITES = {
     "count_paths source": (lambda v: count_paths(NET, [v], [1], 1), 1, 8),
     "count_paths target": (lambda v: count_paths(NET, [1], [v], 1), 1, 8),
     "count_paths ell": (lambda v: count_paths(NET, [1], [1], v), 0, None),
-    "EnumerationBudget max_sequences": (lambda v: EnumerationBudget(max_sequences=v), 1, None),
-    "EnumerationBudget max_horizon": (lambda v: EnumerationBudget(max_horizon=v), 1, None),
     "FotSpec duration": (lambda v: FotSpec([v, 2]), 1, None),
     "dwell time": (lambda v: check_dwell_time_realizable(NET, [v, 2]), 1, None),
     "tracking initial state": (lambda v: check_trackable(NET, TrackingProblem(v, [1])), 1, 4),
@@ -182,16 +180,6 @@ def test_tracking_reference_accepts_int_subclasses():
     signal = IntEnum("Signal", ["LOW", "HIGH"])
     problem = TrackingProblem(4, [signal.LOW, signal.HIGH, signal.HIGH])
     assert check_trackable(NET, problem) == check_trackable(NET, TrackingProblem(4, [1, 2, 2]))
-
-
-def test_budget_names_its_field():
-    # a float or bool budget used to reach the messages as "the budget of 2.5"
-    with pytest.raises(DimensionError, match="max_horizon 2.5 is not an integer"):
-        EnumerationBudget(max_horizon=2.5)
-    with pytest.raises(DimensionError, match="max_sequences True is not an integer"):
-        EnumerationBudget(max_sequences=True)
-    with pytest.raises(DimensionError, match="max_horizon '9' is not an integer"):
-        EnumerationBudget(max_horizon="9")
 
 
 @pytest.mark.parametrize("tol", [True, False, "1e-9", 1j, [1e-9]])

@@ -13,7 +13,6 @@ from slsnet.algebra import DimensionError, Matrix, rank
 from slsnet.fileio import loads
 from slsnet.oracle import (
     BudgetExceededError,
-    EnumerationBudget,
     controllability_matrix,
     count_paths,
     enumerate_switching_sequences,
@@ -66,11 +65,12 @@ def test_enumeration_matches_stepwise_replay():
 
 
 def test_enumeration_budget():
-    net = golden_net()
-    with pytest.raises(BudgetExceededError, match=r"2\^3 sequences exceed the budget of 7"):
-        enumerate_switching_sequences(net, 1, 3, EnumerationBudget(max_sequences=7))
-    with pytest.raises(BudgetExceededError, match="horizon 5 exceeds the budget of 4"):
-        enumerate_switching_sequences(net, 1, 5, EnumerationBudget(max_horizon=4))
+    # the sequence budget binds first on two inputs, the horizon budget on one
+    with pytest.raises(BudgetExceededError, match=r"^2\^20 sequences exceed the budget of 1000000$"):
+        enumerate_switching_sequences(golden_net(), 1, 20)
+    net = loads((FIXTURES / "lcn_single_input.txt").read_text()).net
+    with pytest.raises(BudgetExceededError, match="^horizon 33 exceeds the budget of 32$"):
+        enumerate_switching_sequences(net, 1, 33)
 
 
 def test_controllability_matrix_layout():
@@ -148,19 +148,15 @@ def test_count_paths_total_is_m_power_ell():
 
 def test_count_paths_budget():
     net = golden_net()
-    with pytest.raises(BudgetExceededError):
-        count_paths(net, [1, 2], [3], 4, EnumerationBudget(max_sequences=10))
+    with pytest.raises(BudgetExceededError, match="^path enumeration exceeds the budget$"):
+        count_paths(net, [1, 2], [3], 19)
 
 
 def test_count_paths_single_input_honours_the_horizon_budget():
     # with M = 1 one walk leaves each pair, so the sequence budget never
-    # binds: the horizon budget refuses a long walk before it starts, and
-    # a walk the caller allows runs without a frame per step
+    # binds: the horizon budget refuses a long walk before it starts
     net = loads((FIXTURES / "lcn_single_input.txt").read_text()).net
     assert net.M == 1
     assert [count_paths(net, [1], [1], ell) for ell in (31, 32)] == [0, 1]
     with pytest.raises(BudgetExceededError, match="path length 33 exceeds the budget of 32"):
         count_paths(net, [1], [1], 33)
-    budget = EnumerationBudget(max_horizon=5000)
-    assert count_paths(net, [1], [1], 5000, budget) == 1
-    assert count_paths(net, [1, 2], [2], 4999, budget) == 1

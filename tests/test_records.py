@@ -23,7 +23,6 @@ from slsnet.lcn import (
     SetReachabilityVerdicts,
     SubsetClass,
 )
-from slsnet.oracle import EnumerationBudget
 from slsnet.realize import (
     INFINITY,
     FotSpec,
@@ -104,22 +103,23 @@ CASES = [
     (
         ControlAttractorReport,
         ((Attractor((1,), (2,)),), (), {(1,): {1: ()}}, ()),
-        {"fixed_points": (Attractor((1,), (2,)),), "cycles": (), "basins": {(1,): {1: ()}}},
+        {"fixed_points": (Attractor((1,), (2,)),), "cycles": (), "basins": {(1,): {1: ()}}, "cover": ()},
         ((Attractor((1,), (2,)),), (), {(1,): {1: ()}}, (Attractor((1,), (2,)),)),
         "ControlAttractorReport(fixed_points=(Attractor(states=(1,), inputs=(2,)),), cycles=(), "
         "basins={(1,): {1: ()}}, cover=())",
         True,
     ),
-    (EnumerationBudget, (10**6, 32), {}, (10**6, 31),
-     "EnumerationBudget(max_sequences=1000000, max_horizon=32)", True),
     (FotSpec, ((1, INFINITY),), {"durations": [1, INFINITY]}, ((1, 2),), "FotSpec(durations=(1, inf))", True),
     (SignalPreimage, (1, (1, 2)), {"sigma": 1, "members": (1, 2)}, (2, (1, 2)),
      "SignalPreimage(sigma=1, members=(1, 2))", True),
     (TrackingProblem, (1, [1, 2]), {"theta0": 1, "reference": (1, 2)}, (1, [1, 1]),
      "TrackingProblem(theta0=1, reference=(1, 2))", True),
-    (SignalDiagnostic, (1, 2, False, (), ()), {"sigma": 1, "requirement": 2}, (1, 2, False, (), (3,)),
+    (SignalDiagnostic, (1, 2, False, (), ()),
+     {"sigma": 1, "requirement": 2, "unreachable": False, "escape_failures": (), "stay_failures": ()},
+     (1, 2, False, (), (3,)),
      "SignalDiagnostic(sigma=1, requirement=2, unreachable=False, escape_failures=(), stay_failures=())", True),
-    (RealizabilityVerdict, (True, (), ()), {"realizable": True, "diagnostics": ()}, (True, (), ("w",)),
+    (RealizabilityVerdict, (True, (), ()), {"realizable": True, "diagnostics": (), "warnings": ()},
+     (True, (), ("w",)),
      "RealizabilityVerdict(realizable=True, diagnostics=(), warnings=())", True),
     (TrackVerdict, (True, (1,), None, (1, 1)),
      {"trackable": True, "witness": (1,), "failed_at": None, "frontier_sizes": (1, 1)},
@@ -192,25 +192,25 @@ def test_constructor_refuses_unknown_and_surplus_arguments(cls, args, kwargs, ot
         cls(*args, None, None, None, None, None, None)
     with pytest.raises(TypeError, match=rf"{name}\b.*'{first}'"):
         cls(args[0], **{first: args[0]})  # named twice, not missing the rest
-    if cls not in (Numeric, EnumerationBudget):  # the records whose every field has a default
+    if cls is not Numeric:  # the record whose every field has a default
         with pytest.raises(TypeError, match=rf"{name}\b.*'{first}'"):
             cls()
 
 
 def test_defaults():
     assert Numeric() == Numeric(None) and Numeric().tol is None
-    assert EnumerationBudget() == EnumerationBudget(max_sequences=10**6, max_horizon=32)
-    assert EnumerationBudget(max_horizon=5) == EnumerationBudget(10**6, 5)
     assert SystemDescription(golden_net()) == SystemDescription(golden_net(), None, None)
-    assert ControlAttractorReport((), (), {}) == ControlAttractorReport((), (), {}, ())
-    assert SignalDiagnostic(1, 2) == SignalDiagnostic(1, 2, False, (), ())
-    assert RealizabilityVerdict(True, ()) == RealizabilityVerdict(True, (), ())
 
 
-def test_a_default_must_name_a_field():
-    with pytest.raises(TypeError, match=r"X has no field 'nope'"):
-        class X(Record, defaults={"nope": 1}):
-            __slots__ = ("a",)
+@pytest.mark.parametrize("cls, args, first", [
+    (SignalDiagnostic, (1, 2), "unreachable"),
+    (RealizabilityVerdict, (True, ()), "warnings"),
+    (ControlAttractorReport, ((), (), {}), "cover"),
+], ids=["SignalDiagnostic", "RealizabilityVerdict", "ControlAttractorReport"])
+def test_an_omitted_field_is_refused(cls, args, first):
+    # only a record's own signature gives a field a default
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} is missing field '{first}'$"):
+        cls(*args)
 
 
 def test_network_sizes_are_derived_not_given():
