@@ -32,18 +32,23 @@ mode sequence it induces alone. A merged system therefore keeps one memo,
 mode sequence -> (R, D), and a walk carries per checked state only its
 logical state and mode sequence.
 
-Every query runs its own search over that memo: each horizon's input
-sequences are walked depth-first, each prefix advanced once from its
-parent, and each distinct mode sequence met is judged once per query.
-The feasible list is the reachability search in collecting mode: it walks
-on to the end of the witness level and keeps every sequence that holds at
-every checked state, the witness first. Queries share only the memo, so
-the two checks of a side, the collecting search and any later query on
-the same merged system fold each mode sequence at most once, whatever the
-checked states and in any order, and no verdict depends on what was
-asked before. Neither judgment runs an elimination: the rank is the
-number of rows, and containment is read off them with weights scaled by
-the lcm of the pivots (algebra._contains).
+A search walks each horizon's input sequences depth-first, each prefix
+advanced once from its parent, and judges each distinct mode sequence it
+meets once. The feasible list is the reachability search in collecting
+mode: it walks on to the end of the witness level and keeps every
+sequence that holds at every checked state, the witness first. A search
+is fixed by its kind (after the reduction below) and its checked states,
+so a merged system runs each (kind, checked states) search once and
+records how far it got: a later query reads its verdict, resumes it at
+a larger horizon, or, for the feasible list, re-walks the witness level
+alone. A query with a horizon short of the record walks afresh. So the
+two checks of a side, the collecting search and any later query on the
+same merged system fold each mode sequence at most once, whatever the
+checked states and in any order, and every answer is a fresh walk's: no
+verdict depends on what was asked before. Neither judgment runs an
+elimination: the rank is the number of rows, and containment is read
+off them with weights scaled by the lcm of the pivots
+(algebra._contains).
 
 Controllability and reconstructibility (kind 1) hold when im D lies in
 the span, and D is a product of emitted A's. When every emitted A is
@@ -352,7 +357,14 @@ def _search(ms, prop, t_max, strict, alphas, collect=False) -> tuple[PropertyVer
     without a witness, per_alpha is the first highest-scoring sequence's.
     Returns the verdict and the sequences found that hold at every checked
     alpha: the witness alone, or with collect every one on its level, in
-    walk order; none for a negative verdict."""
+    walk order; none for a negative verdict.
+
+    The merged system records the search of each (kind, checked states)
+    after every horizon: (horizon walked to W, best details, best score,
+    witness or None). A recorded witness at W <= t_max answers at once, or
+    with collect walks level W alone; a negative at W <= t_max resumes at
+    W + 1. A query whose t_max falls short of the record walks afresh and
+    leaves the record as it is."""
     _side(ms, f"check_{prop}", PROPERTIES.index(prop) > 1)
     checked = _checked(ms, strict, alphas)
     t_max = _horizon(t_max, ms.sls.n)
@@ -360,26 +372,33 @@ def _search(ms, prop, t_max, strict, alphas, collect=False) -> tuple[PropertyVer
     if kind and tol is None and _nonsingular(ms):
         kind = 0  # im D is full, so it lies in the span iff the span is full
     width = ms.modes[0][1].cols
-    judged, best, best_score, found = {}, None, -1, []
-    for horizon in range(1, t_max + 1):
+    key, judged, found = (kind, checked), {}, []
+    walked, best, best_score, witness = ms._outcomes.get(key, (0, None, -1, None))
+    first = walked + (witness is None)
+    if walked > t_max:  # short of the record: walk afresh, leaving it as it is
+        first, best, best_score = 1, None, -1
+    elif witness is not None and not collect:
+        return PropertyVerdict(prop, True, witness, walked, _per_alpha(checked, best), checked), [witness]
+    for horizon in range(first, t_max + 1):
         enforce_budget(ms.net, horizon)
         # the floor and the bound (see the module docstring): every score stays 0
-        if best_score == 0 and kind == 0 and (horizon * width < n or _refuted(ms, checked, horizon)):
-            continue
-        for gammas, states in _candidates(ms, checked, horizon):
-            details, score = [], 0
-            for _, sigmas in states:
-                detail = judged.get(sigmas)
-                if detail is None:
-                    detail = judged[sigmas] = _detail(kind, n, tol, folds[sigmas])
-                details.append(detail)
-                score += detail[1]  # whether the property holds
-            if score > best_score:  # the first sequence to hold everywhere stays best
-                best, best_score = details, score
-            if score == len(checked):
-                found.append(gammas)
-                if not collect:
-                    break
+        if not (best_score == 0 and kind == 0 and (horizon * width < n or _refuted(ms, checked, horizon))):
+            for gammas, states in _candidates(ms, checked, horizon):
+                details, score = [], 0
+                for _, sigmas in states:
+                    detail = judged.get(sigmas)
+                    if detail is None:
+                        detail = judged[sigmas] = _detail(kind, n, tol, folds[sigmas])
+                    details.append(detail)
+                    score += detail[1]  # whether the property holds
+                if score > best_score:  # the first sequence to hold everywhere stays best
+                    best, best_score = details, score
+                if score == len(checked):
+                    found.append(gammas)
+                    if not collect:
+                        break
+        if horizon > walked:
+            ms._outcomes[key] = horizon, best, best_score, found[0] if found else None
         if found:
             return PropertyVerdict(prop, True, found[0], horizon, _per_alpha(checked, best), checked), found
     return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, best), checked), found

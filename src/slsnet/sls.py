@@ -101,8 +101,11 @@ class SwitchedLinearSystem(Record):
 # ---------------------------------------------------------------------------
 
 def _start(ms):
-    """Fold of the empty mode sequence: (no span rows, the identity's columns)."""
-    return (), Matrix.identity(ms.sls.n, ms.sls.mode_flag).entries
+    """Fold of the empty mode sequence: (no span rows, the identity's columns),
+    with entries of the system's kind, as Matrix.identity builds them."""
+    one, zero = (1, 0) if ms.sls.mode_flag.tol is None else (1.0, 0.0)
+    n = ms.sls.n
+    return (), tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 class _MergedBase:
@@ -114,7 +117,7 @@ class _MergedBase:
     system holds its memos, so it is not a record: it compares by identity.
     """
 
-    __slots__ = ("sls", "net", "modes", "_folds", "_cover", "_bound")
+    __slots__ = ("sls", "net", "modes", "_folds", "_outcomes", "_cover", "_bound")
 
     def __init__(self, sls, net, modes):
         if net.q != sls.q:
@@ -130,6 +133,11 @@ class _MergedBase:
         # A fold depends on its mode sequence alone, so threads that fold one
         # sequence at once store equal values.
         object.__setattr__(self, "_folds", {(): _start(self)})
+        # the searches run so far, (kind, checked states) -> (horizon walked
+        # to, best details, best score, witness or None) (see analysis._search):
+        # a search runs once per merged system, and a later query reads or
+        # resumes it, so its answer is a fresh walk's in any order of queries
+        object.__setattr__(self, "_outcomes", {})
         # the attractor cover's checked states, built on the first cover request
         object.__setattr__(self, "_cover", None)
         # the searches' refutation bound (see analysis._invariant_bound): the

@@ -353,8 +353,8 @@ def test_merged_system_of_the_other_side_is_refused(name):
     ms = wrong(golden_sls(), NET)
     with pytest.raises(TypeError, match=rf"^{name} needs {right}\(sls, net\), not {type(ms).__name__}$"):
         query(ms)
-    # refused before any fold or cover is built
-    assert list(ms._folds) == [()] and ms._cover is None
+    # refused before any fold, cover or search record is built
+    assert list(ms._folds) == [()] and ms._cover is None and ms._outcomes == {}
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +369,20 @@ def _float_copy(sls):
     return SwitchedLinearSystem(
         [tuple(Matrix(x.entries, LOOSE) for x in mode) for mode in sls.modes]
     )
+
+
+@pytest.mark.parametrize("mode", [Numeric(), LOOSE], ids=["exact", "float"])
+@pytest.mark.parametrize("merger", [merge, merge_dual])
+def test_start_is_the_identity(mode, merger):
+    # the empty sequence's fold: no span rows and the identity's columns,
+    # entry for entry and type for type as Matrix.identity builds them
+    for n in (1, 3):
+        a = Matrix.identity(n, mode)
+        sls = SwitchedLinearSystem([(a, Matrix.zeros(n, 1, mode), Matrix.zeros(1, n, mode))] * 2)
+        span, chain = _start(merger(sls, NET))
+        want = Matrix.identity(n, mode).entries
+        assert (span, chain) == ((), want)
+        assert [list(map(type, row)) for row in chain] == [list(map(type, row)) for row in want]
 
 
 def _assert_context(merged, mode):
@@ -698,13 +712,16 @@ def test_cover_built_once_per_merged_system(monkeypatch):
 
 
 def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
-    # Worked system, strict: every property holds at T = 3. A query judges
-    # each distinct mode sequence it meets once, however many (checked
-    # state, leaf) pairs induce it, and the next query judges afresh. The
-    # count comes from the network alone: the mode sequences of the leaves
-    # in search order up to the witness, from every state, on the horizons
-    # the search walks: horizon 1 and every T with T width >= n (every A is
-    # nonsingular, so the floor skips the others on both kinds).
+    # Worked system, strict: every property holds at T = 3. The first query
+    # of a (kind, checked states) on a merged system judges each distinct
+    # mode sequence it meets once, however many (checked state, leaf) pairs
+    # induce it. The count comes from the network alone: the mode sequences
+    # of the leaves in search order up to the witness, from every state, on
+    # the horizons the search walks: horizon 1 and every T with T width >= n
+    # (every A is nonsingular, so the floor skips the others on both kinds).
+    # The merged system keeps that search, so a repeat, and the other check
+    # of the side (decided as the same kind-0 search), walk and judge
+    # nothing and give the answer of a fresh merged system.
     calls = [0]
     original = analysis._detail
 
@@ -714,21 +731,93 @@ def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
 
     monkeypatch.setattr(analysis, "_detail", counted)
     sls = golden_sls()
-    ms, dms = merge(sls, NET), merge_dual(sls, NET)
-    pairs = (
-        (check_reachability, ms),
-        (check_controllability, ms),
-        (check_observability, dms),
-        (check_reconstructibility, dms),
-    )
-    for check, merged in pairs * 2:
-        calls[0] = 0
-        v = check(merged, strict=True)
-        walked = [t for t in range(1, v.T + 1) if t == 1 or t * merged.modes[0][1].cols >= sls.n]
-        leaves = [g for t in walked for g in itertools.product((1, 2), repeat=t)]
-        leaves = leaves[: leaves.index(v.witness) + 1]
-        sequences = {switching_trajectory(NET, a, g)[0] for a in v.checked_alphas for g in leaves}
-        assert calls[0] == len(sequences) < len(v.checked_alphas) * len(leaves), check
+    for kind, (_, check, merger) in enumerate(SIDES):
+        partner = SIDES[kind ^ 1][1]
+        merged = merger(sls, NET)
+        with _watched() as (_, walked):
+            calls[0] = 0
+            v = check(merged, strict=True)
+            horizons = [t for t in range(1, v.T + 1) if t == 1 or t * merged.modes[0][1].cols >= sls.n]
+            assert walked == horizons, check
+            leaves = [g for t in horizons for g in itertools.product((1, 2), repeat=t)]
+            leaves = leaves[: leaves.index(v.witness) + 1]
+            sequences = {switching_trajectory(NET, a, g)[0] for a in v.checked_alphas for g in leaves}
+            assert calls[0] == len(sequences) < len(v.checked_alphas) * len(leaves), check
+            want = partner(merger(sls, NET), strict=True)
+            walked.clear()
+            calls[0] = 0
+            assert check(merged, strict=True) == v, check
+            assert partner(merged, strict=True) == want, check
+            assert (walked, calls[0]) == ([], 0), check
+
+
+@given(st.integers(0, 10**6))
+@example(103)  # a negative recorded past t_max = 1 whose best improves after horizon 1
+@settings(max_examples=25, deadline=None)
+def test_recorded_searches_answer_as_fresh_walks(seed):
+    # A merged system records each (kind, checked states) search, and a
+    # later query reads or resumes it. Random runs of queries on one shared
+    # pair of merged systems: the four checks and the feasible list, in
+    # strict, cover and explicit-state mode, with repeats and a smaller
+    # horizon before or after a larger one; each answer must equal the same
+    # call on fresh merged systems. n 2-4, m and p 1-2, M 2 or 4; half the systems emit a
+    # nilpotent A, exact and float. Only an exact kind-1 search with every
+    # emitted A nonsingular is the kind-0 search: elsewhere kind 1 keeps its
+    # own record, and its first query of a checked set walks from horizon 1.
+    rng = random.Random(seed)
+    n, m, p = rng.randint(2, 4), rng.randint(1, 2), rng.randint(1, 2)
+    n_nodes, m_nodes = rng.choice([(1, 1), (2, 1)] + ([(1, 2)] if n < 4 else []))
+    q = rng.randint(1, 3)
+
+    def rand(rows, cols):
+        return Matrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+
+    modes = [(rand(n, n), rand(n, m), rand(p, n)) for _ in range(q)]
+    if rng.random() < 0.5:
+        shift = Matrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+        modes[rng.randrange(q)] = (shift, rand(n, m), rand(p, n))
+    sls = SwitchedLinearSystem(modes)
+    net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
+    nonsingular = all(rank(modes[s - 1][0]) == n for s in set(net.R.col_index))
+    names = [*CHECKS, "feasible"]
+    queries = []
+    for _ in range(8):
+        name = rng.choice(names)
+        checked = rng.choice([
+            {},
+            {"strict": True},
+            {"alphas": tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))},
+        ])
+        t_max = rng.randint(1, n)
+        pair = [(name, t_max, checked), (rng.choice(names), t_max + rng.randint(1, 2), checked)]
+        queries += pair if rng.random() < 0.5 else pair[::-1]
+    queries += rng.sample(queries, 4)  # repeats
+    for system in (sls, _float_copy(sls)):
+        exact = system.mode_flag.tol is None
+        shared = {merge: merge(system, net), merge_dual: merge_dual(system, net)}
+        keys = {merge: {}, merge_dual: {}}
+        with _watched() as (_, walked):
+            for name, t_max, checked in queries:
+                prop = "reachability" if name == "feasible" else name
+                kind = 0 if exact and nonsingular else analysis.PROPERTIES.index(prop) % 2
+                merger = merge_dual if prop in ("observability", "reconstructibility") else merge
+                query = (
+                    (lambda ms: feasible_input_sequences(ms, t_max, **checked))
+                    if name == "feasible" else (lambda ms: CHECKS[name](ms, t_max, **checked))
+                )
+                want = query(merger(system, net))
+                walked.clear()
+                tag = (name, t_max, checked, exact, seed)
+                assert query(shared[merger]) == want, tag
+                key = (kind, _resolve_alphas(net, checked.get("strict", False), checked.get("alphas")))
+                if key not in keys[merger]:
+                    assert walked[:1] == [1], tag
+                # the record is no shorter than before
+                horizon = shared[merger]._outcomes[key][0]
+                assert horizon >= keys[merger].get(key, 0), tag
+                keys[merger][key] = horizon
+        for merger, merged in shared.items():
+            assert set(merged._outcomes) == set(keys[merger]), seed
 
 
 def test_memo_survives_a_refusal():
@@ -956,6 +1045,10 @@ def test_refuted_verdicts_match_oracle(seed):
     # nonsingular, so on both kinds): either the bound refutes, or the
     # floor skips every horizon from 2 on, so no draw walks its last
     # horizon; and m = p = 1, so no horizon 2 <= h < n is ever walked.
+    # Each of these searches runs on a fresh merged system; on one shared
+    # per side, the kind-1 query after the kind-0 one (the same search)
+    # walks nothing and gives the same whole verdict, and the feasible list
+    # walks the witness level alone, or nothing for a negative.
     rng = random.Random(seed)
     n, n_nodes, m_nodes, q = rng.choice(STRUCTURAL_SHAPES)
     reach_ok, obs_ok = rng.choice([(False, True), (True, False), (False, False)])
@@ -966,10 +1059,10 @@ def test_refuted_verdicts_match_oracle(seed):
     with _watched() as (tried, walked):
         for checked in ({"strict": True}, {}, {"alphas": explicit}):
             merged = {merger: merger(sls, net) for merger in (merge, merge_dual)}
-            for prop, check, merger in SIDES:
+            for kind, (prop, check, merger) in enumerate(SIDES):
                 tried.clear()
                 walked.clear()
-                mine = check(merged[merger], t_max, **checked)
+                mine = check(merger(sls, net), t_max, **checked)
                 ref = kalman_oracle(sls, net, t_max, prop, alphas=mine.checked_alphas)
                 tag = (prop, checked, seed)
                 assert (mine.holds, mine.witness, mine.T) == (ref.holds, ref.witness, ref.T), tag
@@ -979,7 +1072,15 @@ def test_refuted_verdicts_match_oracle(seed):
                     assert tried[-1:] == [True] or walked == [1], tag
                     assert t_max not in walked, tag
                     assert not [h for h in walked if 1 < h < n], tag  # m = p = 1: the floor's horizons
+                tried.clear()
+                walked.clear()
+                assert check(merged[merger], t_max, **checked) == mine, tag
+                if kind % 2:
+                    assert (tried, walked) == ([], []), tag
+            reach = check_reachability(merged[merge], t_max, **checked)
+            walked.clear()
             feasible = feasible_input_sequences(merged[merge], t_max, **checked)
+            assert walked == ([reach.T] if reach.holds else []), seed
             alphas = _resolve_alphas(net, checked.get("strict", False), checked.get("alphas"))
             assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas, t_max), seed
 
@@ -1061,7 +1162,11 @@ def test_floor_verdicts_match_oracle(seed):
     # enumeration's, and the search walks exactly the horizons the rule
     # leaves, cut short only where the exact bound refutes. In exact mode
     # with every emitted A nonsingular, the kind-1 verdict is the same
-    # side's kind-0 verdict under its own name.
+    # side's kind-0 verdict under its own name. Each of these searches runs
+    # on a fresh merged system; on one shared per side, the kind-1 query
+    # after the kind-0 one walks nothing exactly when it is that search, and
+    # the feasible list walks the witness level alone, or nothing for a
+    # negative.
     rng = random.Random(seed)
     n, m, p = rng.randint(2, 4), rng.randint(1, 2), rng.randint(1, 2)
     n_nodes, m_nodes = rng.choice([(1, 0), (1, 1), (2, 1)])
@@ -1088,7 +1193,7 @@ def test_floor_verdicts_match_oracle(seed):
                 for kind, (prop, check, merger) in enumerate(SIDES):
                     tried.clear()
                     walked.clear()
-                    mine = check(merged[merger], t_max, **checked)
+                    mine = check(merger(system, net), t_max, **checked)
                     verdicts.append(mine)
                     tag = (prop, exact, checked, seed)
                     assert mine == kalman_oracle(sls, net, t_max, prop, alphas=mine.checked_alphas), tag
@@ -1101,7 +1206,14 @@ def test_floor_verdicts_match_oracle(seed):
                     assert walked == (left[: len(walked)] if tried[-1:] == [True] else left), tag
                     if kind % 2 and not nonsingular:
                         assert walked == list(range(1, mine.T + 1)), tag
+                    walked.clear()
+                    assert check(merged[merger], t_max, **checked) == mine, tag
+                    if kind % 2:
+                        assert (walked == []) is (exact and nonsingular), tag
+                reach = check_reachability(merged[merge], t_max, **checked)
+                walked.clear()
                 feasible = feasible_input_sequences(merged[merge], t_max, **checked)
+                assert walked == ([reach.T] if reach.holds else []), tag
                 alphas = _resolve_alphas(net, checked.get("strict", False), checked.get("alphas"))
                 assert [f.gammas for f in feasible] == _full_rank_sequences(sls, net, alphas, t_max), tag
 
