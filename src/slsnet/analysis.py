@@ -34,29 +34,30 @@ logical state and mode sequence.
 
 A search walks each horizon's input sequences depth-first, each prefix
 advanced once from its parent, and judges each distinct mode sequence it
-meets once. The feasible list is the reachability search in collecting
-mode: it walks on to the end of the witness level and keeps every
-sequence that holds at every checked state, the witness first. A search
-is fixed by its kind (after the reduction below) and its checked states,
-so a merged system runs each (kind, checked states) search once and
-records how far it got: a later query reads its verdict, resumes it at
-a larger horizon, or, for the feasible list, re-walks the witness level
-alone. A query with a horizon short of the record walks afresh. So the
-two checks of a side, the collecting search and any later query on the
+meets once. A search is fixed by its kind (after the reduction below) and
+its checked states, and a merged system keeps its levels: level h holds
+horizon h's first highest-scoring details, their score, and its first
+sequence that holds at every checked state, or none. A query reads levels
+1..t_max in order and walks only those not yet recorded, so a recorded
+witness answers at once, a larger t_max extends the levels and a smaller
+one reads them. So the two checks of a side and any later query on the
 same merged system fold each mode sequence at most once, whatever the
 checked states and in any order, and every answer is a fresh walk's: no
-verdict depends on what was asked before. Neither judgment runs an
-elimination: the rank is the number of rows, and containment is read
-off them with weights scaled by the lcm of the pivots
-(algebra._contains).
+verdict depends on what was asked before. The feasible list is the
+reachability verdict and one more walk of its witness level, keeping
+every sequence that holds at every checked state, the witness first; its
+folds are memoised, so it only judges again. Neither judgment runs an
+elimination: the rank is the number of rows, and containment is read off
+them with weights scaled by the lcm of the pivots (algebra._contains).
 
 Controllability and reconstructibility (kind 1) hold when im D lies in
 the span, and D is a product of emitted A's. When every emitted A is
 nonsingular im D is full, so an exact kind-1 search is decided as
 reachability or observability (kind 0): the same judgments, under its
-own property name. A tolerance could pass containment for a nearly
-singular D, so a float kind-1 search stays kind 1, as does one where
-some emitted A is singular, and both walk every horizon.
+own property name; a merged system decides this once, when it is built.
+A tolerance could pass containment for a nearly singular D, so a float
+kind-1 search stays kind 1, as does one where some emitted A is
+singular, and both walk every horizon.
 
 Two rules let a kind-0 search skip a horizon h >= 2 while its best score
 is 0; every score there would be 0, so the verdict, witness, T,
@@ -317,12 +318,6 @@ def _invariant_bound(ms) -> int:
     return sum(1 << i for i, span in enumerate(spans) if len(span) == n)
 
 
-def _nonsingular(ms) -> bool:
-    """Whether every A that R emits is nonsingular: at most q exact eliminations."""
-    n = ms.sls.n
-    return all(len(_echelon(ms.modes[s - 1][0].entries, None)) == n for s in set(ms.net.R.col_index))
-
-
 def _bound_refutes(ms, checked) -> bool:
     """Whether the bound, built on the first call, shows that no sequence
     of one or more inputs holds a full span at any checked state (see the
@@ -350,58 +345,58 @@ def _refuted(ms, checked, horizon: int) -> bool:
     return _bound_refutes(ms, checked)
 
 
-def _search(ms, prop, t_max, strict, alphas, collect=False) -> tuple[PropertyVerdict, list]:
-    """Breadth-first in T, lexicographic in the input tuple; one sequence
-    must pass at every checked alpha. Each distinct mode sequence is judged
-    once per query, however many (sequence, checked state) pairs induce it;
-    without a witness, per_alpha is the first highest-scoring sequence's.
-    Returns the verdict and the sequences found that hold at every checked
-    alpha: the witness alone, or with collect every one on its level, in
-    walk order; none for a negative verdict.
+def _level(ms, kind, checked, horizon, collect=False):
+    """Walk one horizon, lexicographic in the input tuple, judging each
+    distinct mode sequence once, however many (sequence, checked state)
+    pairs induce it. Returns the first highest-scoring details, their score
+    and the sequences that hold at every checked alpha, in walk order: the
+    first alone, or with collect every one."""
+    n, tol, folds = ms.sls.n, ms.sls.mode_flag.tol, ms._folds
+    judged, best, best_score, found = {}, None, -1, []
+    for gammas, states in _candidates(ms, checked, horizon):
+        details, score = [], 0
+        for _, sigmas in states:
+            detail = judged.get(sigmas)
+            if detail is None:
+                detail = judged[sigmas] = _detail(kind, n, tol, folds[sigmas])
+            details.append(detail)
+            score += detail[1]  # whether the property holds
+        if score > best_score:  # the first sequence to hold everywhere stays best
+            best, best_score = details, score
+        if score == len(checked):
+            found.append(gammas)
+            if not collect:
+                break
+    return best, best_score, found
 
-    The merged system records the search of each (kind, checked states)
-    after every horizon: (horizon walked to W, best details, best score,
-    witness or None). A recorded witness at W <= t_max answers at once, or
-    with collect walks level W alone; a negative at W <= t_max resumes at
-    W + 1. A query whose t_max falls short of the record walks afresh and
-    leaves the record as it is."""
+
+def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
+    """Breadth-first in T; one sequence must pass at every checked alpha,
+    and without one per_alpha is the first highest-scoring sequence's. The
+    merged system keeps each (kind, checked states) search's levels, horizon
+    -> _level's answer: a query reads levels 1..t_max and walks only those
+    not yet recorded, and a level the floor or the bound skips is score 0."""
     _side(ms, f"check_{prop}", PROPERTIES.index(prop) > 1)
     checked = _checked(ms, strict, alphas)
     t_max = _horizon(t_max, ms.sls.n)
-    kind, n, tol, folds = PROPERTIES.index(prop) % 2, ms.sls.n, ms.sls.mode_flag.tol, ms._folds
-    if kind and tol is None and _nonsingular(ms):
-        kind = 0  # im D is full, so it lies in the span iff the span is full
-    width = ms.modes[0][1].cols
-    key, judged, found = (kind, checked), {}, []
-    walked, best, best_score, witness = ms._outcomes.get(key, (0, None, -1, None))
-    first = walked + (witness is None)
-    if walked > t_max:  # short of the record: walk afresh, leaving it as it is
-        first, best, best_score = 1, None, -1
-    elif witness is not None and not collect:
-        return PropertyVerdict(prop, True, witness, walked, _per_alpha(checked, best), checked), [witness]
-    for horizon in range(first, t_max + 1):
-        enforce_budget(ms.net, horizon)
-        # the floor and the bound (see the module docstring): every score stays 0
-        if not (best_score == 0 and kind == 0 and (horizon * width < n or _refuted(ms, checked, horizon))):
-            for gammas, states in _candidates(ms, checked, horizon):
-                details, score = [], 0
-                for _, sigmas in states:
-                    detail = judged.get(sigmas)
-                    if detail is None:
-                        detail = judged[sigmas] = _detail(kind, n, tol, folds[sigmas])
-                    details.append(detail)
-                    score += detail[1]  # whether the property holds
-                if score > best_score:  # the first sequence to hold everywhere stays best
-                    best, best_score = details, score
-                if score == len(checked):
-                    found.append(gammas)
-                    if not collect:
-                        break
-        if horizon > walked:
-            ms._outcomes[key] = horizon, best, best_score, found[0] if found else None
+    # every emitted A nonsingular: im D is full, so it lies in the span iff the span is full
+    kind = 0 if ms._nonsingular else PROPERTIES.index(prop) % 2
+    levels, width = ms._outcomes.setdefault((kind, checked), {}), ms.modes[0][1].cols
+    best, best_score = None, -1
+    for horizon in range(1, t_max + 1):
+        if horizon not in levels:
+            enforce_budget(ms.net, horizon)
+            # the floor and the bound (see the module docstring): every score stays 0
+            if best_score == 0 and kind == 0 and (horizon * width < ms.sls.n or _refuted(ms, checked, horizon)):
+                levels[horizon] = None, 0, []
+            else:
+                levels[horizon] = _level(ms, kind, checked, horizon)
+        details, score, found = levels[horizon]
+        if score > best_score:
+            best, best_score = details, score
         if found:
-            return PropertyVerdict(prop, True, found[0], horizon, _per_alpha(checked, best), checked), found
-    return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, best), checked), found
+            return PropertyVerdict(prop, True, found[0], horizon, _per_alpha(checked, best), checked)
+    return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, best), checked)
 
 
 def check_reachability(
@@ -412,7 +407,7 @@ def check_reachability(
 ) -> PropertyVerdict:
     """Is some input sequence able to reach every x from 0, for all
     checked initial logical states? Holds when the reachable span is full."""
-    return _search(ms, "reachability", t_max, strict, alphas)[0]
+    return _search(ms, "reachability", t_max, strict, alphas)
 
 
 def check_controllability(
@@ -423,7 +418,7 @@ def check_controllability(
 ) -> PropertyVerdict:
     """Is some input sequence able to steer every x to 0? Holds when the
     drift's image is contained in the reachable span."""
-    return _search(ms, "controllability", t_max, strict, alphas)[0]
+    return _search(ms, "controllability", t_max, strict, alphas)
 
 
 def check_observability(
@@ -434,7 +429,7 @@ def check_observability(
 ) -> PropertyVerdict:
     """Can x(0) be recovered from outputs? Holds when the dual reachable
     span is full for all checked initial logical states."""
-    return _search(dms, "observability", t_max, strict, alphas)[0]
+    return _search(dms, "observability", t_max, strict, alphas)
 
 
 def check_reconstructibility(
@@ -445,7 +440,7 @@ def check_reconstructibility(
 ) -> PropertyVerdict:
     """Can x(T) be recovered from outputs? Holds when the transposed
     free-motion chain's image is contained in the dual reachable span."""
-    return _search(dms, "reconstructibility", t_max, strict, alphas)[0]
+    return _search(dms, "reconstructibility", t_max, strict, alphas)
 
 
 def feasible_input_sequences(
@@ -456,11 +451,11 @@ def feasible_input_sequences(
 ) -> list[FeasibleSequence]:
     """All input sequences achieving full reachable span at every checked
     state, at the first length up to k_max where any sequence succeeds, in
-    search order: the reachability search, walked on to the end of its
-    witness level. Its first entry is check_reachability's witness."""
+    search order: check_reachability's verdict, then one collecting walk
+    of its witness level. Its first entry is the witness."""
     _side(ms, "feasible_input_sequences", False)
-    _horizon(k_max, ms.sls.n, "k_max")
-    _, found = _search(ms, "reachability", k_max, strict, alphas, collect=True)
+    verdict = _search(ms, "reachability", _horizon(k_max, ms.sls.n, "k_max"), strict, alphas)
+    found = _level(ms, 0, verdict.checked_alphas, verdict.T, collect=True)[2] if verdict.holds else []
     return [FeasibleSequence(gammas) for gammas in found]
 
 

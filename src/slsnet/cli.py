@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .algebra import BooleanMatrix, DimensionError, SizingError
-from .analysis import PROPERTIES, _search
+from .analysis import PROPERTIES, _search, feasible_input_sequences
 from .fileio import ParseError, content_digest, loads
 from .lcn import (
     InputStateSubset,
@@ -170,18 +170,15 @@ def _cmd_analyze(args, desc, report) -> int:
         if ("observability" in wanted or "reconstructibility" in wanted)
         else None
     )
-    all_hold = True
     for prop in wanted:
-        # one reachability walk gives the verdict and the feasible list
-        collect = prop == "reachability"
         merged = dms if PROPERTIES.index(prop) > 1 else ms
-        verdict, found = _search(merged, prop, t_max, args.strict, alphas, collect)
+        verdict = _search(merged, prop, t_max, args.strict, alphas)
         entry = _verdict_dict(verdict)
-        if collect and verdict.holds:
-            entry["feasible"] = [list(gammas) for gammas in found]
+        if prop == "reachability" and verdict.holds:
+            found = feasible_input_sequences(ms, verdict.T, args.strict, alphas)
+            entry["feasible"] = [list(f.gammas) for f in found]
         report[prop] = entry
-        all_hold = all_hold and verdict.holds
-    return 0 if all_hold else 1
+    return 0 if all(report[prop]["holds"] for prop in wanted) else 1
 
 
 def _cmd_attractors(args, desc, report) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, _check_size, check_int
+from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, _check_size, _echelon, check_int
 from .lcn import LogicalNetwork, step
 
 
@@ -117,7 +117,7 @@ class _MergedBase:
     system holds its memos, so it is not a record: it compares by identity.
     """
 
-    __slots__ = ("sls", "net", "modes", "_folds", "_outcomes", "_cover", "_bound")
+    __slots__ = ("sls", "net", "modes", "_nonsingular", "_folds", "_outcomes", "_cover", "_bound")
 
     def __init__(self, sls, net, modes):
         if net.q != sls.q:
@@ -127,16 +127,21 @@ class _MergedBase:
         object.__setattr__(self, "sls", sls)
         object.__setattr__(self, "net", net)
         object.__setattr__(self, "modes", tuple(modes))
+        # exact, with every A that R emits nonsingular: an exact kind-1 search
+        # is then decided as kind 0 (see analysis); at most q eliminations
+        emitted = (self.modes[s - 1][0].entries for s in set(net.R.col_index))
+        nonsingular = sls.mode_flag.tol is None and all(len(_echelon(a, None)) == sls.n for a in emitted)
+        object.__setattr__(self, "_nonsingular", nonsingular)
         # the property searches' one fold memo, mode sequence -> (span rows,
         # drift columns) (see analysis._step), seeded with the empty sequence;
         # every query on this merged system folds into it and reads from it.
         # A fold depends on its mode sequence alone, so threads that fold one
         # sequence at once store equal values.
         object.__setattr__(self, "_folds", {(): _start(self)})
-        # the searches run so far, (kind, checked states) -> (horizon walked
-        # to, best details, best score, witness or None) (see analysis._search):
-        # a search runs once per merged system, and a later query reads or
-        # resumes it, so its answer is a fresh walk's in any order of queries
+        # the levels of the searches run so far, (kind, checked states) ->
+        # {horizon: (first highest-scoring details, their score, [witness] or
+        # [])} (see analysis._search): a query reads the recorded levels and
+        # walks the others, so its answer is a fresh walk's in any order
         object.__setattr__(self, "_outcomes", {})
         # the attractor cover's checked states, built on the first cover request
         object.__setattr__(self, "_cover", None)

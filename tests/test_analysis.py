@@ -751,19 +751,66 @@ def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
             assert (walked, calls[0]) == ([], 0), check
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of analysis's own functions (or imported names) given."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(analysis, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("check, merger", [(check_controllability, merge), (check_reconstructibility, merge_dual)])
+def test_repeated_kind_1_query_runs_no_elimination(monkeypatch, check, merger):
+    # Worked system, exact: every emitted A is nonsingular, which the merged
+    # system decides when it is built, so the kind-1 search is the kind-0
+    # search. A repeat reads its recorded levels: no fold, no judgment and
+    # no elimination, not even of the emitted A's.
+    merged = merger(golden_sls(), NET)
+    assert merged._nonsingular
+    first = check(merged, strict=True)
+    calls = _count_calls(monkeypatch, "_echelon", "_step", "_detail")
+    assert check(merged, strict=True) == first
+    assert calls == {"_echelon": 0, "_step": 0, "_detail": 0}
+
+
+@pytest.mark.parametrize("check, merger", [(check_reachability, merge), (check_observability, merge_dual)])
+def test_smaller_horizon_reads_the_recorded_levels(monkeypatch, check, merger):
+    # Worked system, strict: the property holds at T = 3, so t_max = 3
+    # records levels 1..3. A later t_max = 2 reads levels 1 and 2, folding
+    # and judging nothing, and its negative verdict, per_alpha included, is
+    # a fresh merged system's.
+    merged = merger(golden_sls(), NET)
+    assert check(merged, 3, strict=True).T == 3
+    calls = _count_calls(monkeypatch, "_step", "_detail")
+    got = check(merged, 2, strict=True)
+    assert calls == {"_step": 0, "_detail": 0}
+    monkeypatch.undo()
+    want = check(merger(golden_sls(), NET), 2, strict=True)
+    assert (got.holds, got.T) == (False, 2)
+    assert got == want and got.per_alpha == want.per_alpha
+
+
 @given(st.integers(0, 10**6))
 @example(103)  # a negative recorded past t_max = 1 whose best improves after horizon 1
 @settings(max_examples=25, deadline=None)
 def test_recorded_searches_answer_as_fresh_walks(seed):
-    # A merged system records each (kind, checked states) search, and a
-    # later query reads or resumes it. Random runs of queries on one shared
+    # A merged system records the levels of each (kind, checked states)
+    # search, and a query reads the recorded levels up to its horizon and
+    # walks the others, so a smaller horizon after a larger one reads and a
+    # larger one extends. Random runs of queries on one shared
     # pair of merged systems: the four checks and the feasible list, in
     # strict, cover and explicit-state mode, with repeats and a smaller
     # horizon before or after a larger one; each answer must equal the same
     # call on fresh merged systems. n 2-4, m and p 1-2, M 2 or 4; half the systems emit a
     # nilpotent A, exact and float. Only an exact kind-1 search with every
     # emitted A nonsingular is the kind-0 search: elsewhere kind 1 keeps its
-    # own record, and its first query of a checked set walks from horizon 1.
+    # own levels, and its first query of a checked set walks from horizon 1.
     rng = random.Random(seed)
     n, m, p = rng.randint(2, 4), rng.randint(1, 2), rng.randint(1, 2)
     n_nodes, m_nodes = rng.choice([(1, 1), (2, 1)] + ([(1, 2)] if n < 4 else []))
@@ -812,10 +859,10 @@ def test_recorded_searches_answer_as_fresh_walks(seed):
                 key = (kind, _resolve_alphas(net, checked.get("strict", False), checked.get("alphas")))
                 if key not in keys[merger]:
                     assert walked[:1] == [1], tag
-                # the record is no shorter than before
-                horizon = shared[merger]._outcomes[key][0]
-                assert horizon >= keys[merger].get(key, 0), tag
-                keys[merger][key] = horizon
+                # the recorded levels are never fewer than before
+                levels = len(shared[merger]._outcomes[key])
+                assert levels >= keys[merger].get(key, 0), tag
+                keys[merger][key] = levels
         for merger, merged in shared.items():
             assert set(merged._outcomes) == set(keys[merger]), seed
 
@@ -964,7 +1011,7 @@ def test_bound_refutes_only_failing_states(seed):
     net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
     for kind, (prop, _, merger) in enumerate(SIDES):
         merged = merger(sls, net)
-        if kind % 2 and not analysis._nonsingular(merged):
+        if kind % 2 and not merged._nonsingular:
             continue
         refuted = tuple(a for a in range(1, net.N + 1) if analysis._bound_refutes(merged, (a,)))
         if refuted:
@@ -1107,7 +1154,7 @@ def test_bound_leaves_singular_kinds_alone():
             assert merged._bound == 0, prop  # no state's subspace is full
             assert analysis._bound_refutes(merged, (1, 2)) is True, prop
         else:
-            assert not analysis._nonsingular(merged), prop
+            assert not merged._nonsingular, prop
             assert merged._bound is None, prop
 
 

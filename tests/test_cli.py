@@ -472,6 +472,31 @@ def test_analyze_all_reports_pinned(capsys, tmp_path, numeric):
         assert (code, out) == (want["exit"], json.dumps(want["report"], indent=2) + "\n"), flags
 
 
+# analyze_property_golden.json holds the exit code and JSON report of
+# `analyze <property> --format json --no-timestamp` for each single
+# property and flag set, on the three sls_* fixtures and their float copies
+PROPERTY_FLAGS = ([], ["--strict"], ["--t-max", "2"])
+
+
+def test_analyze_single_property_reports_pinned(capsys, tmp_path):
+    golden = json.loads((FIXTURES / "analyze_property_golden.json").read_text())
+    assert list(golden) == ["sls_3x2", "sls_unobservable", "sls_unreachable"]
+    for fixture, by_numeric in golden.items():
+        assert list(by_numeric) == ["exact", "float"]
+        for numeric, by_prop in by_numeric.items():
+            assert list(by_prop) == ["reachability", "controllability", "observability", "reconstructibility"]
+            path = tmp_path / f"{fixture}.txt"
+            text = (FIXTURES / f"{fixture}.txt").read_text()
+            path.write_text(text.replace("numeric = exact", f"numeric = {numeric}"))
+            for prop, by_flags in by_prop.items():
+                assert list(by_flags) == [" ".join(flags) for flags in PROPERTY_FLAGS]
+                for flags in PROPERTY_FLAGS:
+                    want = by_flags[" ".join(flags)]
+                    code, out, _ = run(capsys, "analyze", prop, str(path), *flags, "--format", "json", "--no-timestamp")
+                    tag = (fixture, numeric, prop, flags)
+                    assert (code, out) == (want["exit"], json.dumps(want["report"], indent=2) + "\n"), tag
+
+
 def test_exit_code_input_errors(capsys):
     assert run(capsys, "attractors", "no-such-file.txt")[0] == 2
     code, _, err = run(capsys, "track", SLS, "--theta0", "9", "--ref", "1")
