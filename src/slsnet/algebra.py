@@ -26,6 +26,7 @@ Conventions:
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from operator import add, attrgetter, sub
@@ -539,18 +540,21 @@ def _primitive(row):
 def _echelon(rows, tol) -> tuple:
     """Gauss-Jordan rows spanning a sequence of rows, sorted by pivot
     column; their count is the rank. Exact (tol None), fraction-free: each
-    row, cleared of denominators, is reduced against the kept rows by
-    integer cross-multiplication, dropped if it vanishes, made primitive,
-    and its pivot column is cleared from the kept rows; divided by their
-    pivots, the rows give the unique reduced row echelon form. Float:
-    partial pivoting on magnitude, each pivot row divided by its pivot
-    (so every pivot is 1.0), |v| <= tol counting as zero; a column with
-    no pivot is zeroed in the rows not yet pivoted, so every row is 0.0
-    before its pivot.
+    row, cleared of denominators, is reduced forward against the kept rows
+    in pivot order by integer cross-multiplication, dropped if it
+    vanishes, and kept primitive at its pivot column. At full column rank
+    the span is everything, and the identity's rows are returned at once;
+    otherwise one back-substitution clears each pivot column from the rows
+    above it. Each row is then a primitive int multiple of a row of the
+    unique reduced row echelon form (divided by its pivot, it is that
+    row). Float: partial pivoting on magnitude, each pivot row divided by
+    its pivot (so every pivot is 1.0), |v| <= tol counting as zero; a
+    column with no pivot is zeroed in the rows not yet pivoted, so every
+    row is 0.0 before its pivot.
     """
     ncols = len(rows[0]) if rows else 0
     if tol is None:
-        kept = []  # (pivot column, row)
+        kept = []  # (pivot column, row), by pivot column; each row is 0 before its pivot
         for row in rows:
             row = _primitive(row)
             for c, k in kept:
@@ -561,16 +565,17 @@ def _echelon(rows, tol) -> tuple:
             c = next((j for j, x in enumerate(row) if x), None)
             if c is None:
                 continue
-            row = _primitive(row)
+            if len(kept) + 1 == ncols:
+                return tuple(tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols))
+            bisect.insort(kept, (c, _primitive(row)))
+        for i in range(len(kept) - 1, 0, -1):
+            c, row = kept[i]
             p = row[c]
-            for i, (ck, k) in enumerate(kept):
+            for j, (cj, k) in enumerate(kept[:i]):
                 f = k[c]
                 if f:
-                    kept[i] = ck, _primitive([p * x - f * y for x, y in zip(k, row)])
-            kept.append((c, row))
-            if len(kept) == ncols:
-                break  # full: every further row vanishes
-        return tuple(tuple(row) for _, row in sorted(kept))
+                    kept[j] = cj, _primitive([p * x - f * y for x, y in zip(k, row)])
+        return tuple(tuple(row) for _, row in kept)
     grid = [list(row) for row in rows]
     nrows, r = len(grid), 0
     for c in range(ncols):

@@ -2,7 +2,8 @@
 
 Every check walks the input tree with one forward step through the
 merged system's mode pair (G-block, H-block) of the signal sigma that
-each input-state pair emits. The primal side (merge) folds
+each input-state pair emits, read from the mode's plain table (A's rows
+and the H block's columns; see sls). The primal side (merge) folds
 R' = G R + im H and D' = G D, so R is the set reachable from x = 0 and
 D the drift A_(s_{T-1}) ... A_(s_0); the dual side (merge_dual,
 transposed modes) folds R' = R + im(D H) and D' = D G, so R is the
@@ -12,7 +13,11 @@ observability hold along a sequence when R is full; controllability and
 reconstructibility when im D lies in R; kalman_oracle decides the same
 by a rank test on the stacked matrices. A fold holds plain tuples, R's
 Gauss-Jordan rows (algebra._echelon) and D's columns, and each step runs
-one elimination at the system's tolerance.
+one elimination at the system's tolerance. The dual side always carries
+D, which its R' reads. The primal D is read by kind-1 judgments alone,
+so a primal fold carries it in float mode and where some emitted A is
+singular; on an exact merged system whose emitted A's are all
+nonsingular (below) every non-empty sequence's D slot holds ().
 
 Quantifier convention: a property holds iff ONE logical input sequence
 works for EVERY checked initial logical state. The checked set defaults
@@ -150,15 +155,17 @@ def _times(rows, vectors) -> tuple:
 
 
 def _step(ms, fold, sigma):
-    """Advance a fold (span rows, chain columns) through mode sigma's pair;
-    the merged system's type picks the primal or the dual recurrence."""
+    """Advance a fold (span rows, chain columns) through mode sigma's table
+    (A's rows, the H block's columns); the merged system's type picks the
+    primal or the dual recurrence. A primal chain is read only by a kind-1
+    judgment, which a nonsingular merged system never runs: it stays ()."""
     span, chain = fold
-    g, h = ms.modes[sigma - 1]
+    a, h = ms._tables[sigma - 1]
     if isinstance(ms, DualMergedSystem):
         d = tuple(zip(*chain))
-        span, chain = span + _times(d, zip(*h.entries)), _times(d, zip(*g.entries))
+        span, chain = span + _times(d, h), _times(d, a)
     else:
-        span, chain = _times(g.entries, span) + tuple(zip(*h.entries)), _times(g.entries, chain)
+        span, chain = _times(a, span) + h, () if ms._nonsingular else _times(a, chain)
     return _echelon(span, ms.sls.mode_flag.tol), chain
 
 
@@ -302,6 +309,8 @@ def _invariant_bound(ms) -> int:
     """
     net, n = ms.net, ms.sls.n
     dual = isinstance(ms, DualMergedSystem)
+    # the G blocks' rows: A's, or A^T's on the dual side
+    rows = [tuple(zip(*a)) if dual else a for a, _ in ms._tables]
     pairs = []
     for gamma in range(1, net.M + 1):
         for theta in range(1, net.N + 1):
@@ -311,8 +320,7 @@ def _invariant_bound(ms) -> int:
     while changed:
         changed = False
         for src, dst, sigma in pairs:
-            g, h = ms.modes[sigma - 1]
-            vectors = _times(g.entries, spans[src - 1]) + tuple(zip(*h.entries))
+            vectors = _times(rows[sigma - 1], spans[src - 1]) + ms._tables[sigma - 1][1]
             if not _contains(spans[dst - 1], None, vectors):
                 spans[dst - 1], changed = _echelon(spans[dst - 1] + vectors, None), True
     return sum(1 << i for i, span in enumerate(spans) if len(span) == n)
@@ -381,7 +389,7 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
     t_max = _horizon(t_max, ms.sls.n)
     # every emitted A nonsingular: im D is full, so it lies in the span iff the span is full
     kind = 0 if ms._nonsingular else PROPERTIES.index(prop) % 2
-    levels, width = ms._outcomes.setdefault((kind, checked), {}), ms.modes[0][1].cols
+    levels, width = ms._outcomes.setdefault((kind, checked), {}), len(ms._tables[0][1])
     best, best_score = None, -1
     for horizon in range(1, t_max + 1):
         if horizon not in levels:

@@ -12,13 +12,17 @@ dynamics are carried by two large matrices G (nN x nMN) and H (nN x mMN).
 Each block column (gamma, beta) of G and H holds exactly one nonzero
 block: it sits at block row L(gamma, beta) and equals the A (resp. B)
 matrix of the mode R(gamma, beta). A merged system therefore stores
-only the q mode pairs (A_sigma, B_sigma) and places every block, slice
-and dense view from them through L and R when asked; a block index
+only one plain table per mode, read from the system's own matrices:
+A's rows and the H block's columns. Its mode pairs (A_sigma, B_sigma)
+are built from the system on access, and every block, slice and dense
+view is placed from them through L and R when asked; a block index
 outside 1..M or 1..N is refused, not read as a zero block. The
 closed-form semi-tensor-product construction of G and H is kept in the
 tests as the reference the placed blocks must match. A dual mergence
 with transposed mode matrices (A_i^T, C_i^T) supports the
-observability-side checks.
+observability-side checks; its tables hold A's rows and C's rows (the
+columns of C^T), so it builds no transposed matrix until one is asked
+for. The property searches fold from the tables (see analysis).
 """
 
 from __future__ import annotations
@@ -111,25 +115,28 @@ def _start(ms):
 class _MergedBase:
     """Shared storage/access for direct and dual merged systems.
 
-    modes[sigma - 1] is the (G-block, H-block) pair of mode sigma; every
-    block of G and H is placed from it through L and R (see _placed).
-    Assigning or deleting an attribute raises AttributeError. A merged
-    system holds its memos, so it is not a record: it compares by identity.
+    _tables[sigma - 1] is mode sigma's plain table: A's rows, and the H
+    block's columns (B's on the primal side, C's rows on the dual side).
+    modes[sigma - 1], built on access, is the (G-block, H-block) pair of
+    mode sigma (see _pair); every block of G and H is placed from the
+    pairs through L and R (see _placed). Assigning or deleting an
+    attribute raises AttributeError. A merged system holds its memos, so
+    it is not a record: it compares by identity.
     """
 
-    __slots__ = ("sls", "net", "modes", "_nonsingular", "_folds", "_outcomes", "_cover", "_bound")
+    __slots__ = ("sls", "net", "_tables", "_nonsingular", "_folds", "_outcomes", "_cover", "_bound")
 
-    def __init__(self, sls, net, modes):
+    def __init__(self, sls, net, tables):
         if net.q != sls.q:
             raise DimensionError(
                 f"signal range mismatch: network emits 1..{net.q}, system has {sls.q} modes"
             )
         object.__setattr__(self, "sls", sls)
         object.__setattr__(self, "net", net)
-        object.__setattr__(self, "modes", tuple(modes))
+        object.__setattr__(self, "_tables", tuple(tables))
         # exact, with every A that R emits nonsingular: an exact kind-1 search
         # is then decided as kind 0 (see analysis); at most q eliminations
-        emitted = (self.modes[s - 1][0].entries for s in set(net.R.col_index))
+        emitted = (self._tables[s - 1][0] for s in set(net.R.col_index))
         nonsingular = sls.mode_flag.tol is None and all(len(_echelon(a, None)) == sls.n for a in emitted)
         object.__setattr__(self, "_nonsingular", nonsingular)
         # the property searches' one fold memo, mode sequence -> (span rows,
@@ -156,11 +163,16 @@ class _MergedBase:
     def __delattr__(self, name):
         raise AttributeError("merged systems are immutable")
 
+    @property
+    def modes(self) -> tuple[tuple[Matrix, Matrix], ...]:
+        """Every mode's (G-block, H-block) pair, built from the system on each access."""
+        return tuple(self._pair(sigma) for sigma in range(1, self.sls.q + 1))
+
     def _placed(self, gamma: int, beta: int) -> tuple[int, tuple[Matrix, Matrix]]:
         """Block column (gamma, beta): its one nonzero block row, the
         L-target, and the mode pair R selects there; indices are checked."""
         alpha, sigma = step(self.net, gamma, beta)
-        return alpha, self.modes[sigma - 1]
+        return alpha, self._pair(sigma)
 
     def _block(self, part: int, gamma: int, alpha: int, beta: int) -> Matrix:
         check_int(alpha, "state index", 1, self.net.N)
@@ -173,14 +185,15 @@ class _MergedBase:
     def _view(self, part: int, gammas) -> Matrix:
         """Dense view of the input slices `gammas`, side by side; SizingError past SIZE_CAP."""
         n, n_states = self.sls.n, self.net.N
-        width = self.modes[0][part].cols
+        blocks = [pair[part].entries for pair in self.modes]
+        width = len(blocks[0][0])
         _check_size(n * n_states, width * n_states * len(gammas))
         grid = [[0] * (width * n_states * len(gammas)) for _ in range(n * n_states)]
         for k, gamma in enumerate(gammas):
             for beta in range(1, n_states + 1):
-                alpha, pair = self._placed(gamma, beta)
+                alpha, sigma = step(self.net, gamma, beta)
                 col0 = (k * n_states + beta - 1) * width
-                for i, row in enumerate(pair[part].entries, start=(alpha - 1) * n):
+                for i, row in enumerate(blocks[sigma - 1], start=(alpha - 1) * n):
                     grid[i][col0:col0 + width] = row
         return Matrix(grid, self.sls.mode_flag)
 
@@ -213,8 +226,9 @@ class _MergedBase:
         n_states = self.net.N
         bits = [[0] * n_states for _ in range(n_states)]
         for beta in range(1, n_states + 1):
-            alpha, (g, _) = self._placed(gamma, beta)
-            bits[alpha - 1][beta - 1] = 0 if g.is_zero() else 1
+            alpha, sigma = step(self.net, gamma, beta)
+            # A^T is zero where A is
+            bits[alpha - 1][beta - 1] = 0 if self.sls.a(sigma).is_zero() else 1
         return BooleanMatrix(bits)
 
 
@@ -224,7 +238,11 @@ class MergedSystem(_MergedBase):
     __slots__ = ()
 
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
-        super().__init__(sls, net, ((a, b) for a, b, _ in sls.modes))
+        super().__init__(sls, net, ((a.entries, tuple(zip(*b.entries))) for a, b, _ in sls.modes))
+
+    def _pair(self, sigma: int) -> tuple[Matrix, Matrix]:
+        a, b, _ = self.sls.modes[sigma - 1]
+        return a, b
 
 
 class DualMergedSystem(_MergedBase):
@@ -233,7 +251,11 @@ class DualMergedSystem(_MergedBase):
     __slots__ = ()
 
     def __init__(self, sls: SwitchedLinearSystem, net: LogicalNetwork):
-        super().__init__(sls, net, ((a.transpose(), c.transpose()) for a, _, c in sls.modes))
+        super().__init__(sls, net, ((a.entries, c.entries) for a, _, c in sls.modes))
+
+    def _pair(self, sigma: int) -> tuple[Matrix, Matrix]:
+        a, _, c = self.sls.modes[sigma - 1]
+        return a.transpose(), c.transpose()
 
 
 def merge(sls: SwitchedLinearSystem, net: LogicalNetwork) -> MergedSystem:

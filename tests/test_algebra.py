@@ -596,12 +596,29 @@ def rational_matrices(draw, rows=None):
             for i, row in enumerate(grid)]
 
 
-@given(rational_matrices(), st.data())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def full_column_rank_matrices(draw):
+    """Rational matrices of full column rank, up to 9x4 and at least as
+    tall as wide: the rows of a unit lower times a nonsingular upper
+    triangular matrix, with up to 5 further rows, in a drawn order."""
+    c = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    nonzero = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+    lower = [[1 if i == j else draw(entry) if i > j else 0 for j in range(c)] for i in range(c)]
+    upper = [[draw(nonzero) if i == j else draw(entry) if i < j else 0 for j in range(c)] for i in range(c)]
+    square = [[sum(x * y for x, y in zip(row, col)) for col in zip(*upper)] for row in lower]
+    extra = draw(st.lists(st.lists(entry, min_size=c, max_size=c), max_size=5))
+    return draw(st.permutations(square + extra))
+
+
+@given(st.one_of(rational_matrices(), full_column_rank_matrices()), st.data())
+@settings(max_examples=200, deadline=None)
 def test_elimination_matches_fraction_reference(rows, data):
     # the raw rows hold integral Fractions too, as products of rational
     # entries do: each echelon row is a primitive int row, pivots strictly
-    # increase, and each row is a multiple of the reference's reduced row
+    # increase, and each row is a multiple of the reference's reduced row;
+    # at full column rank the rows are exactly the identity's, and any row
+    # order gives the same rows up to sign
     a = Matrix(rows)
     echelon = _echelon(rows, None)
     ref_grid, ref_pivots = fraction_rref(rows)
@@ -610,6 +627,13 @@ def test_elimination_matches_fraction_reference(rows, data):
     for row, c, ref in zip(echelon, pivots, ref_grid):
         assert all(type(v) is int for v in row) and math.gcd(*row) == 1
         assert [Fraction(v, row[c]) for v in row] == ref
+    width = len(rows[0])
+    if len(ref_pivots) == width:
+        assert echelon == tuple(tuple(int(i == j) for j in range(width)) for i in range(width))
+    shuffled = _echelon(data.draw(st.permutations(rows)), None)
+    assert len(shuffled) == len(echelon)
+    for row, other in zip(echelon, shuffled):
+        assert other in (row, tuple(-v for v in row))
     assert rank(a) == len(ref_pivots)
     space = column_space(a)
     if ref_pivots:

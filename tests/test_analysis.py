@@ -518,6 +518,31 @@ def _count_folds(monkeypatch):
     return counter
 
 
+def test_searches_build_no_matrix(monkeypatch):
+    # Worked system, strict: both mergences, the four checks and the
+    # feasible list fold from the merged systems' plain mode tables, and
+    # build no Matrix, transposed or dense; the mode pairs are built from
+    # the system's own matrices when asked for.
+    built = [0]
+    original = Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    sls = golden_sls()
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    ms, dms = merge(sls, NET), merge_dual(sls, NET)
+    verdicts = [check(ms if prop in ("reachability", "controllability") else dms, strict=True)
+                for prop, check in CHECKS.items()]
+    found = feasible_input_sequences(ms, verdicts[0].T, strict=True)
+    assert [v.T for v in verdicts] == [3] * 4 and len(found) == 2
+    assert built[0] == 0
+    monkeypatch.undo()
+    assert ms.modes == tuple((a, b) for a, b, _ in sls.modes)
+    assert dms.modes == tuple((a.transpose(), c.transpose()) for a, _, c in sls.modes)
+
+
 def test_memo_folds_each_mode_sequence_once(monkeypatch):
     # Worked system, strict: every property holds at T = 3 with 4 checked
     # states, M = 2 inputs and q = 2 modes. The fold depends on the induced
@@ -560,24 +585,51 @@ def test_memo_folds_each_mode_sequence_once(monkeypatch):
         assert folds[0] == expected <= bound
 
 
-@given(st.integers(0, 10**6), st.booleans())
+def _with_emitted_a(sls, singular):
+    """The system with A_1's first row zeroed (singular), or with each A
+    shifted by the least t >= 0 that makes A + t I nonsingular. Every mode
+    of a random_net_for network is emitted, so an exact merged system's
+    _nonsingular is then `not singular`."""
+    eye = Matrix.identity(sls.n, sls.mode_flag)
+    modes = []
+    for i, (a, b, c) in enumerate(sls.modes):
+        if singular and i == 0:
+            a = Matrix([[0] * sls.n, *a.entries[1:]], sls.mode_flag)
+        while not singular and rank(a) < sls.n:
+            a = a + eye
+        modes.append((a, b, c))
+    return SwitchedLinearSystem(modes)
+
+
+def _carries_drift(merged, sigmas):
+    """Whether a fold carries its drift: on the dual side, in float mode,
+    where some emitted A is singular, and for the empty sequence. An exact
+    primal merged system with every emitted A nonsingular runs no kind-1
+    judgment, so its drift slot holds () after every step."""
+    return isinstance(merged, DualMergedSystem) or not merged._nonsingular or not sigmas
+
+
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
 @settings(max_examples=15, deadline=None)
-def test_memoised_folds_match_unshared_folds(seed, rational):
+def test_memoised_folds_match_unshared_folds(seed, rational, singular):
     # The merged system folds each mode sequence once, into its one memo,
     # and every (checked state, prefix) that induces it reads that fold. At
     # every leaf of horizons 1..n, for every checked state, the memoised
     # fold's span must equal an unshared fold of the prefix from that state
     # alone (a fresh memo), and judge the drift's containment the same way
-    # as a rank test on it. Same draws as test_verdicts_match_oracle; both
-    # sides, strict, cover and explicit checked states.
+    # as a rank test on it, wherever a drift is carried (see _carries_drift).
+    # Draws as in test_verdicts_match_oracle, with the emitted A's made
+    # singular or nonsingular; both sides, strict, cover and explicit
+    # checked states.
     rng = random.Random(seed)
-    sls = random_system(rng, denominators=(1, 4) if rational else None)
+    sls = _with_emitted_a(random_system(rng, denominators=(1, 4) if rational else None), singular)
     shapes = [(nn, mm) for nn in (1, 2) for mm in (0, 1, 2) if 2 ** (nn + mm) >= sls.q]
     n_nodes, m_nodes = rng.choice(shapes)
     net = random_net_for(rng, sls.q, n_nodes=n_nodes, m_nodes=m_nodes)
     explicit = tuple(rng.sample(range(1, net.N + 1), rng.randint(1, net.N)))
     for system in (sls, _float_copy(sls)):
         for merged, transpose in ((merge(system, net), False), (merge_dual(system, net), True)):
+            assert merged._nonsingular is (system.mode_flag.tol is None and not singular)
             unshared = {}
 
             def alone(alpha, gammas):
@@ -601,8 +653,11 @@ def test_memoised_folds_match_unshared_folds(seed, rational):
                             tag = (gammas, alpha, transpose, strict, alphas, system.mode_flag, seed)
                             assert (theta, sigmas) == (ref.terminal_theta, ref_sigmas), tag
                             assert _span(rows, system.n, system.mode_flag) == ref.span, tag
-                            within = _contains(rows, system.mode_flag.tol, chain)
-                            assert (len(rows), within) == (ref.span.rank, contained), tag
+                            assert len(rows) == ref.span.rank, tag
+                            if _carries_drift(merged, sigmas):
+                                assert _contains(rows, system.mode_flag.tol, chain) == contained, tag
+                            else:
+                                assert chain == (), tag
 
 
 def _matrix_fold(system, dual, sigmas):
@@ -620,19 +675,22 @@ def _matrix_fold(system, dual, sigmas):
     return span, chain
 
 
-@given(st.integers(0, 10**6), st.sampled_from(["exact", "rational", "float"]))
+@given(st.integers(0, 10**6), st.sampled_from(["exact", "rational", "float"]), st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_folds_match_the_matrix_recurrence(seed, kind):
+def test_folds_match_the_matrix_recurrence(seed, kind, singular):
     # Every fold the memo holds after horizons 1..n from every state gives
     # the reference's canonical span (entry for entry, in float mode too,
-    # where both sum the same products in the same order), rank, drift and
-    # containment of the drift's image, on both sides.
+    # where both sum the same products in the same order) and rank, and,
+    # wherever a drift is carried (see _carries_drift), the drift and the
+    # containment of its image, on both sides, with the emitted A's made
+    # singular or nonsingular.
     rng = random.Random(seed)
-    sls = random_system(rng, denominators=None if kind == "exact" else (1, 4))
+    sls = _with_emitted_a(random_system(rng, denominators=None if kind == "exact" else (1, 4)), singular)
     system = _float_copy(sls) if kind == "float" else sls
     net = random_net_for(rng, sls.q, n_nodes=rng.choice((1, 2)), m_nodes=1)
     mode = system.mode_flag
     for merged, dual in ((merge(system, net), False), (merge_dual(system, net), True)):
+        assert merged._nonsingular is (kind != "float" and not singular)
         alphas = tuple(range(1, net.N + 1))
         for horizon in range(1, system.n + 1):
             for _ in analysis._candidates(merged, alphas, horizon):
@@ -643,8 +701,11 @@ def test_folds_match_the_matrix_recurrence(seed, kind):
             tag = (sigmas, dual, kind, seed)
             assert _span(rows, system.n, mode).basis.entries == span.basis.entries, tag
             assert len(rows) == span.rank, tag
-            assert tuple(zip(*chain)) == drift.entries, tag
-            assert _contains(rows, mode.tol, chain) == span.contains_vector(drift), tag
+            if _carries_drift(merged, sigmas):
+                assert tuple(zip(*chain)) == drift.entries, tag
+                assert _contains(rows, mode.tol, chain) == span.contains_vector(drift), tag
+            else:
+                assert chain == (), tag
 
 
 def test_fold_reads_the_system_tolerance():
