@@ -75,14 +75,19 @@ logic-constrained invariant subspaces of Sun, Ge & Lee (2002,
 Automatica 38(5)), kept per logical state. V[theta] holds the span of
 every sequence ending at theta (dual: starting there), and a state from
 which no state reachable in one or more steps has a full V (dual: whose
-own V is not full) has a full span at no horizon. A merged system builds
-the bound once, lazily, and a search tries it only where
-min(M^h |checked|, q^h) > N n, when the horizon could fold more mode
-sequences than the bound's at most N n eliminations. Float searches
-never try it: the bound eliminates in another order than the fold, so a
-tolerance could decide the two apart. A search checks the budget of
-every horizon, walked or skipped, so a refusal names the horizon the
-walk would.
+own V is not full) has a full span at no horizon. Every V lies in the
+same paper's arbitrary-switching subspace U, the least subspace holding
+every emitted im H and invariant under every emitted G, so the bound
+grows U first, in at most n eliminations, and a U that is not full
+refutes every state; only a full U leaves the decision to the per-state
+pass, at most N n eliminations more. A merged system builds the bound
+once, lazily, and a search tries it only where min(M^h |checked|, q^h)
+> N n, when the horizon could fold more mode sequences than the
+per-state pass eliminates; the gate stays sized for that pass, which U
+cannot always spare. Float searches never try it: the bound eliminates
+in another order than the fold, so a tolerance could decide the two
+apart. A search checks the budget of every horizon, walked or skipped,
+so a refusal names the horizon the walk would.
 """
 
 from __future__ import annotations
@@ -295,6 +300,21 @@ def _per_alpha(checked, details) -> dict[int, AlphaDetail]:
     return {alpha: AlphaDetail(*detail) for alpha, detail in zip(checked, details)}
 
 
+def _least(pairs, slots: int):
+    """The least spans V[0], ..., V[slots - 1] with V[dst] >= G V[src] +
+    im H for every pair (src, dst, G's rows, H's vectors): round-robin
+    passes in the fold's row form, eliminating only when a push adds a
+    vector, so at most n eliminations per slot. Exact mode only."""
+    spans, changed = [()] * slots, True
+    while changed:
+        changed = False
+        for src, dst, g, h in pairs:
+            vectors = _times(g, spans[src]) + h
+            if not _contains(spans[dst], None, vectors):
+                spans[dst], changed = _echelon(spans[dst] + vectors, None), True
+    return spans
+
+
 def _invariant_bound(ms) -> int:
     """The mask of the logical states whose logic-constrained invariant
     subspace is full (bit theta - 1 for state theta).
@@ -304,26 +324,26 @@ def _invariant_bound(ms) -> int:
     primal side, the reverse on the dual side, sigma = R(gamma, theta). So
     V[theta'] holds the span of every sequence ending at theta', and on the
     dual side V[theta] the span of every sequence starting at theta.
-    Round-robin passes in the fold's row form, eliminating only when a pair
-    adds a vector: at most N n eliminations. Exact mode only.
+    Every V lies in U, the least subspace holding im H_sigma and invariant
+    under G_sigma for every emitted sigma: the same fixed point on one slot,
+    one self-pair per emitted mode, at most n eliminations. A U that is not
+    full gives mask 0 at once; otherwise the per-state pass decides, at
+    most N n eliminations more. Exact mode only.
     """
     net, n = ms.net, ms.sls.n
     dual = isinstance(ms, DualMergedSystem)
-    # the G blocks' rows: A's, or A^T's on the dual side
-    rows = [tuple(zip(*a)) if dual else a for a, _ in ms._tables]
+    # each mode's G rows (A's, or A^T's on the dual side) and H vectors
+    blocks = [(tuple(zip(*a)) if dual else a, h) for a, h in ms._tables]
+    (union,) = _least([(0, 0, *blocks[sigma - 1]) for sigma in sorted(set(net.R.col_index))], 1)
+    if len(union) < n:
+        return 0
     pairs = []
     for gamma in range(1, net.M + 1):
         for theta in range(1, net.N + 1):
             theta_next, sigma = unchecked_step(net, gamma, theta)
-            pairs.append((theta_next, theta, sigma) if dual else (theta, theta_next, sigma))
-    spans, changed = [()] * net.N, True
-    while changed:
-        changed = False
-        for src, dst, sigma in pairs:
-            vectors = _times(rows[sigma - 1], spans[src - 1]) + ms._tables[sigma - 1][1]
-            if not _contains(spans[dst - 1], None, vectors):
-                spans[dst - 1], changed = _echelon(spans[dst - 1] + vectors, None), True
-    return sum(1 << i for i, span in enumerate(spans) if len(span) == n)
+            src, dst = (theta_next, theta) if dual else (theta, theta_next)
+            pairs.append((src - 1, dst - 1, *blocks[sigma - 1]))
+    return sum(1 << i for i, span in enumerate(_least(pairs, net.N)) if len(span) == n)
 
 
 def _bound_refutes(ms, checked) -> bool:
@@ -345,8 +365,10 @@ def _bound_refutes(ms, checked) -> bool:
 
 
 def _refuted(ms, checked, horizon: int) -> bool:
-    """Whether an exact search skips horizon, which could fold more than
-    the bound eliminates, the bound refuting every checked state."""
+    """Whether an exact search skips horizon, the bound refuting every
+    checked state. The gate is sized for the bound's per-state pass: it is
+    built only for a horizon that could fold more than N n eliminations,
+    though U, grown first in at most n, spares that pass when not full."""
     net, sls = ms.net, ms.sls
     if sls.mode_flag.tol is not None or min(net.M**horizon * len(checked), sls.q**horizon) <= net.N * sls.n:
         return False

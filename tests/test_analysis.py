@@ -7,6 +7,7 @@ the four property verdicts therefore agree with the brute-force oracle
 on identical checked-state sets.
 """
 
+import collections
 import contextlib
 import itertools
 import random
@@ -29,7 +30,9 @@ from slsnet.algebra import (
     column_space,
     hstack,
     rank,
+    subspace_contains,
     subspace_is_full,
+    subspace_sum,
 )
 from slsnet import analysis
 from slsnet import oracle as oracle_module
@@ -1255,6 +1258,155 @@ def test_bound_not_tried_on_the_worked_system_or_a_single_input():
             check_observability(dms, t_max, **checked)
             check_reconstructibility(dms, t_max, **checked)
             assert (ms._bound, dms._bound) == (None, None), checked
+
+
+def _bound_draw(rng):
+    """A system and a network for the bound: n 1-4, N <= 8, M <= 4, q <= 4,
+    sparse or structural zero patterns, and in a third of the draws one
+    mode replaced by a nilpotent shift with B = 0 and C = 0."""
+    n, n_nodes, m_nodes = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 2)
+    q = rng.randint(1, min(4, 2 ** (n_nodes + m_nodes)))
+    if rng.random() < 0.5:
+        sls = _sparse_system(rng, n, q)
+    else:
+        sls = _structural_negative(rng, n, q, rng.random() < 0.5, rng.random() < 0.5)
+    if rng.random() < 1 / 3:
+        modes = list(sls.modes)
+        shift = Matrix([[int(j == i + 1) for j in range(n)] for i in range(n)])
+        modes[rng.randrange(q)] = (shift, Matrix.zeros(n, sls.m), Matrix.zeros(sls.p, n))
+        sls = SwitchedLinearSystem(modes)
+    return sls, random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
+
+
+def _mode_pair(sls, sigma, dual):
+    """Mode sigma's (G block, H block): (A, B), or (A^T, C^T) on the dual side."""
+    a, b, c = sls.modes[sigma - 1]
+    return (a.transpose(), c.transpose()) if dual else (a, b)
+
+
+def _reference_bound(sls, net, dual):
+    """The bound's mask as a plain least fixed point: round-robin passes of
+    V[dst] += G V[src] + im H over all N M input-state pairs, every pair
+    pushed on every pass, in Subspace operations; no union step."""
+    pairs = []
+    for gamma in range(1, net.M + 1):
+        for theta in range(1, net.N + 1):
+            theta_next, sigma = step(net, gamma, theta)
+            g, h = _mode_pair(sls, sigma, dual)
+            pairs.append((theta_next, theta, g, h) if dual else (theta, theta_next, g, h))
+    spaces, changed = [column_space(Matrix.zeros(sls.n, 1))] * net.N, True
+    while changed:
+        changed = False
+        for src, dst, g, h in pairs:
+            pushed = subspace_sum(column_space(g @ spaces[src - 1].basis), column_space(h))
+            if not subspace_contains(spaces[dst - 1], pushed):
+                spaces[dst - 1], changed = subspace_sum(spaces[dst - 1], pushed), True
+    return sum(1 << i for i, space in enumerate(spaces) if space.rank == sls.n)
+
+
+def _reference_union(sls, net, dual):
+    """U: the least subspace holding every emitted im H and invariant under
+    every emitted G, grown by Subspace operations until its rank stops."""
+    pairs = [_mode_pair(sls, sigma, dual) for sigma in sorted(set(net.R.col_index))]
+    union = subspace_sum(*(column_space(h) for _, h in pairs))
+    while True:
+        grown = subspace_sum(union, *(column_space(g @ union.basis) for g, _ in pairs))
+        if grown.rank == union.rank:
+            return union
+        union = grown
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_bound_matches_a_plain_fixed_point(seed):
+    # The bound (U first, then the per-state pass) gives the mask of the
+    # plain least fixed point, on both sides.
+    rng = random.Random(seed)
+    sls, net = _bound_draw(rng)
+    for merger in (merge, merge_dual):
+        dual = merger is merge_dual
+        assert analysis._invariant_bound(merger(sls, net)) == _reference_bound(sls, net, dual), (dual, seed)
+
+
+def test_bound_draws_reach_both_branches():
+    # At a fixed seed, 60 draws on both sides: U is not full (mask 0 at
+    # once), or U is full and the per-state pass decides, finding every
+    # state full or refuting some state that U cannot.
+    rng = random.Random(2002)
+    branches = collections.Counter()
+    for _ in range(60):
+        sls, net = _bound_draw(rng)
+        for merger in (merge, merge_dual):
+            dual = merger is merge_dual
+            mask = analysis._invariant_bound(merger(sls, net))
+            assert mask == _reference_bound(sls, net, dual)
+            if _reference_union(sls, net, dual).rank < sls.n:
+                branches["U not full"] += 1
+                assert mask == 0
+            else:
+                branches["U full, all states full" if mask == 2**net.N - 1 else "U full, some state refuted"] += 1
+    assert branches == {"U not full": 44, "U full, all states full": 48, "U full, some state refuted": 28}
+
+
+def _union_full_negative():
+    """n = 3, N = M = q = 2, every state a self-loop: state 1 emits mode 1
+    (A a cyclic shift, B = e1, C = e1^T), state 2 mode 2 (A = I, B = 0,
+    C = 0). U is full on both sides, but no sequence from state 2 gets a
+    rank."""
+    shift = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    sls = SwitchedLinearSystem([
+        (shift, Matrix([[1], [0], [0]]), Matrix([[1, 0, 0]])),
+        (Matrix.identity(3), Matrix.zeros(3, 1), Matrix.zeros(1, 3)),
+    ])
+    net = LogicalNetwork(2, 1, 1, LogicalMatrix(2, [1, 2, 1, 2]), LogicalMatrix(2, [1, 2, 1, 2]))
+    return sls, net
+
+
+def test_bound_refutes_a_state_where_the_union_is_full(monkeypatch):
+    # Per side: U is full, and the per-state pass finds V[1] full and V[2]
+    # zero (mask 0b01). The bound makes 20 containment tests: 8 growing U
+    # (four passes over the two emitted modes, the first three adding e1,
+    # e2 and e3), then 12 pair pushes, every one of the four pairs on each
+    # of three passes. Searches from every state and from state 2 alone
+    # equal the enumeration, whole verdict and per_alpha. The floor
+    # skips horizon 2 (2 m < n), and the bound is tried from horizon 3 on
+    # (min(M^3 |checked|, q^3) = 8 > N n = 6): strict, it refutes nowhere
+    # and state 1 holds at horizon 3; from state 2 alone it refutes
+    # horizons 3 and 4.
+    sls, net = _union_full_negative()
+    calls = _count_calls(monkeypatch, "_contains")
+    for merger in (merge, merge_dual):
+        dual = merger is merge_dual
+        assert _reference_union(sls, net, dual).rank == 3
+        calls["_contains"] = 0
+        assert analysis._invariant_bound(merger(sls, net)) == 0b01 == _reference_bound(sls, net, dual)
+        assert calls["_contains"] == 20, dual
+    monkeypatch.undo()
+    with _watched() as (tried, walked):
+        for prop, check, merger in SIDES:
+            for checked, alphas in (({"strict": True}, None), ({"alphas": [2]}, (2,))):
+                tried.clear()
+                walked.clear()
+                verdict = check(merger(sls, net), 4, **checked)
+                ref = kalman_oracle(sls, net, 4, prop, alphas=alphas)
+                assert verdict == ref and verdict.per_alpha == ref.per_alpha, (prop, checked)
+                assert verdict.holds is False, (prop, checked)
+                want = ([False], [1, 3, 4]) if alphas is None else ([True, True], [1])
+                assert (tried, walked) == want, (prop, checked)
+
+
+@pytest.mark.parametrize("fixture, merger", [("sls_unobservable.txt", merge_dual), ("sls_unreachable.txt", merge)])
+def test_union_refutes_a_structural_fixture(monkeypatch, fixture, merger):
+    # U is grown in two eliminations, within n = 3, one per emitted mode's
+    # H block (dual: C's rows e3 and e2, which A^T keeps off e1; primal:
+    # B's columns e1 and e2, which A keeps off e3), and is not full, so
+    # building the bound refutes every state.
+    desc = loads((FIXTURES / fixture).read_text())
+    merged = merger(desc.sls, desc.net)
+    calls = _count_calls(monkeypatch, "_echelon")
+    assert analysis._bound_refutes(merged, tuple(range(1, desc.net.N + 1)))
+    assert calls["_echelon"] == 2 <= desc.sls.n
+    assert merged._bound == 0
 
 
 @given(st.integers(0, 10**6))
