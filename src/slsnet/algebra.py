@@ -214,7 +214,7 @@ class Matrix(Record):
     @staticmethod
     def identity(n: int, mode: Numeric | str = EXACT) -> "Matrix":
         _check_size(n, n)
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], mode)
+        return Matrix(_identity_rows(n, 1, 0), mode)
 
     @staticmethod
     def column(values: Sequence, mode: Numeric | str = EXACT) -> "Matrix":
@@ -481,7 +481,7 @@ class BooleanMatrix(Record):
     @staticmethod
     def identity(n: int) -> "BooleanMatrix":
         _check_size(n, n)
-        return BooleanMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return BooleanMatrix(_identity_rows(n, 1, 0))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -526,55 +526,67 @@ def boolean_power(a: BooleanMatrix, k: int) -> BooleanMatrix:
 # ---------------------------------------------------------------------------
 
 def _primitive(row):
-    """Exact row scaled to coprime ints: times the lcm of its denominators,
-    then divided by the gcd of its entries (its content)."""
-    try:
-        g = math.gcd(*row)
-    except TypeError:  # a Fraction; products of rational entries give integral ones too
-        d = math.lcm(*(v.denominator for v in row))
-        row = [v.numerator * (d // v.denominator) for v in row]
-        g = math.gcd(*row)
+    """Exact row holding a Fraction scaled to coprime ints: times the lcm of
+    its denominators, then divided by the gcd of its entries (its content)."""
+    d = math.lcm(*(v.denominator for v in row))
+    row = [v.numerator * (d // v.denominator) for v in row]
+    g = math.gcd(*row)
     return [v // g for v in row] if g > 1 else row
+
+
+def _identity_rows(n: int, one, zero) -> tuple:
+    """The n x n identity's rows, with entries one and zero."""
+    return tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n))
 
 
 def _echelon(rows, tol) -> tuple:
     """Gauss-Jordan rows spanning a sequence of rows, sorted by pivot
-    column; their count is the rank. Exact (tol None), fraction-free: each
-    row, cleared of denominators, is reduced forward against the kept rows
-    in pivot order by integer cross-multiplication, dropped if it
+    column; their count is the rank. Exact (tol None), fraction-free
+    (Bareiss 1968): each row, made primitive (an int row divided by its
+    content, a Fraction row by _primitive), is reduced forward against the
+    kept rows in pivot order by integer cross-multiplication, dropped if it
     vanishes, and kept primitive at its pivot column. At full column rank
-    the span is everything, and the identity's rows are returned at once;
-    otherwise one back-substitution clears each pivot column from the rows
-    above it. Each row is then a primitive int multiple of a row of the
-    unique reduced row echelon form (divided by its pivot, it is that
-    row). Float: partial pivoting on magnitude, each pivot row divided by
-    its pivot (so every pivot is 1.0), |v| <= tol counting as zero; a
-    column with no pivot is zeroed in the rows not yet pivoted, so every
-    row is 0.0 before its pivot.
+    the identity's rows are returned at once; otherwise one
+    back-substitution clears each pivot column from the rows above it.
+    Each row is then a primitive int multiple of a row of the unique
+    reduced row echelon form (divided by its pivot, it is that row). Float:
+    partial pivoting on magnitude, each pivot row divided by its pivot (so
+    every pivot is 1.0), |v| <= tol counting as zero; a column with no
+    pivot is zeroed in the rows not yet pivoted, so every row is 0.0
+    before its pivot.
     """
     ncols = len(rows[0]) if rows else 0
     if tol is None:
         kept = []  # (pivot column, row), by pivot column; each row is 0 before its pivot
         for row in rows:
-            row = _primitive(row)
+            try:
+                g = math.gcd(*row)
+            except TypeError:  # a Fraction; products of rational entries give integral ones too
+                row, g = _primitive(row), 1
+            row = [v // g for v in row] if g > 1 else row
             for c, k in kept:
                 f = row[c]
                 if f:
                     p = k[c]
                     row = [p * x - f * y for x, y in zip(row, k)]
-            c = next((j for j, x in enumerate(row) if x), None)
-            if c is None:
+            for c, x in enumerate(row):
+                if x:
+                    break
+            else:
                 continue
             if len(kept) + 1 == ncols:
-                return tuple(tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols))
-            bisect.insort(kept, (c, _primitive(row)))
+                return _identity_rows(ncols, 1, 0)
+            g = math.gcd(*row)
+            bisect.insort(kept, (c, [v // g for v in row] if g > 1 else row))
         for i in range(len(kept) - 1, 0, -1):
             c, row = kept[i]
             p = row[c]
-            for j, (cj, k) in enumerate(kept[:i]):
+            for j, (cj, k) in zip(range(i), kept):
                 f = k[c]
                 if f:
-                    kept[j] = cj, _primitive([p * x - f * y for x, y in zip(k, row)])
+                    k = [p * x - f * y for x, y in zip(k, row)]
+                    g = math.gcd(*k)
+                    kept[j] = cj, [v // g for v in k] if g > 1 else k
         return tuple(tuple(row) for _, row in kept)
     grid = [list(row) for row in rows]
     nrows, r = len(grid), 0

@@ -42,7 +42,9 @@ advanced once from its parent, and judges each distinct mode sequence it
 meets once. A search is fixed by its kind (after the reduction below) and
 its checked states, and a merged system keeps its levels: level h holds
 horizon h's first highest-scoring details, their score, and its first
-sequence that holds at every checked state, or none. A query reads levels
+sequence that holds at every checked state, or none; the first verdict
+to read a level's details builds their records, and later verdicts
+share them, each in a per_alpha of its own. A query reads levels
 1..t_max in order and walks only those not yet recorded, so a recorded
 witness answers at once, a larger t_max extends the levels and a smaller
 one reads them. So the two checks of a side and any later query on the
@@ -295,9 +297,14 @@ def _detail(kind: int, n: int, tol, fold) -> tuple[int, bool]:
     return len(span), full if kind == 0 else full or _contains(span, tol, chain)
 
 
-def _per_alpha(checked, details) -> dict[int, AlphaDetail]:
-    """A verdict's per_alpha; a search judges plain pairs, and builds records for the one it returns."""
-    return {alpha: AlphaDetail(*detail) for alpha, detail in zip(checked, details)}
+def _per_alpha(checked, levels, horizon) -> dict[int, AlphaDetail]:
+    """A verdict's per_alpha from a recorded level's best details, plain
+    pairs until the first verdict to read them stores their records back."""
+    details, score, found = levels[horizon]
+    if not isinstance(details[0], AlphaDetail):
+        details = tuple(AlphaDetail(*detail) for detail in details)
+        levels[horizon] = details, score, found
+    return dict(zip(checked, details))
 
 
 def _least(pairs, slots: int):
@@ -320,10 +327,11 @@ def _invariant_bound(ms) -> int:
     subspace is full (bit theta - 1 for state theta).
 
     The least fixed point of V[dst] >= G_sigma V[src] + im H_sigma over
-    every input-state pair: src theta, dst theta' = L(gamma, theta) on the
-    primal side, the reverse on the dual side, sigma = R(gamma, theta). So
-    V[theta'] holds the span of every sequence ending at theta', and on the
-    dual side V[theta] the span of every sequence starting at theta.
+    each (src, dst, sigma) of an input-state pair, once: src theta, dst
+    theta' = L(gamma, theta) on the primal side, the reverse on the dual
+    side, sigma = R(gamma, theta). So V[theta'] holds the span of every
+    sequence ending at theta', and on the dual side V[theta] the span of
+    every sequence starting at theta.
     Every V lies in U, the least subspace holding im H_sigma and invariant
     under G_sigma for every emitted sigma: the same fixed point on one slot,
     one self-pair per emitted mode, at most n eliminations. A U that is not
@@ -337,13 +345,13 @@ def _invariant_bound(ms) -> int:
     (union,) = _least([(0, 0, *blocks[sigma - 1]) for sigma in sorted(set(net.R.col_index))], 1)
     if len(union) < n:
         return 0
-    pairs = []
+    pairs = {}  # (src, dst, sigma) -> its pair, in first-seen order
     for gamma in range(1, net.M + 1):
         for theta in range(1, net.N + 1):
             theta_next, sigma = unchecked_step(net, gamma, theta)
             src, dst = (theta_next, theta) if dual else (theta, theta_next)
-            pairs.append((src - 1, dst - 1, *blocks[sigma - 1]))
-    return sum(1 << i for i, span in enumerate(_least(pairs, net.N)) if len(span) == n)
+            pairs[src, dst, sigma] = src - 1, dst - 1, *blocks[sigma - 1]
+    return sum(1 << i for i, span in enumerate(_least(pairs.values(), net.N)) if len(span) == n)
 
 
 def _bound_refutes(ms, checked) -> bool:
@@ -421,12 +429,12 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
                 levels[horizon] = None, 0, []
             else:
                 levels[horizon] = _level(ms, kind, checked, horizon)
-        details, score, found = levels[horizon]
+        _, score, found = levels[horizon]
         if score > best_score:
-            best, best_score = details, score
+            best, best_score = horizon, score
         if found:
-            return PropertyVerdict(prop, True, found[0], horizon, _per_alpha(checked, best), checked)
-    return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, best), checked)
+            return PropertyVerdict(prop, True, found[0], horizon, _per_alpha(checked, levels, best), checked)
+    return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, levels, best), checked)
 
 
 def check_reachability(

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 
-from .algebra import BooleanMatrix, DimensionError, Matrix, Numeric, Record, _check_size, _echelon, check_int
+from .algebra import (
+    BooleanMatrix, DimensionError, Matrix, Numeric, Record, _check_size, _echelon, _identity_rows, check_int,
+)
 from .lcn import LogicalNetwork, step
 
 
@@ -108,8 +110,7 @@ def _start(ms):
     """Fold of the empty mode sequence: (no span rows, the identity's columns),
     with entries of the system's kind, as Matrix.identity builds them."""
     one, zero = (1, 0) if ms.sls.mode_flag.tol is None else (1.0, 0.0)
-    n = ms.sls.n
-    return (), tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return (), _identity_rows(ms.sls.n, one, zero)
 
 
 class _MergedBase:

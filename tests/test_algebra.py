@@ -611,16 +611,41 @@ def full_column_rank_matrices(draw):
     return draw(st.permutations(square + extra))
 
 
-@given(st.one_of(rational_matrices(), full_column_rank_matrices()), st.data())
+@st.composite
+def integer_rows(draw):
+    """Plain-int rows, up to 6x5, as folds and merge pass them: some scaled
+    by a common factor above 1, some int combinations of earlier rows,
+    which vanish when reduced."""
+    c = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["plain", "scaled", "combination"]))
+        if kind == "combination" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([a * u + b * v for u, v in zip(x, y)])
+        else:
+            factor = draw(st.integers(2, 5)) if kind == "scaled" else 1
+            rows.append([factor * v for v in draw(st.lists(st.integers(-6, 6), min_size=c, max_size=c))])
+    return rows
+
+
+@given(st.one_of(rational_matrices(), full_column_rank_matrices(), integer_rows()), st.data())
 @settings(max_examples=200, deadline=None)
 def test_elimination_matches_fraction_reference(rows, data):
     # the raw rows hold integral Fractions too, as products of rational
-    # entries do: each echelon row is a primitive int row, pivots strictly
-    # increase, and each row is a multiple of the reference's reduced row;
-    # at full column rank the rows are exactly the identity's, and any row
-    # order gives the same rows up to sign
+    # entries do, or plain ints: each echelon row is a primitive int row,
+    # pivots strictly increase, and each row is a multiple of the
+    # reference's reduced row; at full column rank the rows are exactly the
+    # identity's, and any row order gives the same rows up to sign. Rows of
+    # integral entries give the same tuples, signs included, as plain ints
+    # and as Fractions.
     a = Matrix(rows)
     echelon = _echelon(rows, None)
+    assert type(echelon) is tuple and all(type(row) is tuple for row in echelon)
+    if all(Fraction(v).denominator == 1 for row in rows for v in row):
+        ints = [[int(v) for v in row] for row in rows]
+        assert _echelon(ints, None) == _echelon([[Fraction(v) for v in row] for row in ints], None) == echelon
     ref_grid, ref_pivots = fraction_rref(rows)
     pivots = [next(j for j, v in enumerate(row) if v) for row in echelon]
     assert pivots == ref_pivots and pivots == sorted(set(pivots))

@@ -860,6 +860,29 @@ def test_smaller_horizon_reads_the_recorded_levels(monkeypatch, check, merger):
     assert got == want and got.per_alpha == want.per_alpha
 
 
+@pytest.mark.parametrize("first, second, merger", [
+    (check_reachability, check_controllability, merge),
+    (check_observability, check_reconstructibility, merge_dual),
+])
+def test_verdicts_share_a_levels_records(first, second, merger):
+    # Worked system, exact, every emitted A nonsingular: the second check
+    # is the first's search and reads its recorded levels. A level's
+    # AlphaDetail records are built once, by the first verdict that reads
+    # it, and shared by later ones, each verdict holding its own per_alpha
+    # dict: clearing one changes no later read. Negative at t_max = 2 and
+    # positive at the default horizon (T = 3), as on fresh merged systems.
+    merged = merger(golden_sls(), NET)
+    for t_max in (2, None):
+        one, two = first(merged, t_max, strict=True), second(merged, t_max, strict=True)
+        assert one.per_alpha is not two.per_alpha and one.per_alpha == two.per_alpha
+        assert all(one.per_alpha[alpha] is detail for alpha, detail in two.per_alpha.items())
+        one.per_alpha.clear()
+        three = second(merged, t_max, strict=True)
+        want = second(merger(golden_sls(), NET), t_max, strict=True)
+        assert three == two == want and three.per_alpha == want.per_alpha
+        assert (want.holds, want.T) == (t_max is None, 2 if t_max else 3)
+
+
 @given(st.integers(0, 10**6))
 @example(103)  # a negative recorded past t_max = 1 whose best improves after horizon 1
 @settings(max_examples=25, deadline=None)
@@ -1364,15 +1387,17 @@ def _union_full_negative():
 
 def test_bound_refutes_a_state_where_the_union_is_full(monkeypatch):
     # Per side: U is full, and the per-state pass finds V[1] full and V[2]
-    # zero (mask 0b01). The bound makes 20 containment tests: 8 growing U
+    # zero (mask 0b01). The bound makes 16 containment tests: 8 growing U
     # (four passes over the two emitted modes, the first three adding e1,
-    # e2 and e3), then 12 pair pushes, every one of the four pairs on each
-    # of three passes. Searches from every state and from state 2 alone
-    # equal the enumeration, whole verdict and per_alpha. The floor
-    # skips horizon 2 (2 m < n), and the bound is tried from horizon 3 on
-    # (min(M^3 |checked|, q^3) = 8 > N n = 6): strict, it refutes nowhere
-    # and state 1 holds at horizon 3; from state 2 alone it refutes
-    # horizons 3 and 4.
+    # e2 and e3), then 8 pair pushes: both inputs give the same two
+    # (src, dst, mode) pairs, each pushed once on each of four passes, the
+    # first three each adding a vector to V[1] (pushing all four
+    # input-state pairs, repeats included, took 12). Searches from every
+    # state and from state 2 alone equal the enumeration, whole verdict
+    # and per_alpha. The floor skips horizon 2 (2 m < n), and the bound is
+    # tried from horizon 3 on (min(M^3 |checked|, q^3) = 8 > N n = 6):
+    # strict, it refutes nowhere and state 1 holds at horizon 3; from
+    # state 2 alone it refutes horizons 3 and 4.
     sls, net = _union_full_negative()
     calls = _count_calls(monkeypatch, "_contains")
     for merger in (merge, merge_dual):
@@ -1380,7 +1405,7 @@ def test_bound_refutes_a_state_where_the_union_is_full(monkeypatch):
         assert _reference_union(sls, net, dual).rank == 3
         calls["_contains"] = 0
         assert analysis._invariant_bound(merger(sls, net)) == 0b01 == _reference_bound(sls, net, dual)
-        assert calls["_contains"] == 20, dual
+        assert calls["_contains"] == 8 + 8, dual
     monkeypatch.undo()
     with _watched() as (tried, walked):
         for prop, check, merger in SIDES:
