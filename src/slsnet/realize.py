@@ -9,9 +9,9 @@ emitting sigma can stay on sigma or escape from it is decided by the M
 signals emitted after its L-target. These checks run per pair, so the
 diagnostics name exactly which input-state pair breaks the requirement.
 Tracking instead follows the set of states the reference allows, as a
-bitmask stepped through per-byte successor tables when it is dense; its
-frontier is one mask over all pairs, and its witness is read off that
-mask one bit scan per step.
+bitmask stepped through one capped set of per-byte successor tables
+when it is dense; its frontier is one mask over all pairs, and its
+witness is read off that mask one bit scan per step.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .lcn import LogicalNetwork, _image
 INFINITY = math.inf
 # below N/_SPARSE members a tracking step walks the set bits (see check_trackable)
 _SPARSE = 8
+# the most bytes a tracking call's tables may take (see check_trackable)
+_TABLE_BYTES = 1 << 26
 
 
 def _check_duration(d, what: str, infinite: bool):
@@ -196,14 +198,17 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     successor masks of the members of S_t. Below N/_SPARSE members, S_t is
     walked bit by bit, one OR per member, by the logical layer's image step
     (lcn._image). Otherwise it is read as ceil(N/8) bytes, and each byte
-    indexes its 8-state block's table, which holds the OR of the masks
-    selected by every byte value: ceil(N/8) lookups in C. A signal's tables
-    are built by doubling on its first dense step (about 32*N ORs, 0.8 ms
-    at N = 256) and dropped on return. On random masks at N = 64 and 256, a
-    walk step beats a lookup step up to about N/16 members, but a set that
-    turns dense only now and then does not earn the tables back, so
-    _SPARSE is 8 (16 made 800-step benchmark references up to 1.6x
-    slower).
+    indexes its 8-state block's table, which holds the OR of the rows
+    selected by every byte value: ceil(N/8) lookups in C. Row theta packs
+    theta's successor masks under the P values the reference steps from, N
+    bits each, and a lookup shifts its value's bits down. This one table set
+    is built by doubling on the first dense step (about 32*N ORs) and
+    dropped on return. It takes about 4*P*N^2 bytes; past _TABLE_BYTES
+    (64 MiB: P = 4 at N = 2048, 1 at N = 4096) it is not built and every
+    step walks. On random masks at N = 64 and 256 and P = 3, a walk step
+    beats a lookup step up to about N/12 members, but a set that turns
+    dense only now and then does not earn the tables back, so _SPARSE is 8
+    (12 and 16 made 800-step benchmark references up to 1.35x slower).
 
     Backward pass, on success only: the witness ends at the lowest set bit
     of F_T. Each earlier pair is the smallest pair of F_t whose L-target is
@@ -234,8 +239,8 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
             emits[i] |= mask << lo
     spread = sum(1 << gamma * N for gamma in range(net.M))
 
-    tables: dict[int, list[list[int]]] = {}  # per signal value, per block
-    width = (N + 7) // 8
+    tables = None  # per 8-state block, built on the first dense step
+    width, full = (N + 7) // 8, (1 << N) - 1
     dense = -(-N // _SPARSE)  # the fewest members a lookup step takes
     states = 1 << (problem.theta0 - 1)
     history, sizes = [states], [(states * spread & emits[reference[0] - 1]).bit_count()]
@@ -243,11 +248,17 @@ def check_trackable(net: LogicalNetwork, problem: TrackingProblem) -> TrackVerdi
     for prev, sigma in zip(reference, reference[1:] if sizes[0] else ()):
         if states.bit_count() < dense:  # few states: visit each
             states = _image(states, succ[prev - 1])
-        else:  # many: one table lookup per byte of S_t
-            if prev not in tables:
-                step_succ = succ[prev - 1]
-                tables[prev] = [_or_table(step_succ[c : c + 8]) for c in range(0, N, 8)]
-            states = reduce(or_, map(getitem, tables[prev], states.to_bytes(width, "little")))
+        else:  # many: one table lookup per byte of S_t, if the tables fit
+            if tables is None:  # row bit offset per value stepped from; no rows past the cap
+                slot = {value: i * N for i, value in enumerate(sorted(set(reference[:-1])))}
+                rows = [0] * N if 4 * len(slot) * N * N <= _TABLE_BYTES else []
+                for value, shift in slot.items():
+                    rows = [row | mask << shift for row, mask in zip(rows, succ[value - 1])]
+                tables = [_or_table(rows[c : c + 8]) for c in range(0, len(rows), 8)]
+            if tables:
+                states = reduce(or_, map(getitem, tables, states.to_bytes(width, "little"))) >> slot[prev] & full
+            else:
+                states = _image(states, succ[prev - 1])
         size = (states * spread & emits[sigma - 1]).bit_count()
         sizes.append(size)
         if not size:

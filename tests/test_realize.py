@@ -402,12 +402,14 @@ def test_tracking_verdict_matches_pair_frontier(seed, live):
     assert verdict.trackable or not live
 
 
-@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("q", [1, 3, 5])
 @pytest.mark.parametrize("m_nodes", [0, 1, 2])
 @pytest.mark.parametrize("n_nodes", [6, 7, 8])
 def test_tracking_matches_pair_frontier_at_scale(n_nodes, m_nodes, q):
     # N = 64..256 and M = 1..4, the sizes the benchmark tracks at, where
-    # state sets are both sparse and dense; theta0 emits only signal 1
+    # state sets are both sparse and dense; theta0 emits only signal 1.
+    # At q = 5 the tables pack five values (M = 4 at N = 64 and 128 steps
+    # dense sets), and one more reference leaves signal 2 out of them
     rng = random.Random(f"track:{n_nodes}:{m_nodes}:{q}")
     net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes)
     theta0 = rng.randint(1, net.N)
@@ -422,6 +424,15 @@ def test_tracking_matches_pair_frontier_at_scale(n_nodes, m_nodes, q):
     # a live prefix, then random signals that mostly die part way
     mixed = live[:150] + [rng.randint(1, q) for _ in range(150)]
     references = [live, mixed] + ([[q] + live[1:]] if q > 1 else [])
+    if q == 5:  # a live run kept off signal 2 until no input avoids it
+        avoiding, theta = [], theta0
+        while len(avoiding) < 300:
+            moves = [move for move in (step(net, g, theta) for g in range(1, net.M + 1)) if move[1] != 2]
+            if not moves:
+                break
+            theta, sigma = rng.choice(moves)
+            avoiding.append(sigma)
+        references.append(avoiding)
     for reference in references:
         problem = TrackingProblem(theta0, reference)
         assert check_trackable(net, problem) == pair_frontier_track(net, problem)
@@ -452,16 +463,19 @@ def _live_reference(rng, net, theta0, length):
 
 @pytest.mark.parametrize("n_nodes", [3, 4, 5])
 def test_tracking_tables_with_short_last_block(monkeypatch, n_nodes):
-    # k = 3 gives N = 27, 81, 243: the last 8-state block holds 3, 1, 3
+    # k = 3 gives N = 27, 81, 243: the last 8-state block holds 3, 1, 3,
+    # and at q = 3 (M = 9, so sets turn dense) its rows pack up to three values
     built = _count_tables(monkeypatch)
     rng = random.Random(f"track-k3:{n_nodes}")
-    net = random_net_for(rng, 2, n_nodes=n_nodes, m_nodes=1, k=3)
-    for theta0 in rng.sample(range(1, net.N + 1), 3):
-        live = _live_reference(rng, net, theta0, 60)
-        for reference in (live, live[:30] + [rng.randint(1, 2) for _ in range(30)]):
-            problem = TrackingProblem(theta0, reference)
-            assert check_trackable(net, problem) == pair_frontier_track(net, problem)
-    assert net.N % 8 in built
+    for q, m_nodes in ((2, 1), (3, 2)):
+        built.clear()
+        net = random_net_for(rng, q, n_nodes=n_nodes, m_nodes=m_nodes, k=3)
+        for theta0 in rng.sample(range(1, net.N + 1), 3):
+            live = _live_reference(rng, net, theta0, 60)
+            for reference in (live, live[:30] + [rng.randint(1, q) for _ in range(30)]):
+                problem = TrackingProblem(theta0, reference)
+                assert check_trackable(net, problem) == pair_frontier_track(net, problem)
+        assert net.N % 8 in built
 
 
 @pytest.mark.parametrize("k, n_nodes", [(2, 0), (2, 1), (3, 1), (2, 2), (3, 2)])
@@ -504,9 +518,9 @@ def test_tracking_goes_sparse_dense_sparse(monkeypatch):
     assert verdict == pair_frontier_track(net, problem)
     assert verdict.trackable
     assert verdict.frontier_sizes[11] == 1 and max(verdict.frontier_sizes[:10]) > 8 * 3
-    # signals 1 and 2 both step a dense set twice, but build their eight
-    # block tables once each
-    assert built == [8] * 16
+    # signals 1 and 2 both step a dense set twice, and one set of eight
+    # block tables, packing the three values stepped from, serves all four
+    assert built == [8] * 8
 
 
 def test_tracking_dies_after_tables_were_built(monkeypatch):
@@ -523,15 +537,71 @@ def test_tracking_dies_after_tables_were_built(monkeypatch):
 
 
 def test_tracking_keeps_nothing_between_calls(monkeypatch):
-    # each call builds its own tables and leaves the network as it was
+    # each call builds its own table set and leaves the network as it was
     built = _count_tables(monkeypatch)
     net = _spread_and_collapse_net()
     fields = [getattr(net, name) for name in LogicalNetwork.__slots__]
     problem = TrackingProblem(5, [1] * 10 + [2, 3] + [1] * 10 + [2, 1, 1])
     assert check_trackable(net, problem) == check_trackable(net, problem)
-    assert built == [8] * 32
+    assert built == [8] * 16
     assert [getattr(net, name) for name in LogicalNetwork.__slots__] == fields
     assert net == _spread_and_collapse_net()
+
+
+def _packed_rows(net, values):
+    """Per state, its successor mask under the i-th of values at bits i*N on."""
+    rows = [0] * net.N
+    for pair, (target, sigma) in enumerate(zip(net.L.col_index, net.R.col_index)):
+        if sigma in values:
+            rows[pair % net.N] |= 1 << (values.index(sigma) * net.N + target - 1)
+    return rows
+
+
+def test_tracking_builds_one_packed_table_set_per_call(monkeypatch):
+    # N = 64, M = 4: every call that steps a dense set builds one table per
+    # 8-state block, from rows packing just the values the reference steps from
+    blocks, or_table = [], realize._or_table
+    monkeypatch.setattr(realize, "_or_table", lambda rows: blocks.append(rows) or or_table(rows))
+
+    def track(net, theta0, reference):
+        blocks.clear()
+        problem = TrackingProblem(theta0, reference)
+        assert check_trackable(net, problem) == pair_frontier_track(net, problem)
+        return [row for rows in blocks for row in rows]
+
+    for q in (2, 3, 5):
+        rng = random.Random(f"track-packed:{q}")
+        net = random_net_for(rng, q, n_nodes=6, m_nodes=2)
+        dense_calls = 0
+        for _ in range(10):
+            theta0 = rng.randint(1, net.N)
+            live = _live_reference(rng, net, theta0, 40)
+            for reference in (live, live[:20] + [rng.randint(1, q) for _ in range(20)]):
+                rows = track(net, theta0, reference)
+                if rows:
+                    dense_calls += 1
+                    values = sorted(set(reference[:-1]))
+                    assert [len(block) for block in blocks] == [8] * 8
+                    assert max(row.bit_length() for row in rows) <= len(values) * net.N
+                    assert rows == _packed_rows(net, values)
+        assert dense_calls
+    # signal 2 is stepped to, never from, so only signal 1 is packed
+    assert track(_spread_and_collapse_net(), 5, [1] * 10 + [2]) == _packed_rows(_spread_and_collapse_net(), [1])
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_tracking_walks_every_step_past_the_table_cap(monkeypatch, spare):
+    # the tables packing signals 1, 2 and 3 at N = 64 take about 4*3*64^2
+    # bytes: a cap that holds them builds them, one byte less builds none,
+    # and the verdict is the same either way
+    built = _count_tables(monkeypatch)
+    monkeypatch.setattr(realize, "_TABLE_BYTES", 4 * 3 * 64 * 64 + spare)
+    net = _spread_and_collapse_net()
+    problem = TrackingProblem(5, [1] * 10 + [2, 3] + [1] * 10 + [2, 1, 1])
+    verdict = check_trackable(net, problem)
+    assert verdict == pair_frontier_track(net, problem)
+    assert verdict.trackable and max(verdict.frontier_sizes) > 8 * 3
+    assert built == ([8] * 8 if spare == 0 else [])
 
 
 @given(st.integers(0, 10**6))
