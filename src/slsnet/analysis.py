@@ -51,9 +51,9 @@ one reads them. So the two checks of a side and any later query on the
 same merged system fold each mode sequence at most once, whatever the
 checked states and in any order, and every answer is a fresh walk's: no
 verdict depends on what was asked before. The feasible list is the
-reachability verdict and one more walk of its witness level, keeping
-every sequence that holds at every checked state, the witness first; its
-folds are memoised, so it only judges again. Neither judgment runs an
+reachability verdict, then its witness level's sequences with n span rows
+at every checked state, where reachability holds: it judges nothing and
+folds only what the verdict did not reach. No judgment runs an
 elimination: the rank is the number of rows, and containment is read off
 them with weights scaled by the lcm of the pivots (algebra._contains).
 
@@ -300,10 +300,10 @@ def _detail(kind: int, n: int, tol, fold) -> tuple[int, bool]:
 def _per_alpha(checked, levels, horizon) -> dict[int, AlphaDetail]:
     """A verdict's per_alpha from a recorded level's best details, plain
     pairs until the first verdict to read them stores their records back."""
-    details, score, found = levels[horizon]
+    details, score, witness = levels[horizon]
     if not isinstance(details[0], AlphaDetail):
         details = tuple(AlphaDetail(*detail) for detail in details)
-        levels[horizon] = details, score, found
+        levels[horizon] = details, score, witness
     return dict(zip(checked, details))
 
 
@@ -383,14 +383,14 @@ def _refuted(ms, checked, horizon: int) -> bool:
     return _bound_refutes(ms, checked)
 
 
-def _level(ms, kind, checked, horizon, collect=False):
+def _level(ms, kind, checked, horizon):
     """Walk one horizon, lexicographic in the input tuple, judging each
     distinct mode sequence once, however many (sequence, checked state)
-    pairs induce it. Returns the first highest-scoring details, their score
-    and the sequences that hold at every checked alpha, in walk order: the
-    first alone, or with collect every one."""
+    pairs induce it, up to the first sequence that holds at every checked
+    alpha. Returns the first highest-scoring details, their score and that
+    sequence, or None."""
     n, tol, folds = ms.sls.n, ms.sls.mode_flag.tol, ms._folds
-    judged, best, best_score, found = {}, None, -1, []
+    judged, best, best_score = {}, None, -1
     for gammas, states in _candidates(ms, checked, horizon):
         details, score = [], 0
         for _, sigmas in states:
@@ -402,10 +402,8 @@ def _level(ms, kind, checked, horizon, collect=False):
         if score > best_score:  # the first sequence to hold everywhere stays best
             best, best_score = details, score
         if score == len(checked):
-            found.append(gammas)
-            if not collect:
-                break
-    return best, best_score, found
+            return best, best_score, gammas
+    return best, best_score, None
 
 
 def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
@@ -426,14 +424,14 @@ def _search(ms, prop, t_max, strict, alphas) -> PropertyVerdict:
             enforce_budget(ms.net, horizon)
             # the floor and the bound (see the module docstring): every score stays 0
             if best_score == 0 and kind == 0 and (horizon * width < ms.sls.n or _refuted(ms, checked, horizon)):
-                levels[horizon] = None, 0, []
+                levels[horizon] = None, 0, None
             else:
                 levels[horizon] = _level(ms, kind, checked, horizon)
-        _, score, found = levels[horizon]
+        _, score, witness = levels[horizon]
         if score > best_score:
             best, best_score = horizon, score
-        if found:
-            return PropertyVerdict(prop, True, found[0], horizon, _per_alpha(checked, levels, best), checked)
+        if witness is not None:
+            return PropertyVerdict(prop, True, witness, horizon, _per_alpha(checked, levels, best), checked)
     return PropertyVerdict(prop, False, None, t_max, _per_alpha(checked, levels, best), checked)
 
 
@@ -489,11 +487,13 @@ def feasible_input_sequences(
 ) -> list[FeasibleSequence]:
     """All input sequences achieving full reachable span at every checked
     state, at the first length up to k_max where any sequence succeeds, in
-    search order: check_reachability's verdict, then one collecting walk
-    of its witness level. Its first entry is the witness."""
+    search order: check_reachability's verdict, then its witness level's
+    sequences with n span rows at every checked state, the witness first."""
     _side(ms, "feasible_input_sequences", False)
     verdict = _search(ms, "reachability", _horizon(k_max, ms.sls.n, "k_max"), strict, alphas)
-    found = _level(ms, 0, verdict.checked_alphas, verdict.T, collect=True)[2] if verdict.holds else []
+    n, folds = ms.sls.n, ms._folds
+    level = _candidates(ms, verdict.checked_alphas, verdict.T) if verdict.holds else ()
+    found = (gammas for gammas, states in level if all(len(folds[sigmas][0]) == n for _, sigmas in states))
     return [FeasibleSequence(gammas) for gammas in found]
 
 

@@ -18,7 +18,14 @@ import time
 
 from . import __version__
 from .algebra import BooleanMatrix, DimensionError, SizingError
-from .analysis import PROPERTIES, _search, feasible_input_sequences
+from .analysis import (
+    PROPERTIES,
+    check_controllability,
+    check_observability,
+    check_reachability,
+    check_reconstructibility,
+    feasible_input_sequences,
+)
 from .fileio import ParseError, content_digest, loads
 from .lcn import (
     InputStateSubset,
@@ -170,9 +177,15 @@ def _cmd_analyze(args, desc, report) -> int:
         if ("observability" in wanted or "reconstructibility" in wanted)
         else None
     )
+    checks = {
+        "reachability": (check_reachability, ms),
+        "controllability": (check_controllability, ms),
+        "observability": (check_observability, dms),
+        "reconstructibility": (check_reconstructibility, dms),
+    }
     for prop in wanted:
-        merged = dms if PROPERTIES.index(prop) > 1 else ms
-        verdict = _search(merged, prop, t_max, args.strict, alphas)
+        check, merged = checks[prop]
+        verdict = check(merged, t_max, args.strict, alphas)
         entry = _verdict_dict(verdict)
         if prop == "reachability" and verdict.holds:
             found = feasible_input_sequences(ms, verdict.T, args.strict, alphas)

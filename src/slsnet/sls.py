@@ -147,9 +147,9 @@ class _MergedBase:
         # sequence at once store equal values.
         object.__setattr__(self, "_folds", {(): _start(self)})
         # the levels of the searches run so far, (kind, checked states) ->
-        # {horizon: (first highest-scoring details, their score, [witness] or
-        # [])} (see analysis._search): a query reads the recorded levels and
-        # walks the others, so its answer is a fresh walk's in any order
+        # {horizon: (first highest-scoring details, their score, the witness
+        # or None)} (see analysis._search): a query reads the recorded levels
+        # and walks the others, so its answer is a fresh walk's in any order
         object.__setattr__(self, "_outcomes", {})
         # the attractor cover's checked states, built on the first cover request
         object.__setattr__(self, "_cover", None)

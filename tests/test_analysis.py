@@ -785,7 +785,9 @@ def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
     # (every A is nonsingular, so the floor skips the others on both kinds).
     # The merged system keeps that search, so a repeat, and the other check
     # of the side (decided as the same kind-0 search), walk and judge
-    # nothing and give the answer of a fresh merged system.
+    # nothing and give the answer of a fresh merged system. On the primal
+    # side the feasible list keeps the witness level's sequences with full
+    # spans, read off the folds, and judges nothing either.
     calls = [0]
     original = analysis._detail
 
@@ -813,6 +815,9 @@ def test_detail_runs_once_per_mode_sequence_per_query(monkeypatch):
             assert check(merged, strict=True) == v, check
             assert partner(merged, strict=True) == want, check
             assert (walked, calls[0]) == ([], 0), check
+            if merger is merge:
+                found = feasible_input_sequences(merged, v.T, strict=True)
+                assert ([f.gammas for f in found], calls[0]) == ([(1, 2, 2), (2, 2, 2)], 0), check
 
 
 def _count_calls(monkeypatch, *names):
